@@ -1,10 +1,11 @@
-"""SLD resolution over the auxiliary predicates of a domain.
+"""The auxiliary predicates of a domain, and their derivation.
 
 Aux predicates are plain definite clauses (facts and rules over other aux
-predicates, no cut, no action or query atoms). They get their own little
-solver because the belief-state engine consults them while evaluating
-preconditions, effect conditions, and sensor indexes, independently of
-the main interpreter machinery.
+predicates and the built-ins, no cut, no action or query atoms). The
+interpreter resolves them like program predicates when a program body
+calls them; `solve` derives them on the same machine when the belief
+engine meets them in preconditions, effect conditions, sensor indexes
+and `?` queries.
 
 Predicates defined entirely by ground facts are indexed on their first
 argument, which is what makes adjacency lookups on large grids cheap;
@@ -13,77 +14,20 @@ any other predicate keeps plain textual clause order.
 
 import itertools
 
-from .errors import EngineError
-from .terms import Term, Var, apply_subst, format_term, rename_term, unify, variables, walk
+from .model import CallGoal, Program
+from .sld import FAILED, Machine
+from .terms import Var, apply_subst, variables
 
 DEFAULT_AUX_BUDGET = 1_000_000
 
-BUILTINS = {
-    ("true", 0),
-    ("fail", 0),
-    ("=", 2),
-    ("neq", 2),
-    ("memberchk", 2),
-    ("nonmember", 2),
-}
-
-
-def _list_items(term, bindings, goal):
-    """Elements of a proper list term, chasing bindings on the tails."""
-    items = []
-    t = walk(term, bindings)
-    while isinstance(t, Term) and t.functor == "." and len(t.args) == 2:
-        items.append(t.args[0])
-        t = walk(t.args[1], bindings)
-    if not (isinstance(t, Term) and t.functor == "[]" and not t.args):
-        raise EngineError(f"{format_term(goal)}: second argument is not a proper list")
-    return items
-
-
-def solve_builtin(goal, bindings):
-    """Solutions of a builtin atom, or None when `goal` is not a builtin.
-
-    `neq` is non-unifiability, `memberchk` commits to the first matching
-    element, `nonmember` succeeds when no element unifies. Both list
-    builtins insist on proper lists.
-    """
-    pred = (goal.functor, len(goal.args))
-    if pred not in BUILTINS:
-        return None
-
-    def run():
-        name = goal.functor
-        if name == "true":
-            yield bindings
-        elif name == "fail":
-            return
-        elif name == "=":
-            u = unify(goal.args[0], goal.args[1], bindings)
-            if u is not None:
-                yield u
-        elif name == "neq":
-            if unify(goal.args[0], goal.args[1], bindings) is None:
-                yield bindings
-        elif name == "memberchk":
-            for item in _list_items(goal.args[1], bindings, goal):
-                u = unify(goal.args[0], item, bindings)
-                if u is not None:
-                    yield u
-                    return
-        else:  # nonmember
-            for item in _list_items(goal.args[1], bindings, goal):
-                if unify(goal.args[0], item, bindings) is not None:
-                    return
-            yield bindings
-
-    return run()
+_NO_PROGRAM = Program(())
 
 
 class AuxDB:
     def __init__(self, program, budget=DEFAULT_AUX_BUDGET):
         self.program = program
         self.budget = budget
-        self._fresh = itertools.count(1)
+        self._fresh = map("a{}".format, itertools.count(1))
         self._fact_index = {}
         for (functor, arity), clauses in program.index.items():
             if arity == 0:
@@ -107,54 +51,30 @@ class AuxDB:
         return self.program.clauses_for(*pred)
 
     def solve(self, goal, bindings=None):
-        """Enumerate solutions of one aux atom, SLD order, as extended
-        substitutions. Raises EngineError when the step budget runs out."""
-        counter = [self.budget]
-        yield from self._solve(goal, {} if bindings is None else bindings, counter)
+        """Enumerate the answers to one aux atom (or builtin) in SLD order.
 
-    def _solve(self, goal, bindings, counter):
-        goal = apply_subst(goal, bindings)
-        builtin = solve_builtin(goal, bindings)
-        if builtin is not None:
-            yield from builtin
-            return
-        for clause in self.candidates(goal):
-            counter[0] -= 1
-            if counter[0] < 0:
-                raise EngineError("aux derivation budget exceeded")
-            if clause.body or not clause.head.ground:
-                suffix = next(self._fresh)
-                names = variables(clause.head, variables([g.atom for g in clause.body]))
-                mapping = {n: Var(f"{n}~a{suffix}") for n in names}
-                head = rename_term(clause.head, mapping)
-            else:
-                mapping = None
-                head = clause.head
-            u = unify(goal, head, bindings)
-            if u is None:
-                continue
-            if not clause.body:
-                yield u
-                continue
-            goals = [rename_term(g.atom, mapping) for g in clause.body]
-            yield from self._solve_seq(goals, 0, u, counter)
-
-    def _solve_seq(self, goals, i, bindings, counter):
-        if i == len(goals):
-            yield bindings
-            return
-        for b in self._solve(goals[i], bindings, counter):
-            yield from self._solve_seq(goals, i + 1, b, counter)
+        Each answer is an idempotent substitution extending `bindings` by
+        the atom's own variables. The derivation runs on a machine of its
+        own, renaming clause variables apart as `X~aN`; it raises
+        BudgetExceeded after `budget` resolution steps.
+        """
+        base = {} if bindings is None else bindings
+        goal = apply_subst(goal, base)
+        names = variables(goal)
+        machine = Machine(_NO_PROGRAM, self, self.budget, self._fresh)
+        found = machine.resolve((CallGoal(goal), None))
+        while found:
+            store = machine.bindings
+            new = {n: apply_subst(store[n], store) for n in names if n in store}
+            answer = {n: apply_subst(t, new) for n, t in base.items()}
+            answer.update(new)
+            yield answer
+            found = machine.resolve(FAILED)
 
 
-_EMPTY_AUX = None
+_EMPTY_AUX = AuxDB(_NO_PROGRAM)
 
 
 def empty_aux():
     """An AuxDB with no clauses (for domains without aux predicates)."""
-    global _EMPTY_AUX
-    if _EMPTY_AUX is None:
-        from .model import Program
-
-        _EMPTY_AUX = AuxDB(Program(()))
     return _EMPTY_AUX

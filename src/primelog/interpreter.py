@@ -1,39 +1,38 @@
 """Online execution of agent programs against a prime-implicate belief base.
 
-The machine is an iterative SLD resolver with Prolog clause order, leftmost
-goal selection, and cut. Three goal forms step outside ordinary resolution:
-`?(Property)` asks the belief state, `?(sense(X))` queries the environment
-and folds the observation into the belief state, and `do(Action)` executes
-an action and progresses the belief state.
+The interpreter is the SLD machine of `sld` (Prolog clause order,
+leftmost goal selection, cut, the built-ins) extended with three goal
+forms that step outside ordinary resolution: `?(Property)` asks the
+belief state, `?(sense(X))` queries the environment and folds the
+observation into the belief state, and `do(Action)` executes an action
+and progresses the belief state. Aux atoms inside properties are derived
+by `AuxDB.solve` on a machine of its own.
 
 Execution is online: once an action has been sent to the environment it
-cannot be taken back. A monotone barrier counter enforces this; resuming
-any choicepoint created before the latest action or sensing event raises
-BarrierError instead of silently recomputing a world that no longer exists.
+cannot be taken back. The machine's barrier counts executed actions and
+sensing events; resuming any choicepoint created before the latest one
+raises BarrierError instead of silently recomputing a world that no
+longer exists.
+
+An attached observer receives every event. Without one, no event text
+is ever built, so observation costs nothing when it is off.
 """
 
 import itertools
 
-from .auxdb import AuxDB, solve_builtin
-from .errors import (
-    BarrierError,
-    BudgetExceeded,
-    EngineError,
-    NondeterministicActionError,
-)
+from .auxdb import AuxDB
+from .errors import EngineError, NondeterministicActionError
 from .model import (
     CUT,
-    CallGoal,
     DoGoal,
     PropClause,
     QueryGoal,
     SenseGoal,
     StateProperty,
-    rename_property,
+    goal_variables,
     rename_spec,
-    rename_term,
-    _mapping_for,
 )
+from .parser import format_property
 from .pi import (
     applicable_case_solutions,
     entails_property,
@@ -41,36 +40,34 @@ from .pi import (
     is_prime,
     update,
 )
-from .terms import (
-    Term,
-    Var,
-    apply_subst,
-    format_literal,
-    format_term,
-    occurs,
-    unify,
-    variables,
-    walk,
-)
+from .sld import FAILED, CutGoal, Machine
+from .terms import Term, Var, apply_subst, format_literal, format_term, unify, walk
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
-_FAILED = object()
-
 
 class AgentState:
-    """Everything the agent has committed to so far: belief state, action
-    history, sensing record, and the backtracking barrier."""
+    """Everything the agent has committed to so far: the belief state and
+    the log of executed actions ("act", action, effects) and observations
+    ("sense", sensor, result, index substitution). The action history
+    and the sensing record are read off that log."""
 
-    __slots__ = ("belief", "history", "sigma", "barrier", "events", "max_belief")
+    __slots__ = ("belief", "events", "max_belief")
 
     def __init__(self, belief):
         self.belief = belief
-        self.history = []
-        self.sigma = []
-        self.barrier = 0
         self.events = []
         self.max_belief = len(belief)
+
+    @property
+    def history(self):
+        """The executed actions, in order."""
+        return [e[1] for e in self.events if e[0] == "act"]
+
+    @property
+    def sigma(self):
+        """(sensor, result, index substitution) of every observation."""
+        return [e[1:4] for e in self.events if e[0] == "sense"]
 
 
 class Outcome:
@@ -89,83 +86,21 @@ class Outcome:
         return self.status == "success"
 
 
-class _CutGoal:
-    __slots__ = ("depth",)
-
-    def __init__(self, depth):
-        self.depth = depth
-
-
-class _ExitNote:
-    """Trace-only marker: reaching it means the recorded call succeeded."""
-
-    __slots__ = ("atom",)
-
-    def __init__(self, atom):
-        self.atom = atom
-
-
-class _ClauseCP:
-    __slots__ = ("atom", "clauses", "idx", "rest", "mark", "barrier", "depth")
-
-    def __init__(self, atom, clauses, rest, mark, barrier, depth):
-        self.atom = atom
-        self.clauses = clauses
-        self.idx = 0
-        self.rest = rest
-        self.mark = mark
-        self.barrier = barrier
-        self.depth = depth
-
-
 class _StreamCP:
-    """Choicepoint over a solution stream (`?` property or `do` precondition)."""
+    """Choicepoint over a solution stream (`?` property or `do`
+    precondition). `subject` names it in the trace; `advance(machine, cp)`
+    resumes it."""
 
-    __slots__ = ("kind", "it", "rest", "mark", "barrier", "meta")
+    __slots__ = ("advance", "it", "rest", "mark", "barrier", "subject", "spec")
 
-    def __init__(self, kind, it, rest, mark, barrier, meta):
-        self.kind = kind
+    def __init__(self, advance, it, rest, mark, barrier, subject, spec=None):
+        self.advance = advance
         self.it = it
         self.rest = rest
         self.mark = mark
         self.barrier = barrier
-        self.meta = meta
-
-
-def _unify_track(t1, t2, bindings, trail):
-    """Destructive unification into the machine's binding store. Records
-    every bound name on the trail; on failure the caller undoes to its
-    mark, so partial progress is harmless."""
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        a = walk(a, bindings)
-        b = walk(b, bindings)
-        if a is b:
-            continue
-        if isinstance(a, Var):
-            if isinstance(b, Var):
-                if a.name == b.name:
-                    continue
-            elif occurs(a.name, b, bindings):
-                return False
-            bindings[a.name] = b
-            trail.append(a.name)
-            continue
-        if isinstance(b, Var):
-            if occurs(b.name, a, bindings):
-                return False
-            bindings[b.name] = a
-            trail.append(b.name)
-            continue
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return False
-        if a.ground and b.ground:
-            if a.key != b.key:
-                return False
-            continue
-        stack.extend(zip(a.args, b.args))
-    return True
+        self.subject = subject
+        self.spec = spec
 
 
 def resolve_property(prop, bindings):
@@ -184,25 +119,27 @@ def resolve_property(prop, bindings):
     return StateProperty(clauses)
 
 
-def _goal_vars(goal, acc):
-    if isinstance(goal, CallGoal):
-        variables(goal.atom, acc)
-    elif isinstance(goal, DoGoal):
-        variables(goal.action, acc)
-    elif isinstance(goal, QueryGoal):
-        for c in goal.property.clauses:
-            for l in c.fluents:
-                variables(l.fluent, acc)
-            for a in c.aux:
-                variables(a, acc)
-    elif isinstance(goal, SenseGoal):
-        variables(goal.arg, acc)
-    return acc
+def ground_effects(case, csol, act):
+    """The effect literals of the chosen case of `act` under the case
+    condition's solution; all of them must come out ground."""
+    effects = []
+    for lit in case.effects:
+        if not lit.ground:
+            lit = type(lit)(apply_subst(lit.fluent, csol), lit.positive)
+            if not lit.fluent.ground:
+                raise EngineError(
+                    f"effect {format_literal(lit)} of {format_term(act)} "
+                    "is not ground after applying the case solution"
+                )
+        effects.append(lit)
+    return tuple(effects)
 
 
-class Interpreter:
+class Interpreter(Machine):
     """One online run: a program, a domain, an environment, and the agent
     state threaded through every action and observation."""
+
+    out_of_steps = "resolution step budget exceeded"
 
     def __init__(
         self,
@@ -213,19 +150,13 @@ class Interpreter:
         observer=None,
         debug_checks=False,
     ):
+        fresh = map(str, itertools.count(1))
+        super().__init__(program, AuxDB(domain.aux_program), budget, fresh)
         self.domain = domain
-        self.program = program
         self.env = env
-        self.aux = AuxDB(domain.aux_program)
         self.agent = AgentState(domain.initial)
-        self.bindings = {}
-        self.trail = []
-        self.cps = []
-        self.steps = budget
         self.observer = observer
         self.debug_checks = debug_checks
-        self._fresh = itertools.count(1)
-        self._clause_cache = {}
 
     # -- public entry -------------------------------------------------
 
@@ -233,13 +164,15 @@ class Interpreter:
         """Resolve a goal sequence to its first solution. Returns an
         Outcome; engine faults raise with the agent state attached."""
         qvars = set()
-        for g in goals:
-            _goal_vars(g, qvars)
         stack = None
         for g in reversed(tuple(goals)):
-            stack = (self._activate(g, 0), stack)
+            if g is CUT:
+                g = CutGoal(0)
+            else:
+                goal_variables(g, qvars)
+            stack = (g, stack)
         try:
-            ok = self._loop(stack)
+            ok = self.resolve(stack)
         except EngineError as e:
             if e.state is None:
                 e.state = self.agent
@@ -253,187 +186,46 @@ class Interpreter:
         }
         return Outcome("success", answer, self.agent)
 
-    # -- machine core -------------------------------------------------
+    # -- events -------------------------------------------------------
 
-    def _tick(self):
-        self.steps -= 1
-        if self.steps < 0:
-            raise BudgetExceeded("resolution step budget exceeded")
+    def _note(self, kind, subject, *rest):
+        """Hand one event to the observer, if one is attached. The ports
+        (call/exit/redo/fail) and warnings carry text, built only here."""
+        if self.observer is None:
+            return
+        if kind in ("call", "exit", "redo", "fail"):
+            subject = self._label(subject)
+        elif kind == "warn":
+            subject = f"no applicable effect case for {format_term(subject)}; do/1 fails"
+        self.observer((kind, subject) + rest)
 
-    def _note(self, *event):
-        if self.observer is not None:
-            self.observer(event)
+    def _label(self, subject):
+        if isinstance(subject, StateProperty):
+            return f"?({format_property(subject)})"
+        if isinstance(subject, DoGoal):
+            return f"do({format_term(subject.action)})"
+        if isinstance(subject, SenseGoal):
+            return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
+        return format_term(apply_subst(subject, self.bindings))
 
-    def _undo(self, mark):
-        trail = self.trail
-        bindings = self.bindings
-        while len(trail) > mark:
-            del bindings[trail.pop()]
-
-    def _apply_solution(self, sol):
-        """Install a solution dict from the entailment layer or a builtin.
-        Solutions are idempotent, so values need no further resolution."""
-        bindings = self.bindings
-        trail = self.trail
-        for name, value in sol.items():
-            if name not in bindings:
-                bindings[name] = value
-                trail.append(name)
-
-    def _loop(self, goals):
-        while True:
-            if goals is None:
-                return True
-            goal, rest = goals
-            self._tick()
-            if isinstance(goal, CallGoal):
-                goals = self._dispatch_call(goal, rest)
-            elif isinstance(goal, QueryGoal):
-                goals = self._dispatch_query(goal, rest)
-            elif isinstance(goal, DoGoal):
-                goals = self._dispatch_do(goal, rest)
-            elif isinstance(goal, SenseGoal):
-                goals = self._dispatch_sense(goal, rest)
-            elif isinstance(goal, _CutGoal):
-                del self.cps[goal.depth :]
-                goals = rest
-            elif isinstance(goal, _ExitNote):
-                self._note("exit", format_term(apply_subst(goal.atom, self.bindings)))
-                goals = rest
-            else:
-                raise EngineError(f"unexpected goal object {goal!r}")
-            if goals is _FAILED:
-                goals = self._backtrack()
-                if goals is _FAILED:
-                    return False
-
-    def _backtrack(self):
-        while self.cps:
-            cp = self.cps[-1]
-            if self.agent.barrier > cp.barrier:
-                raise BarrierError("backtracked across executed action")
-            self._undo(cp.mark)
-            self._tick()
-            if isinstance(cp, _ClauseCP):
-                self._note("redo", format_term(apply_subst(cp.atom, self.bindings)))
-                goals = self._advance_clauses(cp)
-            elif cp.kind == "do":
-                self._note("redo", f"do({format_term(cp.meta[0])})")
-                goals = self._advance_do(cp)
-            else:
-                self._note("redo", self._query_label(cp.meta))
-                goals = self._advance_query(cp)
-            if goals is not _FAILED:
-                return goals
-        return _FAILED
-
-    # -- ordinary calls -----------------------------------------------
-
-    def _dispatch_call(self, goal, rest):
-        atom = goal.atom
-        functor = atom.functor
-        arity = len(atom.args)
-        stream = solve_builtin(apply_subst(atom, self.bindings), {})
-        if stream is not None:
-            sol = next(stream, None)
-            if sol is None:
-                self._note("fail", format_term(apply_subst(atom, self.bindings)))
-                return _FAILED
-            self._apply_solution(sol)
-            return rest
-        if self.program.defines(functor, arity):
-            clauses = self.program.clauses_for(functor, arity)
-        elif self.aux.defines(functor, arity):
-            clauses = self.aux.candidates(apply_subst(atom, self.bindings))
-        else:
-            raise EngineError(f"undefined predicate {functor}/{arity}")
-        self._note("call", format_term(apply_subst(atom, self.bindings)))
-        cp = _ClauseCP(
-            atom,
-            tuple(clauses),
-            rest,
-            len(self.trail),
-            self.agent.barrier,
-            len(self.cps),
-        )
-        self.cps.append(cp)
-        return self._advance_clauses(cp)
-
-    def _advance_clauses(self, cp):
-        bindings = self.bindings
-        trail = self.trail
-        while cp.idx < len(cp.clauses):
-            clause = cp.clauses[cp.idx]
-            cp.idx += 1
-            head, body = self._activate_clause(clause, cp.depth)
-            if not _unify_track(cp.atom, head, bindings, trail):
-                self._undo(cp.mark)
-                continue
-            goals = cp.rest
-            if self.observer is not None:
-                goals = (_ExitNote(cp.atom), goals)
-            for g in reversed(body):
-                goals = (g, goals)
-            return goals
-        self.cps.pop()
-        self._note("fail", format_term(apply_subst(cp.atom, bindings)))
-        return _FAILED
-
-    def _activate_clause(self, clause, depth):
-        """Fresh-variable copy of a clause, with cut markers bound to the
-        choicepoint they commit to."""
-        names = self._clause_cache.get(id(clause))
-        if names is None:
-            names = variables(clause.head, set())
-            for g in clause.body:
-                if g is not CUT:
-                    _goal_vars(g, names)
-            names = tuple(sorted(names))
-            self._clause_cache[id(clause)] = names
-        if not names:
-            if not clause.body:
-                return clause.head, ()
-            mapping = {}
-        else:
-            mapping = _mapping_for(names, str(next(self._fresh)))
-        head = rename_term(clause.head, mapping) if mapping else clause.head
-        body = tuple(self._rename_goal(g, mapping, depth) for g in clause.body)
-        return head, body
-
-    def _activate(self, goal, depth):
-        """Prepare a top-level goal: only cut needs a depth baked in."""
-        if goal is CUT:
-            return _CutGoal(depth)
-        return goal
-
-    def _rename_goal(self, goal, mapping, depth):
-        if goal is CUT:
-            return _CutGoal(depth)
-        if isinstance(goal, CallGoal):
-            return CallGoal(rename_term(goal.atom, mapping)) if mapping else goal
-        if isinstance(goal, DoGoal):
-            return DoGoal(rename_term(goal.action, mapping)) if mapping else goal
-        if isinstance(goal, QueryGoal):
-            return QueryGoal(rename_property(goal.property, mapping)) if mapping else goal
-        if isinstance(goal, SenseGoal):
-            if mapping:
-                return SenseGoal(goal.functor, rename_term(goal.arg, mapping))
-            return goal
-        raise EngineError(f"unexpected body goal {goal!r}")
+    def _commit(self, event, new_state):
+        """Log an executed action or observation. It raises the barrier:
+        no choicepoint created before it can be resumed."""
+        agent = self.agent
+        agent.belief = new_state
+        agent.events.append(event)
+        if len(new_state) > agent.max_belief:
+            agent.max_belief = len(new_state)
+        self.barrier += 1
 
     # -- belief queries -----------------------------------------------
 
-    def _query_label(self, prop):
-        from .parser import format_property
-
-        return f"?({format_property(prop)})"
-
     def _dispatch_query(self, goal, rest):
         prop = resolve_property(goal.property, self.bindings)
-        self._note("call", self._query_label(prop))
+        self._note("call", prop)
         stream = entails_property(self.agent.belief, prop, self.aux)
         cp = _StreamCP(
-            "query", stream, rest, len(self.trail), self.agent.barrier, prop
+            Interpreter._advance_query, stream, rest, len(self.trail), self.barrier, prop
         )
         self.cps.append(cp)
         return self._advance_query(cp)
@@ -443,10 +235,10 @@ class Interpreter:
         sol = next(cp.it, None)
         if sol is None:
             self.cps.pop()
-            self._note("fail", self._query_label(cp.meta))
-            return _FAILED
+            self._note("fail", cp.subject)
+            return FAILED
         self._apply_solution(sol)
-        self._note("holds", cp.meta, sol)
+        self._note("holds", cp.subject, sol)
         return cp.rest
 
     # -- action execution ---------------------------------------------
@@ -462,31 +254,31 @@ class Interpreter:
         spec = self.domain.action_specs.get((functor, arity))
         if spec is None:
             raise EngineError(f"action {functor}/{arity} has no specification")
-        action = apply_subst(action, self.bindings)
-        self._note("call", f"do({format_term(action)})")
-        spec = rename_spec(spec, f"d{next(self._fresh)}")
-        theta0 = unify(spec.head, action)
+        subject = DoGoal(apply_subst(action, self.bindings))
+        self._note("call", subject)
+        spec = rename_spec(spec, "d" + next(self._fresh))
+        theta0 = unify(spec.head, subject.action)
         if theta0 is None:
-            self._note("fail", f"do({format_term(action)})")
-            return _FAILED
+            self._note("fail", subject)
+            return FAILED
         stream = entails_property(self.agent.belief, spec.precond, self.aux, theta0)
         cp = _StreamCP(
-            "do", stream, rest, len(self.trail), self.agent.barrier, (action, spec)
+            Interpreter._advance_do, stream, rest, len(self.trail), self.barrier, subject, spec
         )
         self.cps.append(cp)
         return self._advance_do(cp)
 
     def _advance_do(self, cp):
-        action, spec = cp.meta
+        spec = cp.spec
         state = self.agent.belief
         while True:
             self._tick()
             theta = next(cp.it, None)
             if theta is None:
                 self.cps.pop()
-                self._note("fail", f"do({format_term(action)})")
-                return _FAILED
-            act = apply_subst(action, theta)
+                self._note("fail", cp.subject)
+                return FAILED
+            act = apply_subst(cp.subject.action, theta)
             if not act.ground:
                 raise EngineError(f"unbound action argument in {format_term(act)}")
             sols = applicable_case_solutions(state, spec, self.aux, theta)
@@ -495,36 +287,17 @@ class Interpreter:
                     f"action {format_term(act)} has {len(sols)} applicable effect cases"
                 )
             if not sols:
-                self._note(
-                    "warn",
-                    f"no applicable effect case for {format_term(act)}; do/1 fails",
-                )
+                self._note("warn", act)
                 continue
             idx, csol = sols[0]
-            effects = []
-            for lit in spec.cases[idx].effects:
-                ground_lit = (
-                    lit if lit.ground else type(lit)(apply_subst(lit.fluent, csol), lit.positive)
-                )
-                if not ground_lit.fluent.ground:
-                    raise EngineError(
-                        f"effect {format_literal(ground_lit)} of {format_term(act)} "
-                        "is not ground after applying the case solution"
-                    )
-                effects.append(ground_lit)
+            effects = ground_effects(spec.cases[idx], csol, act)
             self.env.execute(act)
             new_state = update(state, effects)
             if self.debug_checks and not is_prime(new_state):
                 raise EngineError("internal: belief state lost primeness after update")
-            agent = self.agent
-            agent.belief = new_state
-            agent.history.append(act)
-            agent.events.append(("act", act, tuple(effects)))
-            agent.barrier += 1
-            if len(new_state) > agent.max_belief:
-                agent.max_belief = len(new_state)
+            self._commit(("act", act, effects), new_state)
             self._apply_solution(csol)
-            self._note("exec", act, tuple(effects), new_state)
+            self._note("exec", act, effects, new_state)
             return cp.rest
 
     # -- sensing ------------------------------------------------------
@@ -538,7 +311,7 @@ class Interpreter:
             raise EngineError(
                 f"sensing argument of {goal.functor} must be an unbound variable"
             )
-        self._note("call", f"?({goal.functor}({arg.name}))")
+        self._note("call", goal)
         observed = self.env.sense(goal.functor)
         if not isinstance(observed, Term) or not observed.ground:
             raise EngineError(
@@ -549,17 +322,18 @@ class Interpreter:
         )
         if self.debug_checks and not is_prime(new_state):
             raise EngineError("internal: belief state lost primeness after sensing")
-        agent = self.agent
-        agent.belief = new_state
-        agent.sigma.append((goal.functor, observed, sol))
-        agent.events.append(("sense", goal.functor, observed))
-        agent.barrier += 1
-        if len(new_state) > agent.max_belief:
-            agent.max_belief = len(new_state)
+        self._commit(("sense", goal.functor, observed, sol), new_state)
         self.bindings[arg.name] = observed
         self.trail.append(arg.name)
         self._note("sense", goal.functor, observed, new_state)
         return rest
+
+    _dispatch = {
+        **Machine._dispatch,
+        QueryGoal: _dispatch_query,
+        DoGoal: _dispatch_do,
+        SenseGoal: _dispatch_sense,
+    }
 
 
 def solve(query, program, domain, env, **options):
@@ -575,15 +349,16 @@ def solve(query, program, domain, env, **options):
 def replay(domain, events):
     """Recompute the belief state a recorded run must have reached.
 
-    Events are the agent's log: ("act", action, effects) for executed
-    actions and ("sense", functor, result) for observations. Effects are
-    recomputed from the action specification and cross-checked against
-    the recorded ones; any divergence raises EngineError."""
+    Events are the agent's log, read by position: ("act", action,
+    effects) for executed actions and ("sense", functor, result, ...) for
+    observations. Effects are recomputed from the action specification
+    and cross-checked against the recorded ones; any divergence raises
+    EngineError."""
     state = domain.initial
     aux = AuxDB(domain.aux_program)
     for n, event in enumerate(events):
         if event[0] == "act":
-            _, act, recorded = event
+            act, recorded = event[1], event[2]
             spec = domain.action_specs.get((act.functor, len(act.args)))
             if spec is None:
                 raise EngineError(
@@ -611,16 +386,7 @@ def replay(domain, events):
                     f"replay: precondition of {format_term(act)} is not provable"
                 )
             idx, csol = chosen
-            effects = []
-            for lit in spec.cases[idx].effects:
-                ground_lit = (
-                    lit if lit.ground else type(lit)(apply_subst(lit.fluent, csol), lit.positive)
-                )
-                if not ground_lit.fluent.ground:
-                    raise EngineError(
-                        f"replay: effect of {format_term(act)} is not ground"
-                    )
-                effects.append(ground_lit)
+            effects = ground_effects(spec.cases[idx], csol, act)
             if {l.key for l in effects} != {l.key for l in recorded}:
                 raise EngineError(
                     f"replay diverged: effects of {format_term(act)} differ "
@@ -628,7 +394,7 @@ def replay(domain, events):
                 )
             state = update(state, effects)
         elif event[0] == "sense":
-            _, functor, observed = event
+            functor, observed = event[1], event[2]
             axiom = domain.sensor_axioms.get(functor)
             if axiom is None:
                 raise EngineError(f"replay: no sensor axiom for {functor}")

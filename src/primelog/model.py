@@ -6,6 +6,7 @@ into fluent literals and aux atoms because entailment treats the two
 parts differently.
 """
 
+from .errors import EngineError
 from .terms import Clause, Term, Var, rename_term, variables
 
 
@@ -259,6 +260,32 @@ def rename_property(prop, mapping):
         aux = tuple(rename_term(a, mapping) for a in c.aux)
         clauses.append(PropClause(fl, aux))
     return StateProperty(clauses)
+
+
+def goal_variables(goal, acc):
+    """Add the variable names of one body goal (not a cut) to `acc`."""
+    if isinstance(goal, CallGoal):
+        variables(goal.atom, acc)
+    elif isinstance(goal, DoGoal):
+        variables(goal.action, acc)
+    elif isinstance(goal, QueryGoal):
+        goal.property.variables(acc)
+    elif isinstance(goal, SenseGoal):
+        variables(goal.arg, acc)
+    return acc
+
+
+def rename_goal(goal, mapping):
+    """Fresh-variable copy of one body goal (not a cut)."""
+    if isinstance(goal, CallGoal):
+        return CallGoal(rename_term(goal.atom, mapping))
+    if isinstance(goal, DoGoal):
+        return DoGoal(rename_term(goal.action, mapping))
+    if isinstance(goal, QueryGoal):
+        return QueryGoal(rename_property(goal.property, mapping))
+    if isinstance(goal, SenseGoal):
+        return SenseGoal(goal.functor, rename_term(goal.arg, mapping))
+    raise EngineError(f"unexpected body goal {goal!r}")
 
 
 def rename_spec(spec, suffix):

@@ -25,7 +25,6 @@ and `?(s(X))` for a declared sensor s triggers sensing instead.
 
 import re
 
-from .auxdb import BUILTINS
 from .errors import ParseError
 from .model import (
     CUT,
@@ -44,6 +43,7 @@ from .model import (
     StateProperty,
 )
 from .pi import prime_closure
+from .sld import BUILTINS
 from .terms import (
     NIL,
     Clause,

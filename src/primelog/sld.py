@@ -1,0 +1,285 @@
+"""The SLD resolution core shared by the interpreter and the aux database.
+
+One iterative machine resolves definite clauses in Prolog clause order,
+leftmost goal first, with cut and the built-ins: a binding store undone
+through a trail, a stack of clause choicepoints, and the goal list as a
+linked list of (goal, rest) pairs. `Interpreter` extends it with the
+agent goals and the execution barrier; `AuxDB.solve` drives a machine of
+its own to derive aux atoms inside belief queries. Derivation depth is
+bounded by the step budget, never by Python's stack.
+"""
+
+from .errors import BarrierError, BudgetExceeded, EngineError
+from .model import CUT, CallGoal, _mapping_for, goal_variables, rename_goal
+from .terms import (
+    NIL,
+    Term,
+    Var,
+    apply_subst,
+    format_term,
+    list_parts,
+    occurs,
+    rename_term,
+    unify,
+    variables,
+    walk,
+)
+
+BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
+
+FAILED = object()
+
+
+def solve_builtin(goal):
+    """The solution of a builtin atom as a substitution, or None when it
+    fails. Every builtin is deterministic: `=` unifies, `neq` is
+    non-unifiability, `memberchk` commits to the first matching element,
+    `nonmember` succeeds when no element unifies. Both list builtins
+    insist on proper lists."""
+    name = goal.functor
+    if name == "true":
+        return {}
+    if name == "fail":
+        return None
+    left, right = goal.args
+    if name == "=":
+        return unify(left, right)
+    if name == "neq":
+        return {} if unify(left, right) is None else None
+    items, tail = list_parts(right)
+    if not (isinstance(tail, Term) and tail.key == NIL.key):
+        raise EngineError(f"{format_term(goal)}: second argument is not a proper list")
+    if name == "memberchk":
+        for item in items:
+            sol = unify(left, item)
+            if sol is not None:
+                return sol
+        return None
+    if any(unify(left, item) is not None for item in items):
+        return None
+    return {}
+
+
+def unify_track(t1, t2, bindings, trail):
+    """Destructive unification into a machine's binding store. Records
+    every bound name on the trail; on failure the caller undoes to its
+    mark, so partial progress is harmless."""
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        a = walk(a, bindings)
+        b = walk(b, bindings)
+        if a is b:
+            continue
+        if isinstance(a, Var):
+            if isinstance(b, Var):
+                if a.name == b.name:
+                    continue
+            elif occurs(a.name, b, bindings):
+                return False
+            bindings[a.name] = b
+            trail.append(a.name)
+            continue
+        if isinstance(b, Var):
+            if occurs(b.name, a, bindings):
+                return False
+            bindings[b.name] = a
+            trail.append(b.name)
+            continue
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return False
+        if a.ground and b.ground:
+            if a.key != b.key:
+                return False
+            continue
+        stack.extend(zip(a.args, b.args))
+    return True
+
+
+class CutGoal:
+    """A cut, bound to the choicepoint depth it commits to."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self, depth):
+        self.depth = depth
+
+
+class ExitNote:
+    """Trace-only marker: reaching it means the recorded call succeeded."""
+
+    __slots__ = ("atom",)
+
+    def __init__(self, atom):
+        self.atom = atom
+
+
+class ClauseCP:
+    __slots__ = ("atom", "clauses", "idx", "rest", "mark", "barrier", "depth")
+
+    def __init__(self, atom, clauses, rest, mark, barrier, depth):
+        self.atom = atom
+        self.clauses = clauses
+        self.idx = 0
+        self.rest = rest
+        self.mark = mark
+        self.barrier = barrier
+        self.depth = depth
+
+
+class Machine:
+    """Resolution of CallGoals against a program and an aux database.
+
+    `fresh` yields the suffixes that rename clause variables apart, so
+    every machine sharing one name space must share one iterator. Every
+    resolution step costs one unit of `budget`. `barrier` counts the
+    irrevocable steps taken so far: resuming a choicepoint created before
+    the latest one raises BarrierError. A plain machine never takes one,
+    has no observer and reports no events.
+    """
+
+    observer = None
+    out_of_steps = "aux derivation budget exceeded"
+
+    def __init__(self, program, aux, budget, fresh):
+        self.program = program
+        self.aux = aux
+        self.steps = budget
+        self.barrier = 0
+        self.bindings = {}
+        self.trail = []
+        self.cps = []
+        self._fresh = fresh
+        self._clause_names = {}
+
+    def _note(self, kind, *args):
+        """Event hook; `Interpreter` reports through it."""
+
+    def _tick(self):
+        self.steps -= 1
+        if self.steps < 0:
+            raise BudgetExceeded(self.out_of_steps)
+
+    def _undo(self, mark):
+        trail = self.trail
+        bindings = self.bindings
+        while len(trail) > mark:
+            del bindings[trail.pop()]
+
+    def _apply_solution(self, sol):
+        """Install a solution dict from the entailment layer or a builtin.
+        Solutions are idempotent, so values need no further resolution."""
+        bindings = self.bindings
+        trail = self.trail
+        for name, value in sol.items():
+            if name not in bindings:
+                bindings[name] = value
+                trail.append(name)
+
+    def resolve(self, goals):
+        """Resolve a goal list to its next solution: True when the list
+        is exhausted, False when no choicepoint is left. Pass FAILED to
+        backtrack into the previous solution for another one."""
+        dispatch = self._dispatch
+        while True:
+            if goals is FAILED:
+                goals = self._backtrack()
+                if goals is FAILED:
+                    return False
+            if goals is None:
+                return True
+            goal, rest = goals
+            self._tick()
+            handler = dispatch.get(type(goal))
+            if handler is None:
+                raise EngineError(f"unexpected goal object {goal!r}")
+            goals = handler(self, goal, rest)
+
+    def _backtrack(self):
+        cps = self.cps
+        while cps:
+            cp = cps[-1]
+            if self.barrier > cp.barrier:
+                raise BarrierError("backtracked across executed action")
+            self._undo(cp.mark)
+            self._tick()
+            if type(cp) is ClauseCP:
+                self._note("redo", cp.atom)
+                goals = self._advance_clauses(cp)
+            else:
+                self._note("redo", cp.subject)
+                goals = cp.advance(self, cp)
+            if goals is not FAILED:
+                return goals
+        return FAILED
+
+    def _dispatch_call(self, goal, rest):
+        atom = goal.atom
+        pred = (atom.functor, len(atom.args))
+        if pred in BUILTINS:
+            sol = solve_builtin(apply_subst(atom, self.bindings))
+            if sol is None:
+                self._note("fail", atom)
+                return FAILED
+            self._apply_solution(sol)
+            return rest
+        if self.program.defines(*pred):
+            clauses = self.program.clauses_for(*pred)
+        elif self.aux.defines(*pred):
+            clauses = self.aux.candidates(apply_subst(atom, self.bindings))
+        else:
+            raise EngineError(f"undefined predicate {pred[0]}/{pred[1]}")
+        self._note("call", atom)
+        cp = ClauseCP(atom, clauses, rest, len(self.trail), self.barrier, len(self.cps))
+        self.cps.append(cp)
+        return self._advance_clauses(cp)
+
+    def _advance_clauses(self, cp):
+        bindings = self.bindings
+        trail = self.trail
+        while cp.idx < len(cp.clauses):
+            clause = cp.clauses[cp.idx]
+            cp.idx += 1
+            head, body = self._activate_clause(clause, cp.depth)
+            if not unify_track(cp.atom, head, bindings, trail):
+                self._undo(cp.mark)
+                continue
+            goals = cp.rest
+            if self.observer is not None:
+                goals = (ExitNote(cp.atom), goals)
+            for g in reversed(body):
+                goals = (g, goals)
+            return goals
+        self.cps.pop()
+        self._note("fail", cp.atom)
+        return FAILED
+
+    def _activate_clause(self, clause, depth):
+        """Fresh-variable copy of a clause, with cut markers bound to the
+        choicepoint they commit to."""
+        if not clause.body and clause.head.ground:
+            return clause.head, ()
+        names = self._clause_names.get(id(clause))
+        if names is None:
+            names = variables(clause.head, set())
+            for g in clause.body:
+                if g is not CUT:
+                    goal_variables(g, names)
+            names = self._clause_names[id(clause)] = tuple(sorted(names))
+        if not names:
+            return clause.head, tuple(CutGoal(depth) if g is CUT else g for g in clause.body)
+        mapping = _mapping_for(names, next(self._fresh))
+        body = tuple(
+            CutGoal(depth) if g is CUT else rename_goal(g, mapping) for g in clause.body
+        )
+        return rename_term(clause.head, mapping), body
+
+    def _cut(self, goal, rest):
+        del self.cps[goal.depth :]
+        return rest
+
+    def _exit(self, goal, rest):
+        self._note("exit", goal.atom)
+        return rest
+
+    _dispatch = {CallGoal: _dispatch_call, CutGoal: _cut, ExitNote: _exit}

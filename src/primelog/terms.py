@@ -90,11 +90,6 @@ TRUE = Term("true")
 FALSE = Term("false")
 
 
-def Atom(name):
-    """Convenience constructor for a 0-ary term."""
-    return Term(name, ())
-
-
 def Num(value):
     """An integer as an atom with a numeric name."""
     return Term(str(int(value)), ())
@@ -169,12 +164,17 @@ def apply_subst(term, bindings):
 
 
 def occurs(name, term, bindings):
-    term = walk(term, bindings)
-    if isinstance(term, Var):
-        return term.name == name
-    if term.ground:
-        return False
-    return any(occurs(name, a, bindings) for a in term.args)
+    """True when variable `name` occurs in `term` under `bindings`. Uses
+    an explicit stack, so long lists cost no Python recursion."""
+    stack = [term]
+    while stack:
+        term = walk(stack.pop(), bindings)
+        if isinstance(term, Var):
+            if term.name == name:
+                return True
+        elif not term.ground:
+            stack.extend(term.args)
+    return False
 
 
 def _unify_into(t1, t2, bindings, occurs_check):
@@ -388,9 +388,3 @@ def format_clause(clause):
     if clause.is_unit:
         return format_literal(clause.literals[0])
     return "[" + ",".join(format_literal(l) for l in clause.literals) + "]"
-
-
-def format_subst(bindings, names=None):
-    """Render an answer substitution as `X = t` pairs in name order."""
-    keys = sorted(bindings) if names is None else sorted(n for n in names if n in bindings)
-    return ", ".join(f"{n} = {format_term(apply_subst(bindings[n], bindings))}" for n in keys)

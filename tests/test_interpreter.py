@@ -1,6 +1,6 @@
 import pytest
 
-from primelog.envs import MazeEnv, emit_maze_domain
+from primelog.envs import MazeEnv, ReplayEnv, emit_maze_domain, format_replay_script
 from primelog.errors import (
     BarrierError,
     BudgetExceeded,
@@ -363,6 +363,38 @@ def test_sense_result_outside_axiom_is_rejected():
     env = AckEnv({"feel": Term("soggy")})
     with pytest.raises(SensingError):
         run("probe(R) :- ?(feel(R)).\n", "probe(R)", domain_text=FEEL_DOMAIN, env=env)
+
+
+WALK_FEEL_DOMAIN = """\
+fluents([at/1, wet/1]).
+actions([go/1]).
+sensors([feel]).
+initial_state([at(1)]).
+action(go(Y), [at(X)], [case([], [at(Y), -at(X)])]).
+sensor_axiom(feel(_), [
+  case(true,  [at(X)], [wet(X)]),
+  case(false, [at(X)], [-wet(X)])
+]).
+"""
+
+
+def test_history_and_sigma_are_views_over_the_event_log():
+    program = "probe(R) :- ?(feel(R)), do(go(2)).\n"
+    out = run(program, "probe(R)", domain_text=WALK_FEEL_DOMAIN, env=AckEnv({"feel": TRUE}))
+    state = out.state
+    sense, act = state.events
+    assert sense[:3] == ("sense", "feel", TRUE)
+    assert isinstance(sense[3], dict)
+    assert state.sigma == [("feel", TRUE, sense[3])]
+    assert [format_term(a) for a in state.history] == ["go(2)"]
+    with pytest.raises(AttributeError):
+        state.history = []
+    dom = parse_domain(WALK_FEEL_DOMAIN, "d.alpd")
+    assert replay(dom, state.events) == state.belief
+    assert replay(dom, [e[:3] for e in state.events]) == state.belief
+    script = ReplayEnv.from_script(format_replay_script(state.events))
+    again = run(program, "probe(R)", domain_text=WALK_FEEL_DOMAIN, env=script)
+    assert again.state.belief == state.belief
 
 
 # ---------------------------------------------------------------- budget

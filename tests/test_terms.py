@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from primelog.errors import NonGroundError
+from primelog.sld import unify_track
 from primelog.terms import (
     Clause,
     Literal,
@@ -98,6 +99,17 @@ def test_occurs():
     assert occurs("X", t("f", Var("X")), {})
     assert not occurs("X", t("f", Var("Y")), {})
     assert occurs("X", Var("Z"), {"Z": t("f", Var("X"))})
+
+
+def test_occurs_on_a_long_non_ground_list():
+    cells = mk_list([Var(f"Y{i}") for i in range(5000)], Var("T"))
+    assert occurs("T", cells, {})
+    assert not occurs("Z", cells, {})
+    assert occurs("Z", cells, {"Y4999": t("f", Var("Z"))})
+    bindings, trail = {}, []
+    assert unify_track(Var("Z"), cells, bindings, trail)
+    assert trail == ["Z"]
+    assert not unify_track(Var("T"), cells, {}, [])
 
 
 def test_mk_list_roundtrip():
