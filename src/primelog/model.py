@@ -24,15 +24,26 @@ class PropClause:
     """One disjunction inside a state property: fluent literals plus
     positive aux atoms, both in source order."""
 
-    __slots__ = ("fluents", "aux")
+    __slots__ = ("fluents", "aux", "_names")
 
     def __init__(self, fluents, aux=()):
         self.fluents = tuple(fluents)
         self.aux = tuple(aux)
+        self._names = None
+
+    @property
+    def names(self):
+        """The clause's variable names, sorted; computed on first use."""
+        if self._names is None:
+            acc = variables([l.fluent for l in self.fluents])
+            self._names = tuple(sorted(variables(self.aux, acc)))
+        return self._names
 
     def variables(self, acc=None):
-        acc = variables([l.fluent for l in self.fluents], acc)
-        return variables(self.aux, acc)
+        if acc is None:
+            acc = set()
+        acc.update(self.names)
+        return acc
 
     def __repr__(self):
         from .terms import format_literal, format_term
@@ -116,10 +127,29 @@ class SensorCase:
         return acc
 
 
-class SensorAxiom:
-    """All outcomes of one unary sense fluent."""
+def _index_literal(index):
+    """The first ground unit fluent literal of a sensor index, or None when
+    the index has none or contains an aux atom."""
+    found = None
+    for c in index.clauses:
+        if c.aux:
+            return None
+        if found is None and len(c.fluents) == 1 and c.fluents[0].ground:
+            found = c.fluents[0]
+    return found
 
-    __slots__ = ("functor", "cases", "results")
+
+class SensorAxiom:
+    """All outcomes of one unary sense fluent.
+
+    Cases are indexed by (result, index literal): the first ground unit
+    fluent literal of the case's index. Such an index can only be
+    entailed when that literal is a unit clause of the belief. Cases with
+    no index literal (schematic ones, or ones with aux atoms) are kept on
+    a scan list per result.
+    """
+
+    __slots__ = ("functor", "cases", "results", "_lookup", "_scan")
 
     def __init__(self, functor, cases):
         self.functor = functor
@@ -129,6 +159,31 @@ class SensorAxiom:
             if c.result not in seen:
                 seen.append(c.result)
         self.results = tuple(seen)
+        # result key -> {(functor, arity, positive) -> {literal key -> positions}}
+        self._lookup = {}
+        self._scan = {}  # result key -> positions
+        for i, c in enumerate(self.cases):
+            rk = c.result.key
+            lit = _index_literal(c.index)
+            if lit is None:
+                self._scan.setdefault(rk, []).append(i)
+            else:
+                f = lit.fluent
+                by_pred = self._lookup.setdefault(rk, {})
+                by_lit = by_pred.setdefault((f.functor, len(f.args), lit.positive), {})
+                by_lit.setdefault(lit.key, []).append(i)
+
+    def candidates(self, observed, state):
+        """Positions, in case order, of the cases for the ground result
+        `observed` whose index `state` may entail: every case whose index
+        literal is a unit clause of the state, and every scanned case."""
+        rk = observed.key
+        found = list(self._scan.get(rk, ()))
+        for pred, by_lit in self._lookup.get(rk, {}).items():
+            for unit in state.units_for(*pred):
+                found.extend(by_lit.get(unit.literals[0].key, ()))
+        found.sort()
+        return found
 
 
 class Cut:

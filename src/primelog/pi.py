@@ -6,6 +6,14 @@ no member subsumes another, and no member is a tautology. That shape
 reduces entailment checks to subsumption lookups, keeps progression a
 local operation, and stays stable under the saturation used here.
 
+The store: a `PIList` is a value that carries its own indexes (clause
+key -> clause, literal key -> clause keys, predicate and sign -> sorted
+units) in immutable buckets. `update` and `prime_closure(..., base=...)`
+build the next state on a draft that shares the parent's buckets and
+replaces only those it touches, so a step costs the clauses it meets,
+not the size of the belief. Sensing looks sensor cases up by their index
+literal (`SensorAxiom.candidates`) instead of trying every case.
+
 The public operations:
 
 - `prime_closure`: clause set -> PIList (worklist resolution saturation
@@ -20,6 +28,7 @@ The public operations:
 
 import itertools
 from collections import deque
+from operator import attrgetter
 
 from .errors import EngineError, NonGroundError, SensingError
 from .model import rename_sensor_case
@@ -38,37 +47,62 @@ from .terms import (
 
 _fresh_suffix = itertools.count(1)
 
+_clause_key = attrgetter("key")
+
+
+def _pred_sign(lit):
+    f = lit.fluent
+    return (f.functor, len(f.args), lit.positive)
+
 
 class PIList:
-    """An immutable, sorted, duplicate-free tuple of ground clauses.
+    """An immutable, duplicate-free set of ground clauses, iterated in key
+    order, with the indexes that make a step cost only what it touches:
 
-    The single empty clause (`INCONSISTENT`) represents an unsatisfiable
-    state; an empty tuple represents a tautologous (information-free) one.
+    - clause key -> clause;
+    - literal key -> frozenset of the keys of the clauses containing it;
+    - (functor, arity, positive) -> the unit clauses on that predicate and
+      sign, as a tuple in key order.
+
+    Buckets are never modified, so a child state shares every bucket it
+    does not touch with its parent. The sorted `clauses` tuple is built on
+    first use. The single empty clause (`INCONSISTENT`) represents an
+    unsatisfiable state; no clauses at all represent a tautologous
+    (information-free) one.
     """
 
-    __slots__ = ("clauses", "_by_pred")
+    __slots__ = ("_by_key", "_by_lit", "_units", "_sorted")
 
-    def __init__(self, clauses):
+    def __init__(self, clauses=()):
         unique = {}
         for c in clauses:
             if not c.ground:
                 raise NonGroundError(f"belief clauses must be ground: {format_clause(c)}")
             unique[c.key] = c
         if EMPTY_CLAUSE.key in unique:
-            self.clauses = (EMPTY_CLAUSE,)
-        else:
-            self.clauses = tuple(sorted(unique.values(), key=lambda c: c.key))
-        self._by_pred = None
+            unique = {EMPTY_CLAUSE.key: EMPTY_CLAUSE}
+        draft = _Draft()
+        for c in unique.values():
+            draft.insert(c)
+        self._by_key, self._by_lit, self._units = draft.tables()
+        self._sorted = None
+
+    @property
+    def clauses(self):
+        """The clauses as a tuple in key order."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._by_key.values(), key=_clause_key))
+        return self._sorted
 
     @property
     def inconsistent(self):
-        return bool(self.clauses) and len(self.clauses[0]) == 0
+        return EMPTY_CLAUSE.key in self._by_key
 
     def __len__(self):
-        return len(self.clauses)
+        return len(self._by_key)
 
     def __eq__(self, other):
-        return isinstance(other, PIList) and other.clauses == self.clauses
+        return isinstance(other, PIList) and other._by_key.keys() == self._by_key.keys()
 
     def __hash__(self):
         return hash(self.clauses)
@@ -81,16 +115,92 @@ class PIList:
 
     def units_for(self, functor, arity, positive):
         """Unit clauses on a given predicate and sign, in sorted order."""
-        if self._by_pred is None:
-            table = {}
-            for c in self.clauses:
-                if len(c) != 1:
-                    break
-                lit = c.literals[0]
-                f = lit.fluent
-                table.setdefault((f.functor, len(f.args), lit.positive), []).append(c)
-            self._by_pred = table
-        return self._by_pred.get((functor, arity, positive), ())
+        return self._units.get((functor, arity, positive), ())
+
+
+class _Draft:
+    """The next state, built from a parent PIList without changing it, or
+    from nothing.
+
+    The parent's top-level tables are copied; a literal bucket becomes a
+    private set the first time it is written, and a unit bucket is
+    rebuilt at the end from its removals and additions. Every other
+    bucket is shared with the parent.
+    """
+
+    __slots__ = ("parent", "by_key", "by_lit", "_units", "_own", "_unit_delta")
+
+    def __init__(self, parent=None):
+        self.parent = parent
+        if parent is None:
+            self.by_key, self.by_lit, self._units = {}, {}, {}
+        else:
+            self.by_key = dict(parent._by_key)
+            self.by_lit = dict(parent._by_lit)
+            self._units = parent._units
+        self._own = set()        # literal keys whose bucket is a private set
+        self._unit_delta = {}    # (functor, arity, sign) -> (removed keys, {key: added unit})
+
+    def _bucket(self, lit_key):
+        if lit_key in self._own:
+            return self.by_lit[lit_key]
+        self._own.add(lit_key)
+        bucket = self.by_lit[lit_key] = set(self.by_lit.get(lit_key, ()))
+        return bucket
+
+    def _delta(self, lit):
+        ps = _pred_sign(lit)
+        delta = self._unit_delta.get(ps)
+        if delta is None:
+            delta = self._unit_delta[ps] = (set(), {})
+        return delta
+
+    def insert(self, clause):
+        k = clause.key
+        self.by_key[k] = clause
+        for l in clause.literals:
+            self._bucket(l.key).add(k)
+        if len(clause.literals) == 1:
+            self._delta(clause.literals[0])[1][k] = clause
+
+    def remove(self, clause):
+        k = clause.key
+        del self.by_key[k]
+        for l in clause.literals:
+            self._bucket(l.key).discard(k)
+        if len(clause.literals) == 1:
+            removed, added = self._delta(clause.literals[0])
+            if added.get(k) is clause:
+                del added[k]
+            else:
+                removed.add(k)
+
+    def tables(self):
+        """The finished (clause, literal, unit) tables, buckets frozen."""
+        by_lit = self.by_lit
+        for lk in self._own:
+            if by_lit[lk]:
+                by_lit[lk] = frozenset(by_lit[lk])
+            else:
+                del by_lit[lk]
+        units = dict(self._units)
+        for ps, (removed, added) in self._unit_delta.items():
+            bucket = [u for u in units.get(ps, ()) if u.key not in removed]
+            bucket.extend(added.values())
+            if bucket:
+                units[ps] = tuple(sorted(bucket, key=_clause_key))
+            else:
+                units.pop(ps, None)
+        return self.by_key, by_lit, units
+
+    def freeze(self):
+        """The finished state; the parent itself when nothing changed."""
+        if not self._own:
+            return self.parent
+        state = object.__new__(PIList)
+        state._by_key, state._by_lit, state._units = self.tables()
+        state._sorted = None
+        return state
 
 
 INCONSISTENT = PIList((EMPTY_CLAUSE,))
@@ -103,71 +213,63 @@ def _complement_key(lit_key):
 
 
 class _Saturator:
-    """Given-clause saturation with subsumption, over ground clauses."""
+    """Given-clause saturation with subsumption, over ground clauses, on
+    a draft of a prime base state whose clauses count as mutually
+    resolved already. Resolution partners and subsumption candidates come
+    from the draft's literal buckets, so base clauses the new ones never
+    meet are never looked at."""
 
-    def __init__(self):
-        self.clauses = {}   # clause.key -> Clause
-        self.by_lit = {}    # literal.key -> {clause.key: Clause}
+    def __init__(self, base):
+        self.draft = _Draft(base)
         self.work = deque()
         self.inconsistent = False
-
-    def seed(self, clause):
-        """Install a clause assumed mutually irredundant with other seeds."""
-        self.clauses[clause.key] = clause
-        for l in clause.literals:
-            self.by_lit.setdefault(l.key, {})[clause.key] = clause
-
-    def _remove(self, clause):
-        del self.clauses[clause.key]
-        for l in clause.literals:
-            bucket = self.by_lit.get(l.key)
-            if bucket:
-                bucket.pop(clause.key, None)
 
     def add(self, clause):
         if len(clause) == 0:
             self.inconsistent = True
             return
-        if clause.key in self.clauses:
+        by_key = self.draft.by_key
+        if clause.key in by_key:
             return
-        # forward subsumption: is the newcomer already implied?
-        candidates = None
+        by_lit = self.draft.by_lit
+        candidates = set()
         for l in clause.literals:
-            bucket = self.by_lit.get(l.key)
-            keys = set(bucket) if bucket else set()
-            candidates = keys if candidates is None else candidates | keys
-        for key in candidates or ():
-            other = self.clauses.get(key)
-            if other is not None and other.subsumes(clause):
+            bucket = by_lit.get(l.key)
+            if bucket:
+                candidates.update(bucket)
+        others = [by_key[k] for k in candidates]
+        # forward subsumption: is the newcomer already implied?
+        for other in others:
+            if other.subsumes(clause):
                 return
         # backward subsumption: the newcomer may simplify the set
-        doomed = [
-            c
-            for key in (candidates or ())
-            if (c := self.clauses.get(key)) is not None and clause.subsumes(c)
-        ]
-        for c in doomed:
-            self._remove(c)
-        self.seed(clause)
+        for other in others:
+            if clause.subsumes(other):
+                self.draft.remove(other)
+        self.draft.insert(clause)
         self.work.append(clause)
 
     def run(self):
+        by_key = self.draft.by_key
+        by_lit = self.draft.by_lit
         while self.work:
-            if self.inconsistent:
-                return
             given = self.work.popleft()
-            if given.key not in self.clauses:
+            if given.key not in by_key:
                 continue  # subsumed away while queued
             for lit in given.literals:
-                partners = self.by_lit.get(_complement_key(lit.key))
+                comp = _complement_key(lit.key)
+                partners = by_lit.get(comp)
                 if not partners:
                     continue
-                for partner in list(partners.values()):
-                    if given.key not in self.clauses:
+                for pk in tuple(partners):
+                    if given.key not in by_key:
                         break
+                    partner = by_key.get(pk)
+                    if partner is None:
+                        continue  # subsumed by a clause still to be given
                     resolvent = normalize_clause(
                         [l for l in given.literals if l.key != lit.key]
-                        + [m for m in partner.literals if m.key != _complement_key(lit.key)]
+                        + [m for m in partner.literals if m.key != comp]
                     )
                     if resolvent is None:
                         continue
@@ -178,7 +280,7 @@ class _Saturator:
     def result(self):
         if self.inconsistent:
             return INCONSISTENT
-        return PIList(self.clauses.values())
+        return self.draft.freeze()
 
 
 def prime_closure(clauses, base=None):
@@ -186,16 +288,15 @@ def prime_closure(clauses, base=None):
 
     `base` may carry an already-prime PIList whose clauses are taken as
     mutually resolved, so only the new clauses (and whatever they spawn)
-    get processed. Returns INCONSISTENT when the empty clause derives.
+    get processed, against the base clauses they share a literal with.
+    Returns INCONSISTENT when the empty clause derives.
     """
-    sat = _Saturator()
-    if base is not None:
-        if base.inconsistent:
-            return INCONSISTENT
-        for c in base.clauses:
-            sat.seed(c)
-    pending = sorted(clauses, key=lambda c: c.key)
-    for c in pending:
+    if base is None:
+        base = TOP
+    elif base.inconsistent:
+        return INCONSISTENT
+    sat = _Saturator(base)
+    for c in sorted(clauses, key=_clause_key):
         if not c.ground:
             raise NonGroundError(f"closure needs ground clauses: {format_clause(c)}")
         sat.add(c)
@@ -243,7 +344,8 @@ def update(state, effects):
 
     Every clause mentioning an effect fluent (in either sign) is dropped,
     then the effects are adjoined as unit clauses. The result is prime
-    again, because survivors share no fluent with the new units.
+    again, because survivors share no fluent with the new units. Only the
+    dropped clauses are visited: they are found through the literal index.
     """
     if state.inconsistent:
         raise EngineError("cannot update an inconsistent belief state")
@@ -257,15 +359,21 @@ def update(state, effects):
         seen[fk] = lit.positive
     if not seen:
         return state
-    doomed = set(seen)
-    kept = [c for c in state.clauses if not any(fk in doomed for fk in c.fluent_keys())]
-    units = [Clause((l,)) for l in {(l.key): l for l in effects}.values()]
-    return PIList(kept + units)
+    draft = _Draft(state)
+    for fk in seen:
+        for sign in (0, 1):
+            for k in state._by_lit.get((fk, sign), ()):
+                doomed = draft.by_key.get(k)
+                if doomed is not None:
+                    draft.remove(doomed)
+    for l in {l.key: l for l in effects}.values():
+        draft.insert(Clause((l,)))
+    return draft.freeze()
 
 
 def _subst_signature(bindings, names):
     sig = []
-    for n in sorted(names):
+    for n in names:
         t = bindings.get(n)
         if t is not None:
             sig.append((n, syntactic_key(apply_subst(t, bindings))))
@@ -300,7 +408,7 @@ def entails_clause(state, pclause, aux, bindings=None):
     base = {} if bindings is None else bindings
     if state.inconsistent:
         raise EngineError("cannot query an inconsistent belief state")
-    names = pclause.variables()
+    names = pclause.names
     seen = set()
 
     def emit(b):
@@ -390,9 +498,11 @@ def applicable_cases(state, spec, aux, bindings=None):
 def integrate_sensing(state, axiom, observed, aux):
     """Fold one observed result of a sense fluent into the belief state.
 
-    Filters the axiom's cases by the observed result, locates the unique
-    case whose index the state entails, adjoins its meaning under the
-    located bindings, and re-closes to prime form.
+    Locates the unique case for the observed result whose index the state
+    entails, adjoins its meaning under the located bindings, and re-closes
+    to prime form. Only the axiom's candidates are checked (see
+    `SensorAxiom.candidates`); a case left out cannot have an entailed
+    index, so the outcome is that of checking every case.
 
     Returns (new PIList, index substitution). Raises SensingError when no
     case or more than one case applies, or when the meaning contradicts
@@ -405,11 +515,11 @@ def integrate_sensing(state, axiom, observed, aux):
             f"environment answered {axiom.functor} with {format_term(observed)}, "
             "which no sensor case declares"
         )
+    if state.inconsistent:
+        raise EngineError("cannot query an inconsistent belief state")
     matches = []
-    for case in axiom.cases:
-        if case.result != observed:
-            continue
-        renamed = rename_sensor_case(case, f"s{next(_fresh_suffix)}")
+    for i in axiom.candidates(observed, state):
+        renamed = rename_sensor_case(axiom.cases[i], f"s{next(_fresh_suffix)}")
         sol = first_entailment(state, renamed.index, aux)
         if sol is not None:
             matches.append((renamed, sol))

@@ -60,15 +60,31 @@ def solve_builtin(goal):
     return {}
 
 
-def unify_track(t1, t2, bindings, trail):
+def unify_track(t1, t2, bindings, trail, linear=()):
     """Destructive unification into a machine's binding store. Records
     every bound name on the trail; on failure the caller undoes to its
-    mark, so partial progress is harmless."""
-    stack = [(t1, t2)]
+    mark, so partial progress is harmless.
+
+    `linear` names variables that occur exactly once in `t2` and nowhere
+    in `t1` or the bindings, such as the renamed head variables of a
+    fresh clause activation. When such a variable is met at its own
+    position in `t2` (not through a binding), nothing bound so far can
+    contain it, so it is bound without an occurs check."""
+    stack = [(t1, t2, True)]
     while stack:
-        a, b = stack.pop()
+        a, b, own = stack.pop()
         a = walk(a, bindings)
-        b = walk(b, bindings)
+        if own and b.__class__ is Var and b.name in linear:
+            if isinstance(a, Var):
+                bindings[a.name] = b
+                trail.append(a.name)
+            else:
+                bindings[b.name] = a
+                trail.append(b.name)
+            continue
+        walked = walk(b, bindings)
+        own = own and walked is b
+        b = walked
         if a is b:
             continue
         if isinstance(a, Var):
@@ -92,8 +108,22 @@ def unify_track(t1, t2, bindings, trail):
             if a.key != b.key:
                 return False
             continue
-        stack.extend(zip(a.args, b.args))
+        for x, y in zip(a.args, b.args):
+            stack.append((x, y, own))
     return True
+
+
+def _head_singletons(head):
+    """Names of the variables that occur exactly once in a clause head."""
+    counts = {}
+    stack = [head]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            counts[t.name] = counts.get(t.name, 0) + 1
+        elif not t.ground:
+            stack.extend(t.args)
+    return tuple(n for n, k in counts.items() if k == 1)
 
 
 class CutGoal:
@@ -240,8 +270,8 @@ class Machine:
         while cp.idx < len(cp.clauses):
             clause = cp.clauses[cp.idx]
             cp.idx += 1
-            head, body = self._activate_clause(clause, cp.depth)
-            if not unify_track(cp.atom, head, bindings, trail):
+            head, body, linear = self._activate_clause(clause, cp.depth)
+            if not unify_track(cp.atom, head, bindings, trail, linear):
                 self._undo(cp.mark)
                 continue
             goals = cp.rest
@@ -256,23 +286,30 @@ class Machine:
 
     def _activate_clause(self, clause, depth):
         """Fresh-variable copy of a clause, with cut markers bound to the
-        choicepoint they commit to."""
+        choicepoint they commit to, and the renamed names of the variables
+        that occur once in its head."""
         if not clause.body and clause.head.ground:
-            return clause.head, ()
-        names = self._clause_names.get(id(clause))
-        if names is None:
+            return clause.head, (), ()
+        cached = self._clause_names.get(id(clause))
+        if cached is None:
             names = variables(clause.head, set())
             for g in clause.body:
                 if g is not CUT:
                     goal_variables(g, names)
-            names = self._clause_names[id(clause)] = tuple(sorted(names))
+            cached = self._clause_names[id(clause)] = (
+                tuple(sorted(names)),
+                _head_singletons(clause.head),
+            )
+        names, singletons = cached
         if not names:
-            return clause.head, tuple(CutGoal(depth) if g is CUT else g for g in clause.body)
+            body = tuple(CutGoal(depth) if g is CUT else g for g in clause.body)
+            return clause.head, body, ()
         mapping = _mapping_for(names, next(self._fresh))
         body = tuple(
             CutGoal(depth) if g is CUT else rename_goal(g, mapping) for g in clause.body
         )
-        return rename_term(clause.head, mapping), body
+        linear = frozenset(mapping[n].name for n in singletons)
+        return rename_term(clause.head, mapping), body, linear
 
     def _cut(self, goal, rest):
         del self.cps[goal.depth :]

@@ -76,9 +76,10 @@ class Term:
         return self.functor == other.functor and self.args == other.args
 
     def __hash__(self):
+        # Ground terms compare by key ("01" equals "1"), so they hash by it.
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.functor, self.args))
+            h = self._hash = hash(self.key if self.ground else (self.functor, self.args))
         return h
 
     def __repr__(self):

@@ -135,6 +135,12 @@ nomid(X) :- member(X,[1,2,3]).
 """
 
 
+def test_occurs_check_still_guards_repeated_head_variables():
+    assert run("p(f(X),X).", "p(Y,Y)").status == "failure"
+    assert run("q(f(U),U,V).", "q(Y,s(Y),Y)").status == "failure"
+    assert answers(run("r(f(A),B,C).", "r(Y,Y,2)")) == {"Y": "f(A~1)"}
+
+
 def test_cut_commits_to_first_solution():
     assert answers(run(CUTS, "first(X,[4,5,6])")) == {"X": "4"}
 

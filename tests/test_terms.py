@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from primelog.errors import NonGroundError
-from primelog.sld import unify_track
+from primelog.sld import _head_singletons, unify_track
 from primelog.terms import (
     Clause,
     Literal,
@@ -112,6 +112,41 @@ def test_occurs_on_a_long_non_ground_list():
     assert not unify_track(Var("T"), cells, {}, [])
 
 
+def test_head_singleton_skips_no_needed_occurs_check():
+    # X occurs twice in the head, so binding it to f(X) must still fail
+    head = t("p", t("f", Var("X")), Var("X"))
+    goal = t("p", Var("Y"), Var("Y"))
+    assert not unify_track(goal, head, {}, [], frozenset())
+    # V occurs once in the head, but the goal reaches it through Y, which
+    # is bound to V before V meets f(U) with U bound to s(Y)
+    head = t("q", t("f", Var("U")), Var("U"), Var("V"))
+    goal = t("q", Var("Y"), t("s", Var("Y")), Var("Y"))
+    assert not unify_track(goal, head, {}, [], frozenset({"V"}))
+    assert unify(goal, head) is None
+    # V is met inside W's binding g(Y), not at its own position, with Y
+    # bound to g(V) through W
+    head = t("p", Var("W"), Var("W"), t("g", Var("V")))
+    goal = t("p", t("g", Var("Y")), Var("Y"), Var("Y"))
+    assert not unify_track(goal, head, {}, [], frozenset({"V"}))
+    assert unify(goal, head) is None
+
+
+def test_head_singletons_bind_like_the_checked_unifier():
+    head = t("p", t("f", Var("A")), mk_list([Var("B")], Var("T")))
+    goal = t("p", Var("Y"), mk_list([Num(1), Num(2)]))
+    bindings, trail = {}, []
+    assert unify_track(goal, head, bindings, trail, frozenset({"A", "B", "T"}))
+    expected = unify(goal, head)
+    for name in ("Y", "B", "T"):
+        assert format_term(apply_subst(Var(name), bindings)) == format_term(expected[name])
+
+
+def test_ground_terms_hash_by_key():
+    assert Term("01") == Term("1")
+    assert len({Term("01"), Term("1")}) == 1
+    assert {t("f", Term("007")): 1}.get(t("f", Num(7))) == 1
+
+
 def test_mk_list_roundtrip():
     term = mk_list([Num(1), Num(2), Num(3)])
     items, tail = list_parts(term)
@@ -181,6 +216,35 @@ def test_unify_is_a_unifier(t1, t2):
 @given(_terms(2), _terms(2))
 def test_unify_symmetric_in_success(t1, t2):
     assert (unify(t1, t2) is None) == (unify(t2, t1) is None)
+
+
+_head_vars = st.sampled_from(["U", "V", "W"]).map(Var)
+
+
+def _heads(depth):
+    """Terms over variables of their own, like a renamed clause head."""
+    if depth == 0:
+        return st.one_of(_functors.map(Term), _head_vars)
+    sub = _heads(depth - 1)
+    return st.one_of(
+        _heads(0),
+        st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fc: Term(fc[0], tuple(fc[1]))
+        ),
+    )
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_terms(2), _heads(2)), min_size=1, max_size=4))
+def test_unify_track_with_head_singletons_agrees_with_unify(pairs):
+    goal = Term("p", tuple(g for g, _ in pairs))
+    head = Term("p", tuple(h for _, h in pairs))
+    bindings = {}
+    ok = unify_track(goal, head, bindings, [], frozenset(_head_singletons(head)))
+    expected = unify(goal, head)
+    assert ok == (expected is not None)
+    if ok:
+        assert format_term(apply_subst(goal, bindings)) == format_term(apply_subst(head, bindings))
 
 
 @given(_terms(2))
