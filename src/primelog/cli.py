@@ -27,7 +27,8 @@ from .envs import (
     generate_wumpus,
 )
 from .errors import EngineError, ParseError
-from .interpreter import DEFAULT_STEP_BUDGET, resolve_property, solve
+from .interpreter import DEFAULT_STEP_BUDGET, solve
+from .model import resolve_property
 from .parser import format_property, parse_domain, parse_program, parse_query
 from .strategies import wumpus_agent
 from .terms import format_term

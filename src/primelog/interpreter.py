@@ -25,12 +25,12 @@ from .errors import EngineError, NondeterministicActionError
 from .model import (
     CUT,
     DoGoal,
-    PropClause,
     QueryGoal,
     SenseGoal,
     StateProperty,
     goal_variables,
     rename_spec,
+    resolve_property,
 )
 from .parser import format_property
 from .pi import (
@@ -41,7 +41,7 @@ from .pi import (
     update,
 )
 from .sld import FAILED, CutGoal, Machine
-from .terms import Term, Var, apply_subst, format_literal, format_term, unify, walk
+from .terms import Term, Var, apply_literal, apply_subst, format_literal, format_term, unify, walk
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -103,34 +103,17 @@ class _StreamCP:
         self.spec = spec
 
 
-def resolve_property(prop, bindings):
-    """Apply the machine's bindings through a property so the entailment
-    layer never sees (or copies) the global binding store."""
-    if not bindings:
-        return prop
-    clauses = []
-    for c in prop.clauses:
-        fl = tuple(
-            l if l.ground else type(l)(apply_subst(l.fluent, bindings), l.positive)
-            for l in c.fluents
-        )
-        aux = tuple(apply_subst(a, bindings) for a in c.aux)
-        clauses.append(PropClause(fl, aux))
-    return StateProperty(clauses)
-
-
 def ground_effects(case, csol, act):
     """The effect literals of the chosen case of `act` under the case
     condition's solution; all of them must come out ground."""
     effects = []
     for lit in case.effects:
+        lit = apply_literal(lit, csol)
         if not lit.ground:
-            lit = type(lit)(apply_subst(lit.fluent, csol), lit.positive)
-            if not lit.fluent.ground:
-                raise EngineError(
-                    f"effect {format_literal(lit)} of {format_term(act)} "
-                    "is not ground after applying the case solution"
-                )
+            raise EngineError(
+                f"effect {format_literal(lit)} of {format_term(act)} "
+                "is not ground after applying the case solution"
+            )
         effects.append(lit)
     return tuple(effects)
 

@@ -7,17 +7,7 @@ parts differently.
 """
 
 from .errors import EngineError
-from .terms import Clause, Term, Var, rename_term, variables
-
-
-def rename_clause(clause, mapping):
-    if clause.ground:
-        return clause
-    lits = tuple(
-        l if l.ground else type(l)(rename_term(l.fluent, mapping), l.positive)
-        for l in clause.literals
-    )
-    return Clause(lits)
+from .terms import Var, apply_literal, apply_subst, format_literal, format_term, variables
 
 
 class PropClause:
@@ -46,8 +36,6 @@ class PropClause:
         return acc
 
     def __repr__(self):
-        from .terms import format_literal, format_term
-
         parts = [format_literal(l) for l in self.fluents]
         parts += [format_term(a) for a in self.aux]
         if len(parts) == 1:
@@ -117,14 +105,6 @@ class SensorCase:
         self.result = result
         self.index = index
         self.meaning = tuple(meaning)
-
-    def variables(self):
-        acc = set()
-        self.index.variables(acc)
-        for c in self.meaning:
-            if not c.ground:
-                variables([l.fluent for l in c.literals], acc)
-        return acc
 
 
 def _index_literal(index):
@@ -217,8 +197,6 @@ class DoGoal:
         self.action = action
 
     def __repr__(self):
-        from .terms import format_term
-
         return f"do({format_term(self.action)})"
 
 
@@ -244,8 +222,6 @@ class SenseGoal:
         self.arg = arg
 
     def __repr__(self):
-        from .terms import format_term
-
         return f"?({self.functor}({format_term(self.arg)}))"
 
 
@@ -305,16 +281,19 @@ def _mapping_for(names, suffix):
     return {n: Var(f"{n}~{suffix}") for n in names}
 
 
-def rename_property(prop, mapping):
-    clauses = []
-    for c in prop.clauses:
-        fl = tuple(
-            l if l.ground else type(l)(rename_term(l.fluent, mapping), l.positive)
-            for l in c.fluents
+def resolve_property(prop, bindings):
+    """A property with `bindings` applied through it: with a machine's
+    binding store, so the entailment layer never sees (or copies) the
+    store; with a name -> fresh Var mapping, a renamed copy."""
+    if not bindings:
+        return prop
+    return StateProperty(
+        PropClause(
+            [apply_literal(l, bindings) for l in c.fluents],
+            [apply_subst(a, bindings) for a in c.aux],
         )
-        aux = tuple(rename_term(a, mapping) for a in c.aux)
-        clauses.append(PropClause(fl, aux))
-    return StateProperty(clauses)
+        for c in prop.clauses
+    )
 
 
 def goal_variables(goal, acc):
@@ -333,37 +312,26 @@ def goal_variables(goal, acc):
 def rename_goal(goal, mapping):
     """Fresh-variable copy of one body goal (not a cut)."""
     if isinstance(goal, CallGoal):
-        return CallGoal(rename_term(goal.atom, mapping))
+        return CallGoal(apply_subst(goal.atom, mapping))
     if isinstance(goal, DoGoal):
-        return DoGoal(rename_term(goal.action, mapping))
+        return DoGoal(apply_subst(goal.action, mapping))
     if isinstance(goal, QueryGoal):
-        return QueryGoal(rename_property(goal.property, mapping))
+        return QueryGoal(resolve_property(goal.property, mapping))
     if isinstance(goal, SenseGoal):
-        return SenseGoal(goal.functor, rename_term(goal.arg, mapping))
+        return SenseGoal(goal.functor, apply_subst(goal.arg, mapping))
     raise EngineError(f"unexpected body goal {goal!r}")
 
 
 def rename_spec(spec, suffix):
     """Fresh-variable copy of an ActionSpec for one activation."""
     mapping = _mapping_for(spec.variables(), suffix)
-    head = rename_term(spec.head, mapping)
-    precond = rename_property(spec.precond, mapping)
-    cases = []
-    for case in spec.cases:
-        cond = rename_property(case.cond, mapping)
-        effects = tuple(
-            l if l.ground else type(l)(rename_term(l.fluent, mapping), l.positive)
-            for l in case.effects
+    cases = tuple(
+        ActionCase(
+            resolve_property(case.cond, mapping),
+            [apply_literal(l, mapping) for l in case.effects],
         )
-        cases.append(ActionCase(cond, effects))
-    return ActionSpec(head, precond, tuple(cases))
-
-
-def rename_sensor_case(case, suffix):
-    """Fresh-variable copy of one sensor triple."""
-    mapping = _mapping_for(case.variables(), suffix)
-    if not mapping:
-        return case
-    index = rename_property(case.index, mapping)
-    meaning = tuple(rename_clause(c, mapping) for c in case.meaning)
-    return SensorCase(case.result, index, meaning)
+        for case in spec.cases
+    )
+    return ActionSpec(
+        apply_subst(spec.head, mapping), resolve_property(spec.precond, mapping), cases
+    )

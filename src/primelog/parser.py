@@ -31,6 +31,7 @@ from .model import (
     ActionCase,
     ActionSpec,
     CallGoal,
+    Cut,
     DoGoal,
     DomainFile,
     Program,
@@ -558,7 +559,7 @@ def parse_domain(text, filename="<domain>"):
                 n
                 for case in spec.cases
                 for l in case.effects
-                for n in _var_names(l.fluent)
+                for n in variables(l.fluent)
                 if n not in covered
             )
             if loose:
@@ -656,16 +657,10 @@ def parse_domain(text, filename="<domain>"):
     )
 
 
-def _var_names(term, acc=None):
-    from .terms import variables
-
-    return variables(term, acc)
-
-
 def variables_of_spec_sources(spec):
     """Names that executing a matched action specification can bind:
     head, precondition, and case condition variables."""
-    acc = _var_names(spec.head)
+    acc = variables(spec.head)
     spec.precond.variables(acc)
     for case in spec.cases:
         case.cond.variables(acc)
@@ -803,8 +798,6 @@ def format_property(prop):
 
 
 def format_goal(goal):
-    from .model import CallGoal, Cut, DoGoal, QueryGoal, SenseGoal
-
     if isinstance(goal, Cut):
         return "!"
     if isinstance(goal, DoGoal):

@@ -26,12 +26,10 @@ The public operations:
 - `integrate_sensing`: fold one observed sensing result into the state.
 """
 
-import itertools
 from collections import deque
 from operator import attrgetter
 
-from .errors import EngineError, NonGroundError, SensingError
-from .model import rename_sensor_case
+from .errors import EngineError, NondeterministicActionError, NonGroundError, SensingError
 from .terms import (
     EMPTY_CLAUSE,
     Clause,
@@ -44,8 +42,6 @@ from .terms import (
     unify,
     variables,
 )
-
-_fresh_suffix = itertools.count(1)
 
 _clause_key = attrgetter("key")
 
@@ -487,8 +483,6 @@ def applicable_cases(state, spec, aux, bindings=None):
     domain-authoring fault and raises."""
     found = [i for i, _ in applicable_case_solutions(state, spec, aux, bindings)]
     if len(found) > 1:
-        from .errors import NondeterministicActionError
-
         raise NondeterministicActionError(
             f"action {format_term(spec.head)} has {len(found)} applicable effect cases"
         )
@@ -519,10 +513,10 @@ def integrate_sensing(state, axiom, observed, aux):
         raise EngineError("cannot query an inconsistent belief state")
     matches = []
     for i in axiom.candidates(observed, state):
-        renamed = rename_sensor_case(axiom.cases[i], f"s{next(_fresh_suffix)}")
-        sol = first_entailment(state, renamed.index, aux)
+        case = axiom.cases[i]
+        sol = first_entailment(state, case.index, aux)
         if sol is not None:
-            matches.append((renamed, sol))
+            matches.append((case, sol))
     if not matches:
         raise SensingError(f"no sensor case for {axiom.functor}={format_term(observed)} applies")
     if len(matches) > 1:

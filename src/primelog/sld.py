@@ -11,59 +11,22 @@ bounded by the step budget, never by Python's stack.
 
 from .errors import BarrierError, BudgetExceeded, EngineError
 from .model import CUT, CallGoal, _mapping_for, goal_variables, rename_goal
-from .terms import (
-    NIL,
-    Term,
-    Var,
-    apply_subst,
-    format_term,
-    list_parts,
-    occurs,
-    rename_term,
-    unify,
-    variables,
-    walk,
-)
+from .terms import NIL, Term, Var, apply_subst, format_term, occurs, variables, walk
 
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
 FAILED = object()
 
 
-def solve_builtin(goal):
-    """The solution of a builtin atom as a substitution, or None when it
-    fails. Every builtin is deterministic: `=` unifies, `neq` is
-    non-unifiability, `memberchk` commits to the first matching element,
-    `nonmember` succeeds when no element unifies. Both list builtins
-    insist on proper lists."""
-    name = goal.functor
-    if name == "true":
-        return {}
-    if name == "fail":
-        return None
-    left, right = goal.args
-    if name == "=":
-        return unify(left, right)
-    if name == "neq":
-        return {} if unify(left, right) is None else None
-    items, tail = list_parts(right)
-    if not (isinstance(tail, Term) and tail.key == NIL.key):
-        raise EngineError(f"{format_term(goal)}: second argument is not a proper list")
-    if name == "memberchk":
-        for item in items:
-            sol = unify(left, item)
-            if sol is not None:
-                return sol
-        return None
-    if any(unify(left, item) is not None for item in items):
-        return None
-    return {}
-
-
-def unify_track(t1, t2, bindings, trail, linear=()):
+def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
     """Destructive unification into a machine's binding store. Records
     every bound name on the trail; on failure the caller undoes to its
     mark, so partial progress is harmless.
+
+    Argument pairs are visited last first, unless `left_first` asks for
+    the order of `terms.unify`. The order decides which of two variables
+    is bound to the other; the built-ins use `left_first`, so they bind
+    the way the copying unifier does.
 
     `linear` names variables that occur exactly once in `t2` and nowhere
     in `t1` or the bindings, such as the renamed head variables of a
@@ -108,7 +71,11 @@ def unify_track(t1, t2, bindings, trail, linear=()):
             if a.key != b.key:
                 return False
             continue
-        for x, y in zip(a.args, b.args):
+        if left_first:
+            pairs = zip(reversed(a.args), reversed(b.args))
+        else:
+            pairs = zip(a.args, b.args)
+        for x, y in pairs:
             stack.append((x, y, own))
     return True
 
@@ -197,8 +164,8 @@ class Machine:
             del bindings[trail.pop()]
 
     def _apply_solution(self, sol):
-        """Install a solution dict from the entailment layer or a builtin.
-        Solutions are idempotent, so values need no further resolution."""
+        """Install a solution dict from the entailment layer. Solutions
+        are idempotent, so values need no further resolution."""
         bindings = self.bindings
         trail = self.trail
         for name, value in sol.items():
@@ -247,12 +214,10 @@ class Machine:
         atom = goal.atom
         pred = (atom.functor, len(atom.args))
         if pred in BUILTINS:
-            sol = solve_builtin(apply_subst(atom, self.bindings))
-            if sol is None:
-                self._note("fail", atom)
-                return FAILED
-            self._apply_solution(sol)
-            return rest
+            if self._builtin(atom):
+                return rest
+            self._note("fail", atom)
+            return FAILED
         if self.program.defines(*pred):
             clauses = self.program.clauses_for(*pred)
         elif self.aux.defines(*pred):
@@ -263,6 +228,52 @@ class Machine:
         cp = ClauseCP(atom, clauses, rest, len(self.trail), self.barrier, len(self.cps))
         self.cps.append(cp)
         return self._advance_clauses(cp)
+
+    def _builtin(self, goal):
+        """Run a builtin atom in place on the binding store. On success its
+        bindings are on the trail; on failure the store and the trail are
+        as they were. Every builtin is deterministic: `=` unifies, `neq` is
+        non-unifiability (its trial bindings are always undone),
+        `memberchk` keeps the bindings of the first matching element,
+        `nonmember` succeeds when no element unifies. Both list builtins
+        check that the whole spine is a proper list before trying any
+        element."""
+        name = goal.functor
+        if name == "true":
+            return True
+        if name == "fail":
+            return False
+        bindings = self.bindings
+        trail = self.trail
+        mark = len(trail)
+        left, right = goal.args
+        if name == "=":
+            if unify_track(left, right, bindings, trail, left_first=True):
+                return True
+            self._undo(mark)
+            return False
+        if name == "neq":
+            unifies = unify_track(left, right, bindings, trail, left_first=True)
+            self._undo(mark)
+            return not unifies
+        items = []
+        tail = walk(right, bindings)
+        while tail.__class__ is Term and tail.functor == "." and len(tail.args) == 2:
+            items.append(tail.args[0])
+            tail = walk(tail.args[1], bindings)
+        if tail.__class__ is Var or tail.key != NIL.key:
+            raise EngineError(
+                f"{format_term(apply_subst(goal, bindings))}: "
+                "second argument is not a proper list"
+            )
+        for item in items:
+            if unify_track(left, item, bindings, trail, left_first=True):
+                if name == "memberchk":
+                    return True
+                self._undo(mark)
+                return False
+            self._undo(mark)
+        return name == "nonmember"
 
     def _advance_clauses(self, cp):
         bindings = self.bindings
@@ -309,7 +320,7 @@ class Machine:
             CutGoal(depth) if g is CUT else rename_goal(g, mapping) for g in clause.body
         )
         linear = frozenset(mapping[n].name for n in singletons)
-        return rename_term(clause.head, mapping), body, linear
+        return apply_subst(clause.head, mapping), body, linear
 
     def _cut(self, goal, rest):
         del self.cps[goal.depth :]

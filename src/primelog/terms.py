@@ -149,19 +149,43 @@ def walk(term, bindings):
 
 
 def apply_subst(term, bindings):
-    """Substitute through a term, resolving chains of bindings."""
+    """Substitute through a term, resolving chains of bindings. With a
+    name -> fresh Var mapping for `bindings` it renames a term apart.
+    Nested arguments go on an explicit stack, so a long list costs no
+    Python recursion."""
     term = walk(term, bindings)
-    if isinstance(term, Var):
+    if term.__class__ is Var or term.ground or not bindings:
         return term
-    if term.ground or not bindings:
-        return term
-    changed = False
-    args = []
-    for a in term.args:
-        b = apply_subst(a, bindings)
-        changed = changed or b is not a
-        args.append(b)
-    return Term(term.functor, tuple(args)) if changed else term
+    # One frame per compound being rebuilt:
+    # [term, new args so far, changed, iterator over its args, original arg].
+    frame = [term, [], False, iter(term.args), term]
+    stack = []
+    while True:
+        args = frame[1]
+        for orig in frame[3]:
+            a = orig
+            while a.__class__ is Var:
+                nxt = bindings.get(a.name)
+                if nxt is None:
+                    break
+                a = nxt
+            if a.__class__ is not Var and not a.ground:
+                stack.append(frame)
+                frame = [a, [], False, iter(a.args), orig]
+                break
+            if a is not orig:
+                frame[2] = True
+            args.append(a)
+        else:
+            t = frame[0]
+            new = Term(t.functor, tuple(args)) if frame[2] else t
+            if not stack:
+                return new
+            parent = stack.pop()
+            if new is not frame[4]:
+                parent[2] = True
+            parent[1].append(new)
+            frame = parent
 
 
 def occurs(name, term, bindings):
@@ -225,15 +249,6 @@ def restrict(bindings, names):
     return {n: t for n, t in bindings.items() if n in names}
 
 
-def rename_term(term, mapping):
-    """Replace variables via a name->Var mapping, building fresh structure."""
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if term.ground:
-        return term
-    return Term(term.functor, tuple(rename_term(a, mapping) for a in term.args))
-
-
 class Literal:
     """A signed fluent atom. Negative literals sort right after the
     positive literal of the same fluent."""
@@ -270,6 +285,8 @@ class Literal:
 
 
 def apply_literal(lit, bindings):
+    """A literal with `bindings` applied to its fluent; the literal itself
+    when nothing changes."""
     fluent = apply_subst(lit.fluent, bindings)
     return lit if fluent is lit.fluent else Literal(fluent, lit.positive)
 

@@ -17,7 +17,7 @@ from primelog.envs import MazeEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
 from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, solve
 from primelog.parser import parse_domain, parse_program, parse_query
-from primelog.terms import Term, Var, apply_subst, format_term, rename_term, variables
+from primelog.terms import Term, Var, apply_subst, format_term, variables
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -137,7 +137,7 @@ def _canonical(sol, names):
     for n in sorted(names):
         value = apply_subst(Var(n), sol)
         number(value)
-        parts.append(f"{n}={format_term(rename_term(value, mapping))}")
+        parts.append(f"{n}={format_term(apply_subst(value, mapping))}")
     return " ".join(parts)
 
 

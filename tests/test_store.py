@@ -11,7 +11,6 @@ oracle, and a freshly indexed copy of itself, and no earlier state may
 have changed. The last tests pin the work a sample run does.
 """
 
-import itertools
 import re
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from primelog.model import (
     SensorAxiom,
     SensorCase,
     StateProperty,
-    rename_sensor_case,
 )
 from primelog.oracle import reference_prime_implicates
 from primelog.parser import parse_domain, parse_program, parse_query
@@ -74,9 +72,6 @@ def unit_clause(*lits):
 
 # ---------------------------------------------------------------- reference
 
-_ref_suffix = itertools.count(1)
-
-
 def _full_scan_match(state, axiom, observed, aux):
     """(ground meaning clauses, index substitution) of the one case for
     `observed` whose index the state entails, found by checking every
@@ -90,10 +85,9 @@ def _full_scan_match(state, axiom, observed, aux):
     for case in axiom.cases:
         if case.result != observed:
             continue
-        renamed = rename_sensor_case(case, f"r{next(_ref_suffix)}")
-        sol = pi.first_entailment(state, renamed.index, aux)
+        sol = pi.first_entailment(state, case.index, aux)
         if sol is not None:
-            matches.append((renamed, sol))
+            matches.append((case, sol))
     if not matches:
         raise SensingError(f"no sensor case for {axiom.functor}={format_term(observed)} applies")
     if len(matches) > 1:
