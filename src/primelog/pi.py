@@ -7,12 +7,15 @@ reduces entailment checks to subsumption lookups, keeps progression a
 local operation, and stays stable under the saturation used here.
 
 The store: a `PIList` is a value that carries its own indexes (clause
-key -> clause, literal key -> clause keys, predicate and sign -> sorted
-units) in immutable buckets. `update` and `prime_closure(..., base=...)`
-build the next state on a draft that shares the parent's buckets and
-replaces only those it touches, so a step costs the clauses it meets,
-not the size of the belief. Sensing looks sensor cases up by their index
-literal (`SensorAxiom.candidates`) instead of trying every case.
+key -> clause, literal key -> clause keys, and the unit clauses keyed by
+predicate, sign and first-argument key) in immutable buckets. `update`
+and `prime_closure(..., base=...)` build the next state on a draft that
+shares the parent's buckets and replaces only those it touches, so a
+step costs the clauses it meets, not the size of the belief. A
+single-literal query whose first argument is ground unifies only with
+the units filed under that argument, as first-argument indexing does in
+a Prolog engine. Sensing looks sensor cases up by their index literal
+(`SensorAxiom.candidates`) instead of trying every case.
 
 The public operations:
 
@@ -27,12 +30,14 @@ The public operations:
 """
 
 from collections import deque
+from itertools import chain
 from operator import attrgetter
 
 from .errors import EngineError, NondeterministicActionError, NonGroundError, SensingError
 from .terms import (
     EMPTY_CLAUSE,
     Clause,
+    Var,
     apply_literal,
     apply_subst,
     format_clause,
@@ -51,14 +56,28 @@ def _pred_sign(lit):
     return (f.functor, len(f.args), lit.positive)
 
 
+def _first_key(fluent):
+    """The key a unit on `fluent` is filed under: the key of its first
+    argument, () for an atom, None when the first argument is not ground."""
+    args = fluent.args
+    if not args:
+        return ()
+    first = args[0]
+    return None if first.__class__ is Var else first.key
+
+
 class PIList:
     """An immutable, duplicate-free set of ground clauses, iterated in key
     order, with the indexes that make a step cost only what it touches:
 
     - clause key -> clause;
     - literal key -> frozenset of the keys of the clauses containing it;
-    - (functor, arity, positive) -> the unit clauses on that predicate and
-      sign, as a tuple in key order.
+    - (functor, arity, positive) -> first-argument key -> the unit clauses
+      on that predicate and sign whose first argument has that key, as a
+      tuple in key order. Each inner table is ordered by first-argument
+      key, and a unit's key begins with its first argument's, so the
+      buckets of a predicate and sign read one after the other are all
+      its units in key order.
 
     Buckets are never modified, so a child state shares every bucket it
     does not touch with its parent. The sorted `clauses` tuple is built on
@@ -110,8 +129,23 @@ class PIList:
         return "[" + ", ".join(format_clause(c) for c in self.clauses) + "]"
 
     def units_for(self, functor, arity, positive):
-        """Unit clauses on a given predicate and sign, in sorted order."""
-        return self._units.get((functor, arity, positive), ())
+        """Unit clauses on a given predicate and sign, in key order: its
+        first-argument buckets one after the other."""
+        subs = self._units.get((functor, arity, positive))
+        return tuple(chain.from_iterable(subs.values())) if subs else ()
+
+    def units_matching(self, fluent, positive):
+        """The unit clauses of sign `positive` that may unify with
+        `fluent`, in key order: the one first-argument bucket when the
+        first argument is ground (a unit outside it differs from it in a
+        ground first argument), else every unit on the predicate."""
+        subs = self._units.get((fluent.functor, len(fluent.args), positive))
+        if not subs:
+            return ()
+        first = _first_key(fluent)
+        if first is None:
+            return chain.from_iterable(subs.values())
+        return subs.get(first, ())
 
 
 class _Draft:
@@ -119,9 +153,10 @@ class _Draft:
     from nothing.
 
     The parent's top-level tables are copied; a literal bucket becomes a
-    private set the first time it is written, and a unit bucket is
-    rebuilt at the end from its removals and additions. Every other
-    bucket is shared with the parent.
+    private set the first time it is written, and a first-argument unit
+    bucket is rebuilt at the end from its removals and additions, in a
+    copy of its predicate's table. Every other bucket is shared with the
+    parent.
     """
 
     __slots__ = ("parent", "by_key", "by_lit", "_units", "_own", "_unit_delta")
@@ -135,7 +170,8 @@ class _Draft:
             self.by_lit = dict(parent._by_lit)
             self._units = parent._units
         self._own = set()        # literal keys whose bucket is a private set
-        self._unit_delta = {}    # (functor, arity, sign) -> (removed keys, {key: added unit})
+        # (functor, arity, sign) -> first-argument key -> (removed keys, {key: added unit})
+        self._unit_delta = {}
 
     def _bucket(self, lit_key):
         if lit_key in self._own:
@@ -146,9 +182,13 @@ class _Draft:
 
     def _delta(self, lit):
         ps = _pred_sign(lit)
-        delta = self._unit_delta.get(ps)
+        by_first = self._unit_delta.get(ps)
+        if by_first is None:
+            by_first = self._unit_delta[ps] = {}
+        first = _first_key(lit.fluent)
+        delta = by_first.get(first)
         if delta is None:
-            delta = self._unit_delta[ps] = (set(), {})
+            delta = by_first[first] = (set(), {})
         return delta
 
     def insert(self, clause):
@@ -180,13 +220,22 @@ class _Draft:
             else:
                 del by_lit[lk]
         units = dict(self._units)
-        for ps, (removed, added) in self._unit_delta.items():
-            bucket = [u for u in units.get(ps, ()) if u.key not in removed]
-            bucket.extend(added.values())
-            if bucket:
-                units[ps] = tuple(sorted(bucket, key=_clause_key))
-            else:
+        for ps, by_first in self._unit_delta.items():
+            subs = dict(units.get(ps, ()))
+            grown = False
+            for first, (removed, added) in by_first.items():
+                bucket = [u for u in subs.get(first, ()) if u.key not in removed]
+                bucket.extend(added.values())
+                if bucket:
+                    grown = grown or first not in subs
+                    subs[first] = tuple(sorted(bucket, key=_clause_key))
+                else:
+                    subs.pop(first, None)
+            if not subs:
                 units.pop(ps, None)
+            else:
+                # a new first argument is appended; put it in key order
+                units[ps] = dict(sorted(subs.items())) if grown else subs
         return self.by_key, by_lit, units
 
     def freeze(self):
@@ -418,7 +467,7 @@ def entails_clause(state, pclause, aux, bindings=None):
     if len(fluents) == 1:
         lit = fluents[0]
         f = lit.fluent
-        for unit in state.units_for(f.functor, len(f.args), lit.positive):
+        for unit in state.units_matching(f, lit.positive):
             u = unify(f, unit.literals[0].fluent, base)
             if u is not None and emit(u):
                 yield u

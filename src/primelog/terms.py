@@ -382,19 +382,40 @@ def list_parts(term):
 
 
 def format_term(term):
-    if isinstance(term, Var):
-        # Anonymous variables get unreadable fresh names at parse time;
-        # print them back as written.
-        return "_" if term.name.startswith("_#") else term.name
-    if term.functor == "." and len(term.args) == 2:
-        items, tail = list_parts(term)
-        inner = ",".join(format_term(i) for i in items)
-        if isinstance(tail, Term) and tail.functor == "[]" and not tail.args:
-            return f"[{inner}]"
-        return f"[{inner}|{format_term(tail)}]"
-    if not term.args:
-        return term.functor
-    return f"{term.functor}({','.join(format_term(a) for a in term.args)})"
+    """The term's text. Subterms still to print and the punctuation
+    between them go on an explicit stack, so a deeply nested term costs
+    no Python recursion."""
+    out = []
+    stack = [term]
+    push = stack.append
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+        elif cls is Var:
+            # Anonymous variables get unreadable fresh names at parse
+            # time; print them back as written.
+            out.append("_" if t.name.startswith("_#") else t.name)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            if t.functor == "." and len(t.args) == 2:
+                items, tail = list_parts(t)
+                out.append("[")
+                push("]")
+                if not (isinstance(tail, Term) and tail.functor == "[]" and not tail.args):
+                    push(tail)
+                    push("|")
+            else:
+                items = t.args
+                out.append(t.functor + "(")
+                push(")")
+            for i in range(len(items) - 1, 0, -1):
+                push(items[i])
+                push(",")
+            push(items[0])
+    return "".join(out)
 
 
 def format_literal(lit):

@@ -236,6 +236,31 @@ def test_run_replay_script(maze_files, tmp_path, capsys):
     assert "status: success" in out
 
 
+@pytest.mark.parametrize("leaf", ["x", "_"])
+def test_run_prints_a_3000_deep_answer(tmp_path, capsys, leaf):
+    domain = tmp_path / "succ.alpd"
+    facts = " ".join(f"succ({i},{i + 1})." for i in range(5000))
+    domain.write_text(emit_maze_domain(3) + facts + "\n", encoding="utf-8")
+    program = tmp_path / "nest.alp"
+    program.write_text(
+        f"nest(N,N,{leaf}) :- !.\nnest(I,N,f(T)) :- succ(I,J), nest(J,N,T).\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "nest(0,3000,T)",
+            "--env", "maze:3",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert f"answer: T = {'f(' * 3000}{leaf}{')' * 3000}\n" in out
+
+
 # ---------------------------------------------------------------- gen-wumpus
 
 

@@ -8,9 +8,13 @@ state, the index substitution and every error. `update` and
 they touch; after random update/sense/closure sequences the store must
 equal the from-scratch closure of a shadow clause set, the truth-table
 oracle, and a freshly indexed copy of itself, and no earlier state may
-have changed. The last tests pin the work a sample run does.
+have changed, and every first-argument unit bucket must equal the fresh
+copy's. A single-literal query must answer, in order, what unifying it
+against every unit clause answers (`_full_scan_entails`). The last tests
+pin the work a sample run does.
 """
 
+import itertools
 import re
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelog import interpreter, pi
 from primelog.auxdb import AuxDB
-from primelog.envs import WumpusConfig, WumpusEnv, generate_wumpus
+from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
 from primelog.errors import EngineError, SensingError
 from primelog.model import (
     EMPTY_PROPERTY,
@@ -33,6 +37,7 @@ from primelog.model import (
 from primelog.oracle import reference_prime_implicates
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.pi import PIList, integrate_sensing, is_prime, prime_closure, update
+from primelog.strategies import WUMPUS_QUERY, wumpus_agent
 from primelog.terms import (
     FALSE,
     TRUE,
@@ -45,6 +50,8 @@ from primelog.terms import (
     apply_subst,
     format_term,
     normalize_clause,
+    syntactic_key,
+    unify,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -113,6 +120,25 @@ def _full_scan_sensing(state, axiom, observed, aux):
             f"sensing result {axiom.functor}={format_term(observed)} contradicts the belief state"
         )
     return new_state, sol
+
+
+def _full_scan_entails(state, pclause, bindings):
+    """The answers to a single-literal query clause, found by unifying it
+    against every unit clause of the state in key order, each distinct
+    substitution of the clause's variables once."""
+    lit = apply_literal(pclause.fluents[0], bindings)
+    answers, seen = [], set()
+    for c in state:
+        if len(c) != 1 or c.literals[0].positive != lit.positive:
+            continue
+        u = unify(lit.fluent, c.literals[0].fluent, bindings)
+        if u is None:
+            continue
+        sig = tuple((n, syntactic_key(apply_subst(u[n], u))) for n in pclause.names if n in u)
+        if sig not in seen:
+            seen.add(sig)
+            answers.append(u)
+    return answers
 
 
 def _canonical_solution(sol):
@@ -267,7 +293,89 @@ def test_sensor_index_files_ground_cases_and_scans_the_rest():
     assert axiom.candidates(Term("maybe"), state) == []
 
 
+# ---------------------------------------------------------------- keyed units
+
+# Shared and distinct first arguments: numeric, symbolic and compound.
+FIRSTS = (
+    Num(1), Num(2), Num(10), Term("a"), Term("b"), Term("g", (Num(1),)), Term("g", (Term("a"),))
+)
+OTHERS = (Num(1), Term("a"), Term("g", (Num(2),)))
+KEYED_PREDS = (("p", 0), ("q", 1), ("r", 2), ("s", 3))
+KEYED_ATOMS = [Term("p")] + [
+    Term(name, (first,) + rest)
+    for name, arity in KEYED_PREDS[1:]
+    for first in FIRSTS
+    for rest in itertools.product(OTHERS, repeat=arity - 1)
+]
+
+
+@st.composite
+def _keyed_states(draw):
+    """Ground unit clauses, closed in two steps and then updated, so unit
+    buckets are both built from scratch and grown from a parent's. Atoms
+    come from a seeded random sample: hypothesis's own draws from small
+    pools repeat one pattern, and the first and last arguments of a
+    unit would then sort alike."""
+    rnd = draw(st.randoms())
+
+    def units(n):
+        return [Literal(a, rnd.random() < 0.5) for a in rnd.sample(KEYED_ATOMS, n)]
+
+    lits = units(draw(st.integers(0, 30)))
+    cut = draw(st.integers(0, len(lits)))
+    state = prime_closure([Clause((l,)) for l in lits[:cut]])
+    state = prime_closure([Clause((l,)) for l in lits[cut:]], base=state)
+    return update(state, units(draw(st.integers(0, 4))))
+
+
+@st.composite
+def _keyed_queries(draw):
+    """(one-literal query clause, bindings) with a first argument that is
+    unbound, ground, bound through the bindings, or a non-ground compound."""
+    name, arity = draw(st.sampled_from(KEYED_PREDS + (("q", 2),)))
+    bindings = {}
+    args = []
+    if arity:
+        kind = draw(st.sampled_from(("unbound", "ground", "bound", "compound")))
+        if kind == "unbound":
+            first = X
+        elif kind == "ground":
+            # 3 is on no unit; 01 has the key of 1 but unifies with nothing
+            first = draw(st.sampled_from(FIRSTS + (Num(3), Term("01"))))
+        elif kind == "bound":
+            first = Var("B")
+            bindings = {"B": draw(st.sampled_from(FIRSTS))}
+        else:
+            first = Term("g", (draw(st.sampled_from((X, Y))),))
+        args = [first] + [draw(st.sampled_from(OTHERS + (X, Y))) for _ in range(arity - 1)]
+    query = PropClause((Literal(Term(name, tuple(args)), draw(st.booleans())),))
+    return query, bindings
+
+
+@settings(max_examples=400, deadline=None)
+@given(_keyed_states(), st.lists(_keyed_queries(), min_size=1, max_size=8))
+def test_single_literal_answers_equal_a_scan_of_every_unit(state, queries):
+    for name, arity in KEYED_PREDS:
+        for positive in (True, False):
+            assert state.units_for(name, arity, positive) == tuple(
+                c
+                for c in state
+                if len(c) == 1
+                and c.literals[0].positive == positive
+                and c.literals[0].fluent.functor == name
+                and len(c.literals[0].fluent.args) == arity
+            )
+    for pclause, bindings in queries:
+        got = list(pi.entails_clause(state, pclause, AUX, bindings))
+        assert got == _full_scan_entails(state, pclause, bindings)
+
+
 # ---------------------------------------------------------------- store
+
+
+def _unit_buckets(state):
+    """Every first-argument unit bucket, in table order, per predicate."""
+    return {ps: list(subs.items()) for ps, subs in state._units.items()}
 
 
 def _assert_matches_fresh_copy(state):
@@ -276,6 +384,7 @@ def _assert_matches_fresh_copy(state):
     assert len(state) == len(fresh)
     assert state.inconsistent == fresh.inconsistent
     assert state._by_lit == fresh._by_lit
+    assert _unit_buckets(state) == _unit_buckets(fresh)
     for pred in PREDS:
         assert state.units_for(*pred) == fresh.units_for(*pred)
 
@@ -412,3 +521,42 @@ def test_update_visits_only_clauses_sharing_an_effect_fluent(monkeypatch):
     domain, program, query, env = _wumpus4()
     assert interpreter.solve(query, program, domain, env).succeeded
     assert checked and max(checked) > 3
+
+
+def test_bound_conn_queries_unify_only_with_units_of_that_first_argument(monkeypatch):
+    world = generate_wumpus(WumpusConfig(size=4, seed=7))
+    domain = parse_domain(emit_wumpus_domain(world, "ground3"), "w4.alpd")
+    program = parse_program(wumpus_agent("ground3"), domain, "cautious.alp")
+    plain_unify = pi.unify
+    plain_entails = pi.entails_clause
+    tried = []
+    checked = []
+
+    def counted_unify(t1, t2, *args, **kwargs):
+        tried.append(t2)
+        return plain_unify(t1, t2, *args, **kwargs)
+
+    def watched_entails(state, pclause, aux, bindings=None):
+        fluent = None
+        if len(pclause.fluents) == 1:
+            fluent = apply_literal(pclause.fluents[0], bindings or {}).fluent
+        if fluent is None or fluent.functor != "conn" or isinstance(fluent.args[0], Var):
+            yield from plain_entails(state, pclause, aux, bindings)
+            return
+        before = len(tried)
+        answers = list(plain_entails(state, pclause, aux, bindings))
+        expected = [
+            u.literals[0].fluent
+            for u in state.units_for("conn", 2, True)
+            if u.literals[0].fluent.args[0] == fluent.args[0]
+        ]
+        assert tried[before:] == expected
+        checked.append((len(expected), len(state.units_for("conn", 2, True))))
+        yield from answers
+
+    monkeypatch.setattr(pi, "unify", counted_unify)
+    monkeypatch.setattr(pi, "entails_clause", watched_entails)
+    query = parse_query(WUMPUS_QUERY, domain)
+    outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
+    assert outcome.succeeded
+    assert checked and all(0 < tried_here < total for tried_here, total in checked)
