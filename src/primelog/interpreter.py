@@ -28,8 +28,8 @@ from .model import (
     QueryGoal,
     SenseGoal,
     StateProperty,
+    _mapping_for,
     goal_variables,
-    rename_spec,
     resolve_property,
 )
 from .parser import format_property
@@ -40,8 +40,18 @@ from .pi import (
     is_prime,
     update,
 )
-from .sld import FAILED, CutGoal, Machine
-from .terms import Term, Var, apply_literal, apply_subst, format_literal, format_term, unify, walk
+from .sld import FAILED, CutGoal, Machine, unify_track
+from .terms import (
+    Term,
+    Var,
+    apply_literal,
+    apply_subst,
+    format_literal,
+    format_term,
+    unify,
+    variables,
+    walk,
+)
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -103,11 +113,21 @@ class _StreamCP:
         self.spec = spec
 
 
-def ground_effects(case, csol, act):
-    """The effect literals of the chosen case of `act` under the case
-    condition's solution; all of them must come out ground."""
+def action_effects(state, spec, aux, theta, act):
+    """The effects of the ground action `act` under the precondition
+    solution `theta`: those of the one case whose condition `state`
+    entails, all of which must come out ground. None when no case fires;
+    more than one is a domain-authoring fault and raises."""
+    sols = applicable_case_solutions(state, spec, aux, theta)
+    if len(sols) > 1:
+        raise NondeterministicActionError(
+            f"action {format_term(act)} has {len(sols)} applicable effect cases"
+        )
+    if not sols:
+        return None
+    idx, csol = sols[0]
     effects = []
-    for lit in case.effects:
+    for lit in spec.cases[idx].effects:
         lit = apply_literal(lit, csol)
         if not lit.ground:
             raise EngineError(
@@ -239,8 +259,10 @@ class Interpreter(Machine):
             raise EngineError(f"action {functor}/{arity} has no specification")
         subject = DoGoal(apply_subst(action, self.bindings))
         self._note("call", subject)
-        spec = rename_spec(spec, "d" + next(self._fresh))
-        theta0 = unify(spec.head, subject.action)
+        # The spec is used as parsed; the action's open variables are
+        # renamed apart from the spec's instead.
+        mapping = _mapping_for(variables(subject.action), "d" + next(self._fresh))
+        theta0 = unify(spec.head, apply_subst(subject.action, mapping))
         if theta0 is None:
             self._note("fail", subject)
             return FAILED
@@ -261,25 +283,19 @@ class Interpreter(Machine):
                 self.cps.pop()
                 self._note("fail", cp.subject)
                 return FAILED
-            act = apply_subst(cp.subject.action, theta)
+            act = apply_subst(spec.head, theta)
             if not act.ground:
                 raise EngineError(f"unbound action argument in {format_term(act)}")
-            sols = applicable_case_solutions(state, spec, self.aux, theta)
-            if len(sols) > 1:
-                raise NondeterministicActionError(
-                    f"action {format_term(act)} has {len(sols)} applicable effect cases"
-                )
-            if not sols:
+            effects = action_effects(state, spec, self.aux, theta, act)
+            if effects is None:
                 self._note("warn", act)
                 continue
-            idx, csol = sols[0]
-            effects = ground_effects(spec.cases[idx], csol, act)
             self.env.execute(act)
             new_state = update(state, effects)
             if self.debug_checks and not is_prime(new_state):
                 raise EngineError("internal: belief state lost primeness after update")
             self._commit(("act", act, effects), new_state)
-            self._apply_solution(csol)
+            unify_track(cp.subject.action, act, self.bindings, self.trail)
             self._note("exec", act, effects, new_state)
             return cp.rest
 
@@ -339,7 +355,7 @@ def replay(domain, events):
     EngineError."""
     state = domain.initial
     aux = AuxDB(domain.aux_program)
-    for n, event in enumerate(events):
+    for event in events:
         if event[0] == "act":
             act, recorded = event[1], event[2]
             spec = domain.action_specs.get((act.functor, len(act.args)))
@@ -347,29 +363,20 @@ def replay(domain, events):
                 raise EngineError(
                     f"replay: action {format_term(act)} has no specification"
                 )
-            spec = rename_spec(spec, f"r{n}")
             theta0 = unify(spec.head, act)
             if theta0 is None:
                 raise EngineError(
                     f"replay: {format_term(act)} does not match its specification head"
                 )
-            chosen = None
+            effects = None
             for theta in entails_property(state, spec.precond, aux, theta0):
-                sols = applicable_case_solutions(state, spec, aux, theta)
-                if len(sols) > 1:
-                    raise EngineError(
-                        f"replay diverged: {len(sols)} applicable cases for "
-                        f"{format_term(act)}"
-                    )
-                if sols:
-                    chosen = sols[0]
+                effects = action_effects(state, spec, aux, theta, act)
+                if effects is not None:
                     break
-            if chosen is None:
+            if effects is None:
                 raise EngineError(
                     f"replay: precondition of {format_term(act)} is not provable"
                 )
-            idx, csol = chosen
-            effects = ground_effects(spec.cases[idx], csol, act)
             if {l.key for l in effects} != {l.key for l in recorded}:
                 raise EngineError(
                     f"replay diverged: effects of {format_term(act)} differ "

@@ -85,14 +85,6 @@ class ActionSpec:
         self.precond = precond
         self.cases = tuple(cases)
 
-    def variables(self):
-        acc = variables(self.head)
-        self.precond.variables(acc)
-        for case in self.cases:
-            case.cond.variables(acc)
-            variables([l.fluent for l in case.effects], acc)
-        return acc
-
 
 class SensorCase:
     """One sensing outcome: observed `result`, locating `index` (a property
@@ -320,18 +312,3 @@ def rename_goal(goal, mapping):
     if isinstance(goal, SenseGoal):
         return SenseGoal(goal.functor, apply_subst(goal.arg, mapping))
     raise EngineError(f"unexpected body goal {goal!r}")
-
-
-def rename_spec(spec, suffix):
-    """Fresh-variable copy of an ActionSpec for one activation."""
-    mapping = _mapping_for(spec.variables(), suffix)
-    cases = tuple(
-        ActionCase(
-            resolve_property(case.cond, mapping),
-            [apply_literal(l, mapping) for l in case.effects],
-        )
-        for case in spec.cases
-    )
-    return ActionSpec(
-        apply_subst(spec.head, mapping), resolve_property(spec.precond, mapping), cases
-    )

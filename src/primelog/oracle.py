@@ -13,15 +13,12 @@ import itertools
 
 from .auxdb import empty_aux
 from .errors import OracleBoundExceeded
-from .model import rename_spec
 from .pi import PIList
 from .terms import Clause, Literal, apply_subst, format_term, unify
 
 MODEL_ATOM_BOUND = 20
 REFERENCE_ATOM_BOUND = 10
 WORLD_BOUND = 1 << 22
-
-_oracle_suffix = itertools.count(1)
 
 
 def clause_true(clause, world):
@@ -269,7 +266,6 @@ def progress_beliefs(beliefs, spec, action, aux=None):
     effect atoms may be new and extend it.
     """
     aux = aux or empty_aux()
-    spec = rename_spec(spec, f"o{next(_oracle_suffix)}")
     theta0 = unify(spec.head, action)
     if theta0 is None:
         raise ValueError(f"action {format_term(action)} does not match the spec head")

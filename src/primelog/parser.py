@@ -344,11 +344,11 @@ def _add_pred_decls(rd, raw, table, decls, what):
         table[name] = arity
 
 
-def _fluent_literal(rd, tok, decls, term, where, require_ground=False):
+def _fluent_literal(rd, tok, fluent_arity, term, where, require_ground=False):
     positive, atom = _signed(term)
     if not isinstance(atom, Term) or atom.functor in ("-", "/", "=", "."):
         rd.err(f"expected a fluent literal in {where}", tok)
-    arity = decls.fluents.get(atom.functor)
+    arity = fluent_arity.get(atom.functor)
     if arity is None:
         rd.err(f"{atom.functor!r} is not a declared fluent ({where})", tok)
     if arity != len(atom.args):
@@ -362,19 +362,19 @@ def _fluent_literal(rd, tok, decls, term, where, require_ground=False):
     return Literal(atom, positive)
 
 
-def _clause_spec(rd, tok, decls, term, where, require_ground=False):
+def _clause_spec(rd, tok, fluent_arity, term, where, require_ground=False):
     """A clause written as a literal or a list of literals. Returns the
     normalized Clause, or None for a tautology."""
     items = _as_list(term)
     if items is None:
         items = [term]
     lits = [
-        _fluent_literal(rd, tok, decls, el, where, require_ground) for el in items
+        _fluent_literal(rd, tok, fluent_arity, el, where, require_ground) for el in items
     ]
     return normalize_clause(lits)
 
 
-def _prop_clause(rd, tok, decls, aux_preds, term, where):
+def _prop_clause(rd, tok, fluent_arity, aux_preds, term, where):
     items = _as_list(term)
     if items is None:
         items = [term]
@@ -387,7 +387,7 @@ def _prop_clause(rd, tok, decls, aux_preds, term, where):
         if not isinstance(atom, Term) or atom.functor in ("-", "/", "."):
             rd.err(f"expected a literal in {where}", tok)
         pred = (atom.functor, len(atom.args))
-        fl_arity = decls.fluents.get(atom.functor)
+        fl_arity = fluent_arity.get(atom.functor)
         if fl_arity == len(atom.args):
             fluents.append(Literal(atom, positive))
         elif pred in aux_preds or pred in BUILTINS:
@@ -409,12 +409,12 @@ def _prop_clause(rd, tok, decls, aux_preds, term, where):
     return PropClause(tuple(fluents), tuple(aux))
 
 
-def _property(rd, tok, decls, aux_preds, term, where):
+def _property(rd, tok, fluent_arity, aux_preds, term, where):
     items = _as_list(term)
     if items is None:
         rd.err(f"{where} must be a list of clauses", tok)
     return StateProperty(
-        tuple(_prop_clause(rd, tok, decls, aux_preds, item, where) for item in items)
+        tuple(_prop_clause(rd, tok, fluent_arity, aux_preds, item, where) for item in items)
     )
 
 
@@ -492,7 +492,8 @@ def parse_domain(text, filename="<domain>"):
         arity = len(raw.head.args)
         if aux_arity.setdefault(name, arity) != arity:
             rd.err(f"{name!r} is used with two different arities", raw.tok)
-    aux_preds = {(n, a) for n, a in aux_arity.items()}
+    aux_preds = set(aux_arity.items())
+    fluent_arity = decls.fluents
 
     initial_clauses = []
     action_specs = {}
@@ -505,7 +506,7 @@ def parse_domain(text, filename="<domain>"):
                 rd.err("initial_state takes a list of clauses", raw.tok)
             for item in items:
                 c = _clause_spec(
-                    rd, raw.tok, decls, item, "the initial state", require_ground=True
+                    rd, raw.tok, fluent_arity, item, "the initial state", require_ground=True
                 )
                 if c is None:
                     warnings.append(
@@ -529,7 +530,7 @@ def parse_domain(text, filename="<domain>"):
             if akey in action_specs:
                 rd.err(f"action {_pred_str(*akey)} is specified twice", raw.tok)
             precond = _property(
-                rd, raw.tok, decls, aux_preds, precond_t, f"{head.functor} precondition"
+                rd, raw.tok, fluent_arity, aux_preds, precond_t, f"{head.functor} precondition"
             )
             case_terms = _as_list(cases_t)
             if case_terms is None:
@@ -538,13 +539,13 @@ def parse_domain(text, filename="<domain>"):
             for ct in case_terms:
                 cond_t, eff_t = _case_args(rd, raw.tok, ct, 2, "action cases")
                 cond = _property(
-                    rd, raw.tok, decls, aux_preds, cond_t, f"{head.functor} case condition"
+                    rd, raw.tok, fluent_arity, aux_preds, cond_t, f"{head.functor} case condition"
                 )
                 eff_items = _as_list(eff_t)
                 if eff_items is None:
                     rd.err("case effects must be a list of literals", raw.tok)
                 effects = tuple(
-                    _fluent_literal(rd, raw.tok, decls, el, f"{head.functor} effects")
+                    _fluent_literal(rd, raw.tok, fluent_arity, el, f"{head.functor} effects")
                     for el in eff_items
                 )
                 cases.append(ActionCase(cond, effects))
@@ -593,14 +594,14 @@ def parse_domain(text, filename="<domain>"):
                 if isinstance(result_t, Var) or not result_t.ground:
                     rd.err("sensor case results must be ground", raw.tok)
                 index = _property(
-                    rd, raw.tok, decls, aux_preds, index_t, f"{name} index"
+                    rd, raw.tok, fluent_arity, aux_preds, index_t, f"{name} index"
                 )
                 meaning_items = _as_list(meaning_t)
                 if meaning_items is None:
                     rd.err("sensor case meaning must be a list of clauses", raw.tok)
                 meaning = []
                 for item in meaning_items:
-                    c = _clause_spec(rd, raw.tok, decls, item, f"{name} meaning")
+                    c = _clause_spec(rd, raw.tok, fluent_arity, item, f"{name} meaning")
                     if c is None:
                         warnings.append(
                             f"{filename}:{raw.tok.line}: tautologous meaning "
@@ -681,12 +682,10 @@ def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
         items = _as_list(term)
         if items is None:
             prop = StateProperty(
-                (_prop_clause(rd, tok, _DomainDecls(domain), aux_preds, term, "query"),)
+                (_prop_clause(rd, tok, domain.fluents, aux_preds, term, "query"),)
             )
         else:
-            prop = _property(
-                rd, tok, _DomainDecls(domain), aux_preds, term, "query"
-            )
+            prop = _property(rd, tok, domain.fluents, aux_preds, term, "query")
         return QueryGoal(prop)
     term = payload
     positive, atom = _signed(term)
@@ -711,25 +710,11 @@ def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
     return CallGoal(atom)
 
 
-class _DomainDecls:
-    """Adapter giving property builders the declarations of a parsed
-    DomainFile (they only look at `.fluents`)."""
-
-    __slots__ = ("fluents",)
-
-    def __init__(self, domain):
-        self.fluents = domain.fluents
-
-
-def _aux_pred_set(domain):
-    return {(n, a) for n, a in domain.aux.items()}
-
-
 def parse_program(text, domain, filename="<program>"):
     """Read and validate an agent program against a parsed domain."""
     rd = _Reader(text, filename)
     raws = rd.clauses()
-    aux_preds = _aux_pred_set(domain)
+    aux_preds = set(domain.aux.items())
 
     for raw in raws:
         pred = (raw.head.functor, len(raw.head.args))
@@ -758,7 +743,7 @@ def parse_query(text, domain, filename="<query>"):
     """Read a goal sequence (the CLI's --query string)."""
     rd = _Reader(text, filename)
     items = rd.body()
-    aux_preds = _aux_pred_set(domain)
+    aux_preds = set(domain.aux.items())
     return tuple(
         _classify_goal(rd, domain, aux_preds, kind, payload, tok)
         for kind, payload, tok in items

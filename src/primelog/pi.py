@@ -25,7 +25,7 @@ The public operations:
 - `entails_clause` / `entails_property`: enumerate answer substitutions
   for possibly non-ground query clauses with embedded aux atoms.
 - `update`: progression through a set of ground effect literals.
-- `applicable_cases`: which effect cases of an action spec fire.
+- `applicable_case_solutions`: which effect cases of an action spec fire.
 - `integrate_sensing`: fold one observed sensing result into the state.
 """
 
@@ -33,7 +33,7 @@ from collections import deque
 from itertools import chain
 from operator import attrgetter
 
-from .errors import EngineError, NondeterministicActionError, NonGroundError, SensingError
+from .errors import EngineError, NonGroundError, SensingError
 from .terms import (
     EMPTY_CLAUSE,
     Clause,
@@ -525,17 +525,6 @@ def applicable_case_solutions(state, spec, aux, bindings=None):
         if sol is not None:
             out.append((i, sol))
     return out
-
-
-def applicable_cases(state, spec, aux, bindings=None):
-    """Indices of the effect cases that fire; more than one is a
-    domain-authoring fault and raises."""
-    found = [i for i, _ in applicable_case_solutions(state, spec, aux, bindings)]
-    if len(found) > 1:
-        raise NondeterministicActionError(
-            f"action {format_term(spec.head)} has {len(found)} applicable effect cases"
-        )
-    return found
 
 
 def integrate_sensing(state, axiom, observed, aux):

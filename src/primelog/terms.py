@@ -6,7 +6,7 @@ everything else compares by name. Fluent literals wrap a term with a sign,
 and a clause is a sorted, duplicate-free bundle of literals.
 
 Substitutions are plain dicts mapping variable names to terms. `unify`
-returns a fresh, idempotent substitution (occurs check on by default).
+returns a fresh, idempotent substitution (always with the occurs check).
 """
 
 from .errors import NonGroundError
@@ -123,18 +123,21 @@ def compare(t1, t2):
 
 
 def variables(term, acc=None):
-    """The set of variable names occurring in a term (or iterable of terms)."""
+    """The set of variable names occurring in a term (or iterable of
+    terms). Uses an explicit stack, so deep terms cost no Python
+    recursion."""
     if acc is None:
         acc = set()
-    if isinstance(term, Var):
-        acc.add(term.name)
-    elif isinstance(term, Term):
-        if not term.ground:
-            for a in term.args:
-                variables(a, acc)
-    else:
-        for t in term:
-            variables(t, acc)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            acc.add(t.name)
+        elif isinstance(t, Term):
+            if not t.ground:
+                stack.extend(t.args)
+        else:
+            stack.extend(t)
     return acc
 
 
@@ -202,18 +205,18 @@ def occurs(name, term, bindings):
     return False
 
 
-def _unify_into(t1, t2, bindings, occurs_check):
+def _unify_into(t1, t2, bindings):
     t1 = walk(t1, bindings)
     t2 = walk(t2, bindings)
     if isinstance(t1, Var):
         if isinstance(t2, Var) and t2.name == t1.name:
             return True
-        if occurs_check and occurs(t1.name, t2, bindings):
+        if occurs(t1.name, t2, bindings):
             return False
         bindings[t1.name] = t2
         return True
     if isinstance(t2, Var):
-        if occurs_check and occurs(t2.name, t1, bindings):
+        if occurs(t2.name, t1, bindings):
             return False
         bindings[t2.name] = t1
         return True
@@ -222,31 +225,23 @@ def _unify_into(t1, t2, bindings, occurs_check):
     if t1.ground and t2.ground:
         return t1.key == t2.key
     for a, b in zip(t1.args, t2.args):
-        if not _unify_into(a, b, bindings, occurs_check):
+        if not _unify_into(a, b, bindings):
             return False
     return True
 
 
-def unify(t1, t2, bindings=None, occurs_check=True):
-    """Most general unifier of two terms, or None.
+def unify(t1, t2, bindings=None):
+    """Most general unifier of two terms (with the occurs check), or None.
 
     An existing substitution can be passed in; it is not mutated. The
     returned substitution is idempotent.
     """
     out = {} if bindings is None else dict(bindings)
-    if not _unify_into(t1, t2, out, occurs_check):
+    if not _unify_into(t1, t2, out):
         return None
-    if occurs_check:
-        # Cyclic bindings are only possible without the occurs check, and
-        # resolving through them would not terminate.
-        for name in out:
-            out[name] = apply_subst(out[name], out)
+    for name in out:
+        out[name] = apply_subst(out[name], out)
     return out
-
-
-def restrict(bindings, names):
-    """Keep only the entries for the given variable names."""
-    return {n: t for n, t in bindings.items() if n in names}
 
 
 class Literal:
@@ -323,10 +318,6 @@ class Clause:
         if len(self.literals) > len(other.literals):
             return False
         return self.keyset <= other.keyset
-
-    def fluent_keys(self):
-        """Keys of the fluents (unsigned) this ground clause mentions."""
-        return [l.key[0] for l in self.literals]
 
     def __eq__(self, other):
         return isinstance(other, Clause) and other.key == self.key

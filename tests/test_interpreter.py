@@ -11,7 +11,7 @@ from primelog.errors import (
 )
 from primelog.interpreter import Interpreter, replay, solve
 from primelog.parser import parse_domain, parse_program, parse_query
-from primelog.terms import FALSE, TRUE, Term, format_term
+from primelog.terms import FALSE, TRUE, Literal, Term, format_term
 
 MAZE = emit_maze_domain(5)
 
@@ -270,15 +270,28 @@ def test_real_maze_env_rejects_illegal_moves():
         env.execute(Term("go", (Term("3"),)))
 
 
-def test_two_applicable_cases_raise():
-    dom = """\
+TWO_CASES = """\
 fluents([p/0, q/0]).
 actions([a/0]).
 initial_state([]).
 action(a, [], [case([], [p]), case([], [q])]).
 """
+
+
+def test_two_applicable_cases_raise():
     with pytest.raises(NondeterministicActionError):
-        run("doit :- do(a).\n", "doit", domain_text=dom)
+        run("doit :- do(a).\n", "doit", domain_text=TWO_CASES)
+
+
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_do_keeps_the_action_apart_from_the_spec_variables(name):
+    # go's specification uses X and Y as well
+    dom = parse_domain(PLAIN, "d.alpd")
+    machine = Interpreter(dom, parse_program(LISTS, dom, "p.alp"), AckEnv())
+    out = machine.run(parse_query(f"do(go({name}))", dom))
+    assert answers(out) == {name: "2"}
+    assert [format_term(a) for a in out.state.history] == ["go(2)"]
+    assert set(machine.bindings) == {name}
 
 
 def test_zero_applicable_cases_fails_without_executing():
@@ -443,6 +456,12 @@ def test_replay_recomputes_final_belief():
     dom = parse_domain(PLAIN, "d.alpd")
     final = replay(dom, out.state.events)
     assert [str(c) for c in final] == [str(c) for c in out.state.belief]
+
+
+def test_replay_of_an_action_with_two_firing_cases_raises():
+    dom = parse_domain(TWO_CASES, "d.alpd")
+    with pytest.raises(NondeterministicActionError, match="a has 2 applicable effect cases"):
+        replay(dom, [("act", Term("a"), (Literal(Term("p")),))])
 
 
 def test_replay_rejects_unknown_event():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelog.auxdb import AuxDB, empty_aux
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
+from primelog.interpreter import action_effects
 from primelog.model import (
     ActionCase,
     ActionSpec,
@@ -23,9 +24,9 @@ from primelog.oracle import reference_prime_implicates
 from primelog.pi import (
     INCONSISTENT,
     PIList,
-    applicable_cases,
     entails_clause,
     entails_property,
+    first_entailment,
     integrate_sensing,
     is_prime,
     prime_closure,
@@ -41,6 +42,7 @@ from primelog.terms import (
     Var,
     format_term,
     normalize_clause,
+    unify,
 )
 
 
@@ -235,7 +237,10 @@ def _go_spec():
 
 def test_applicable_cases_unique():
     state = prime_closure([cl(lit("at", Term("agent"), Num(1)))])
-    assert applicable_cases(state, _go_spec(), empty_aux()) == [0]
+    spec, act = _go_spec(), Term("go", (Num(2),))
+    theta = first_entailment(state, spec.precond, empty_aux(), unify(spec.head, act))
+    effects = action_effects(state, spec, empty_aux(), theta, act)
+    assert [str(l) for l in effects] == ["at(agent,2)", "-at(agent,1)"]
 
 
 def test_two_firing_cases_raise():
@@ -245,8 +250,8 @@ def test_two_firing_cases_raise():
         EMPTY_PROPERTY,
         (ActionCase(EMPTY_PROPERTY, (lit("p"),)), ActionCase(EMPTY_PROPERTY, (lit("q"),))),
     )
-    with pytest.raises(NondeterministicActionError):
-        applicable_cases(PIList([]), spec, empty_aux())
+    with pytest.raises(NondeterministicActionError, match="a has 2 applicable effect cases"):
+        action_effects(PIList([]), spec, empty_aux(), {}, head)
 
 
 # ---------------------------------------------------------------- sensing

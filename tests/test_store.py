@@ -411,7 +411,7 @@ def test_store_after_random_steps_equals_closure_from_scratch(data):
             effects = _effects(draw)
             state = update(state, effects)
             touched = {l.key[0] for l in effects}
-            shadow = [c for c in shadow if not touched & set(c.fluent_keys())]
+            shadow = [c for c in shadow if not touched & {l.key[0] for l in c.literals}]
             shadow += [Clause((l,)) for l in effects]
         elif op == "sense":
             observed = draw(st.sampled_from((TRUE, FALSE)))

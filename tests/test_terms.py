@@ -18,7 +18,6 @@ from primelog.terms import (
     mk_list,
     normalize_clause,
     occurs,
-    restrict,
     unify,
     variables,
     walk,
@@ -65,7 +64,7 @@ def test_unify_shared_variable():
 
 def test_unify_occurs_check():
     assert unify(Var("X"), t("f", Var("X"))) is None
-    assert unify(Var("X"), t("f", Var("X")), occurs_check=False) is not None
+    assert unify(t("g", Var("X"), Var("X")), t("g", Var("Y"), t("f", Var("Y")))) is None
 
 
 def test_unify_does_not_mutate_base():
@@ -86,13 +85,16 @@ def test_walk_chases_chains():
     assert walk(Var("X"), b).functor == "a"
 
 
-def test_restrict():
-    b = {"X": t("a"), "Y": t("b")}
-    assert set(restrict(b, {"X"})) == {"X"}
-
-
 def test_variables_collects_names():
     assert variables(t("f", Var("X"), t("g", Var("Y"))), set()) == {"X", "Y"}
+    assert variables([Var("Z"), [t("g", Var("Y"))], t("a")]) == {"Y", "Z"}
+
+
+def test_variables_of_a_3000_deep_term():
+    term = Var("X")
+    for i in range(3000):
+        term = t("f", term, Var(f"Y{i % 3}"))
+    assert variables(term) == {"X", "Y0", "Y1", "Y2"}
 
 
 def test_occurs():
