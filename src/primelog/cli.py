@@ -12,6 +12,7 @@ Exit codes: 0 the query succeeded, 1 it failed, 2 a runtime fault
 
 import argparse
 import csv
+import dataclasses
 import io
 import re
 import sys
@@ -29,7 +30,7 @@ from .envs import (
 from .errors import EngineError, ParseError
 from .interpreter import DEFAULT_STEP_BUDGET, solve
 from .model import resolve_property
-from .parser import format_property, parse_domain, parse_program, parse_query
+from .parser import parse_domain, parse_program, parse_query
 from .strategies import wumpus_agent
 from .terms import format_term
 
@@ -54,7 +55,9 @@ def _build_parser():
         required=True,
         help="environment: maze:<k> | wumpus:<n>x<n> | replay:<script>",
     )
-    run.add_argument("--seed", type=int, default=0, help="world seed (wumpus)")
+    run.add_argument(
+        "--seed", type=int, help="world seed (wumpus; overrides --wumpus-config)"
+    )
     run.add_argument(
         "--wumpus-config",
         metavar="FILE",
@@ -130,8 +133,7 @@ def _trace_observer(stream):
             print(f"SENSE {event[1]}={format_term(event[2])}", file=stream)
             print(f"STATE size={len(event[3])}", file=stream)
         elif kind == "holds":
-            held = resolve_property(event[1], event[2])
-            print(f"EXIT ?({format_property(held)})", file=stream)
+            print(f"EXIT ?({resolve_property(event[1], event[2])!r})", file=stream)
         elif kind == "warn":
             print(f"WARN {event[1]}", file=stream)
 
@@ -141,17 +143,13 @@ def _trace_observer(stream):
 # ---------------------------------------------------------------- run
 
 
-def _wumpus_env(size, seed, config_path):
-    if config_path:
-        config = WumpusConfig.from_file(config_path)
-        if config.size != size:
-            raise ValueError(
-                f"environment selector says {size}x{size} but {config_path} "
-                f"says size={config.size}"
-            )
-    else:
-        config = WumpusConfig(size=size, seed=seed)
-    return WumpusEnv(generate_wumpus(config))
+def _wumpus_config(path, **flags):
+    """Wumpus parameters from an optional key = value file, overridden by
+    the flags given (not None); without a file, `threats` follows `size`."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    if path:
+        return dataclasses.replace(WumpusConfig.from_file(path), **given)
+    return WumpusConfig(**given)
 
 
 def _make_env(args):
@@ -166,7 +164,14 @@ def _make_env(args):
         rows, cols = int(match.group(1)), int(match.group(2))
         if rows != cols:
             raise ValueError("wumpus boards are square; use wumpus:<n>x<n>")
-        return _wumpus_env(rows, args.seed, args.wumpus_config)
+        path = args.wumpus_config
+        config = _wumpus_config(path, size=None if path else rows, seed=args.seed)
+        if config.size != rows:
+            raise ValueError(
+                f"environment selector says {rows}x{rows} but {path} "
+                f"says size={config.size}"
+            )
+        return WumpusEnv(generate_wumpus(config))
     if selector.startswith("replay:"):
         path = selector[len("replay:") :]
         return ReplayEnv.from_script(Path(path).read_text(encoding="utf-8"), path)
@@ -239,33 +244,13 @@ def _cmd_run(args):
 
 
 def _cmd_gen(args):
-    if args.config:
-        config = WumpusConfig.from_file(args.config)
-        overrides = {}
-        if args.size is not None:
-            overrides["size"] = args.size
-        if args.threats is not None:
-            overrides["threats"] = args.threats
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.no_solvable:
-            overrides["solvable"] = False
-        if overrides:
-            merged = {
-                "size": config.size,
-                "threats": config.threats,
-                "seed": config.seed,
-                "solvable": config.solvable,
-            }
-            merged.update(overrides)
-            config = WumpusConfig(**merged)
-    else:
-        config = WumpusConfig(
-            size=args.size if args.size is not None else 8,
-            threats=args.threats if args.threats is not None else -1,
-            seed=args.seed if args.seed is not None else 0,
-            solvable=not args.no_solvable,
-        )
+    config = _wumpus_config(
+        args.config,
+        size=args.size,
+        threats=args.threats,
+        seed=args.seed,
+        solvable=False if args.no_solvable else None,
+    )
     world = generate_wumpus(config)
     text = emit_wumpus_domain(world, args.variant)
     if args.out:

@@ -199,14 +199,17 @@ def provably_safe_cells(size, threats, start=(1, 1)):
             return reachable
 
 
-def generate_wumpus(config, max_attempts=1000):
+MAX_ATTEMPTS = 1000
+
+
+def generate_wumpus(config):
     """Sample a world for the given configuration. With `solvable` set,
     rejection-samples until the gold lies in the provably safe region."""
     rng = random.Random(config.seed)
     size = config.size
     cells = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
     start = (1, 1)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         gold = start
         while gold == start:
             gold = cells[rng.randrange(len(cells))]
@@ -216,7 +219,7 @@ def generate_wumpus(config, max_attempts=1000):
             return WumpusWorld(config, gold, threats)
     raise ValueError(
         f"no solvable {size}x{size} world with {config.threats} threats found "
-        f"in {max_attempts} attempts (seed {config.seed})"
+        f"in {MAX_ATTEMPTS} attempts (seed {config.seed})"
     )
 
 
@@ -288,7 +291,7 @@ class WumpusEnv:
         }
 
 
-def _smell_cases(size, threats_of):
+def _smell_cases(size):
     out = []
     for r in range(1, size + 1):
         for c in range(1, size + 1):
@@ -360,7 +363,7 @@ def emit_wumpus_domain(world, variant):
             "sensor_axiom(perceiveSmell(_), [",
         ]
     )
-    lines.extend(_smell_cases(size, world.threats))
+    lines.extend(_smell_cases(size))
     lines.append("]).")
     if wiring:
         lines.append("")
@@ -404,43 +407,33 @@ class ReplayEnv:
                 )
         return cls(events)
 
-    def _next(self):
-        if self.cursor >= len(self.events):
-            return None
-        return self.events[self.cursor]
-
-    def execute(self, action):
-        expected = self._next()
-        if (
-            expected is None
-            or expected[0] != "act"
-            or expected[1].key != action.key
-        ):
-            if expected is None:
-                want = "end of script"
-            elif expected[0] == "sense":
+    def _advance(self, matches, got):
+        """The next recorded event, consumed, when `matches` accepts it;
+        otherwise reject `got` with what the script expected."""
+        if self.cursor < len(self.events):
+            expected = self.events[self.cursor]
+            if matches(expected):
+                self.cursor += 1
+                return expected
+            if expected[0] == "sense":
                 want = f"sense {expected[1]}"
             else:
                 want = f"act {format_term(expected[1])}"
-            raise EnvironmentRejected(
-                f"replay script expected {want}, got action {format_term(action)}"
-            )
-        self.cursor += 1
+        else:
+            want = "end of script"
+        raise EnvironmentRejected(f"replay script expected {want}, got {got}")
+
+    def execute(self, action):
+        self._advance(
+            lambda e: e[0] == "act" and e[1].key == action.key,
+            f"action {format_term(action)}",
+        )
         self.log.append(action)
 
     def sense(self, functor):
-        expected = self._next()
-        if expected is None or expected[0] != "sense" or expected[1] != functor:
-            if expected is None:
-                want = "end of script"
-            elif expected[0] == "sense":
-                want = f"sense {expected[1]}"
-            else:
-                want = f"act {format_term(expected[1])}"
-            raise EnvironmentRejected(
-                f"replay script expected {want}, got sense {functor}"
-            )
-        self.cursor += 1
+        expected = self._advance(
+            lambda e: e[0] == "sense" and e[1] == functor, f"sense {functor}"
+        )
         return expected[2]
 
     def snapshot(self):

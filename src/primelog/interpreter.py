@@ -32,7 +32,6 @@ from .model import (
     goal_variables,
     resolve_property,
 )
-from .parser import format_property
 from .pi import (
     applicable_case_solutions,
     entails_property,
@@ -204,9 +203,9 @@ class Interpreter(Machine):
 
     def _label(self, subject):
         if isinstance(subject, StateProperty):
-            return f"?({format_property(subject)})"
+            return f"?({subject!r})"
         if isinstance(subject, DoGoal):
-            return f"do({format_term(subject.action)})"
+            return repr(subject)
         if isinstance(subject, SenseGoal):
             return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
         return format_term(apply_subst(subject, self.bindings))
@@ -214,6 +213,9 @@ class Interpreter(Machine):
     def _commit(self, event, new_state):
         """Log an executed action or observation. It raises the barrier:
         no choicepoint created before it can be resumed."""
+        if self.debug_checks and not is_prime(new_state):
+            after = "update" if event[0] == "act" else "sensing"
+            raise EngineError(f"internal: belief state lost primeness after {after}")
         agent = self.agent
         agent.belief = new_state
         agent.events.append(event)
@@ -292,8 +294,6 @@ class Interpreter(Machine):
                 continue
             self.env.execute(act)
             new_state = update(state, effects)
-            if self.debug_checks and not is_prime(new_state):
-                raise EngineError("internal: belief state lost primeness after update")
             self._commit(("act", act, effects), new_state)
             unify_track(cp.subject.action, act, self.bindings, self.trail)
             self._note("exec", act, effects, new_state)
@@ -319,8 +319,6 @@ class Interpreter(Machine):
         new_state, sol = integrate_sensing(
             self.agent.belief, axiom, observed, self.aux
         )
-        if self.debug_checks and not is_prime(new_state):
-            raise EngineError("internal: belief state lost primeness after sensing")
         self._commit(("sense", goal.functor, observed, sol), new_state)
         self.bindings[arg.name] = observed
         self.trail.append(arg.name)

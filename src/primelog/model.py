@@ -40,7 +40,7 @@ class PropClause:
         parts += [format_term(a) for a in self.aux]
         if len(parts) == 1:
             return parts[0]
-        return "[" + ", ".join(parts) + "]"
+        return "[" + ",".join(parts) + "]"
 
 
 class StateProperty:
@@ -59,7 +59,7 @@ class StateProperty:
         return acc
 
     def __repr__(self):
-        return "[" + ", ".join(repr(c) for c in self.clauses) + "]"
+        return "[" + ",".join(repr(c) for c in self.clauses) + "]"
 
 
 EMPTY_PROPERTY = StateProperty(())

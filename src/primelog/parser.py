@@ -31,7 +31,6 @@ from .model import (
     ActionCase,
     ActionSpec,
     CallGoal,
-    Cut,
     DoGoal,
     DomainFile,
     Program,
@@ -47,7 +46,6 @@ from .pi import prime_closure
 from .sld import BUILTINS
 from .terms import (
     NIL,
-    Clause,
     Literal,
     Term,
     Var,
@@ -98,9 +96,6 @@ class Token:
         self.text = text
         self.line = line
         self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
 def _describe(tok):
@@ -418,6 +413,16 @@ def _property(rd, tok, fluent_arity, aux_preds, term, where):
     )
 
 
+def _declared_action(rd, tok, actions, term):
+    """Reject `term` unless its functor is an action declared with its
+    arity."""
+    arity = actions.get(term.functor)
+    if arity is None:
+        rd.err(f"{term.functor!r} is not a declared action", tok)
+    if arity != len(term.args):
+        rd.err(f"action {term.functor} has arity {arity}, not {len(term.args)}", tok)
+
+
 def _case_args(rd, tok, term, arity, where):
     if not (
         isinstance(term, Term) and term.functor == "case" and len(term.args) == arity
@@ -518,14 +523,7 @@ def parse_domain(text, filename="<domain>"):
             head, precond_t, cases_t = raw.head.args
             if not isinstance(head, Term) or head.functor.isdigit():
                 rd.err("action head must be an atom or compound term", raw.tok)
-            arity = decls.actions.get(head.functor)
-            if arity is None:
-                rd.err(f"{head.functor!r} is not a declared action", raw.tok)
-            if arity != len(head.args):
-                rd.err(
-                    f"action {head.functor} has arity {arity}, not {len(head.args)}",
-                    raw.tok,
-                )
+            _declared_action(rd, raw.tok, decls.actions, head)
             akey = (head.functor, len(head.args))
             if akey in action_specs:
                 rd.err(f"action {_pred_str(*akey)} is specified twice", raw.tok)
@@ -696,14 +694,7 @@ def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
     if atom.functor == "do" and len(atom.args) == 1:
         act = atom.args[0]
         if isinstance(act, Term):
-            arity = domain.actions.get(act.functor)
-            if arity is None:
-                rd.err(f"{act.functor!r} is not a declared action", tok)
-            if arity != len(act.args):
-                rd.err(
-                    f"action {act.functor} has arity {arity}, not {len(act.args)}",
-                    tok,
-                )
+            _declared_action(rd, tok, domain.actions, act)
         return DoGoal(act)
     if atom.functor == "do":
         rd.err("do takes exactly one action argument", tok)
@@ -769,36 +760,11 @@ def parse_ground_terms(text, filename="<terms>"):
 # ---------------------------------------------------------------- printing
 
 
-def format_prop_clause(pc):
-    parts = [format_literal(l) for l in pc.fluents] + [
-        format_term(a) for a in pc.aux
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return "[" + ",".join(parts) + "]"
-
-
-def format_property(prop):
-    return "[" + ",".join(format_prop_clause(c) for c in prop.clauses) + "]"
-
-
-def format_goal(goal):
-    if isinstance(goal, Cut):
-        return "!"
-    if isinstance(goal, DoGoal):
-        return f"do({format_term(goal.action)})"
-    if isinstance(goal, SenseGoal):
-        return f"?({goal.functor}({format_term(goal.arg)}))"
-    if isinstance(goal, QueryGoal):
-        return f"?({format_property(goal.property)})"
-    return format_term(goal.atom)
-
-
 def format_program_clause(clause):
     head = format_term(clause.head)
     if not clause.body:
         return f"{head}."
-    return f"{head} :- " + ", ".join(format_goal(g) for g in clause.body) + "."
+    return f"{head} :- " + ", ".join(map(repr, clause.body)) + "."
 
 
 def format_program(program):
@@ -811,20 +777,20 @@ def _fmt_decl_list(table):
 
 def format_action_spec(spec):
     cases = ",\n    ".join(
-        f"case({format_property(c.cond)}, "
+        f"case({c.cond!r}, "
         f"[{','.join(format_literal(l) for l in c.effects)}])"
         for c in spec.cases
     )
     return (
         f"action({format_term(spec.head)},\n"
-        f"  {format_property(spec.precond)},\n"
+        f"  {spec.precond!r},\n"
         f"  [{cases}])."
     )
 
 
 def format_sensor_axiom(axiom):
     cases = ",\n    ".join(
-        f"case({format_term(c.result)}, {format_property(c.index)}, "
+        f"case({format_term(c.result)}, {c.index!r}, "
         f"[{','.join(format_clause(cl) for cl in c.meaning)}])"
         for c in axiom.cases
     )

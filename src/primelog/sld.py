@@ -103,7 +103,8 @@ class CutGoal:
 
 
 class ExitNote:
-    """Trace-only marker: reaching it means the recorded call succeeded."""
+    """Trace-only marker: reaching it means the recorded call succeeded.
+    It costs no resolution step, so tracing leaves the step count alone."""
 
     __slots__ = ("atom",)
 
@@ -186,7 +187,8 @@ class Machine:
             if goals is None:
                 return True
             goal, rest = goals
-            self._tick()
+            if goal.__class__ is not ExitNote:
+                self._tick()
             handler = dispatch.get(type(goal))
             if handler is None:
                 raise EngineError(f"unexpected goal object {goal!r}")

@@ -259,9 +259,6 @@ class Literal:
     def ground(self):
         return self.fluent.ground
 
-    def negated(self):
-        return Literal(self.fluent, not self.positive)
-
     def skey(self):
         return (syntactic_key(self.fluent), 0 if self.positive else 1)
 

@@ -367,6 +367,40 @@ def test_run_wumpus_config_size_mismatch_exits_three(tmp_path, capsys):
     assert "size" in err
 
 
+@pytest.mark.parametrize("seed_flag, seed", [(["--seed", "5"], 5), ([], 3)])
+def test_run_seed_overrides_the_wumpus_config_file(tmp_path, capsys, seed_flag, seed):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("size = 6\nseed = 3\n", encoding="utf-8")
+    domain = tmp_path / "w.alpd"
+    agent = tmp_path / "w.alp"
+    code, _, err = run_cli(
+        [
+            "gen-wumpus",
+            "--config", str(cfg),
+            *seed_flag,
+            "--out", str(domain),
+            "--agent-out", str(agent),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert f"seed {seed}:" in err
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(agent),
+            "--domain", str(domain),
+            "--query", "run",
+            "--env", "wumpus:6x6",
+            "--wumpus-config", str(cfg),
+            *seed_flag,
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    assert "status: success" in out
+
+
 def test_rectangular_wumpus_selector_exits_three(maze_files, capsys):
     domain, program = maze_files
     code, out, err = run_cli(

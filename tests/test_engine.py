@@ -76,6 +76,43 @@ def test_golden_step_count(name, dom, prog, query, env, seed, make_env, steps):
     assert DEFAULT_STEP_BUDGET - interp.steps == steps
 
 
+@pytest.mark.parametrize("name, dom, prog, query, env, seed, make_env, steps", PAIRS)
+def test_traced_step_count(name, dom, prog, query, env, seed, make_env, steps):
+    domain = parse_domain((SAMPLES / dom).read_text(encoding="utf-8"), dom)
+    program = parse_program((SAMPLES / prog).read_text(encoding="utf-8"), domain, prog)
+    events = []
+    interp = Interpreter(domain, program, make_env(), observer=events.append)
+    assert interp.run(parse_query(query, domain)).succeeded
+    assert any(e[0] == "exit" for e in events)
+    assert DEFAULT_STEP_BUDGET - interp.steps == steps
+
+
+@pytest.mark.parametrize("name, dom, prog, query, env, seed, make_env, steps", PAIRS)
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_step_budget_edge_with_and_without_trace(
+    name, dom, prog, query, env, seed, make_env, steps, trace, capsys
+):
+    def run(budget):
+        code = cli.main(
+            [
+                "run",
+                "--program", str(SAMPLES / prog),
+                "--domain", str(SAMPLES / dom),
+                "--query", query,
+                "--env", env,
+                "--seed", str(seed),
+                "--steps", str(budget),
+                *trace,
+            ]
+        )
+        return code, capsys.readouterr().err
+
+    assert run(steps)[0] == 0
+    code, err = run(steps - 1)
+    assert code == 2
+    assert "resolution step budget exceeded" in err
+
+
 # ---------------------------------------------------------------- aux answers
 
 AUX_DOMAIN = """\

@@ -278,6 +278,31 @@ def test_replay_env_rejects_action_when_sensing_expected():
         env.execute(go(2))
 
 
+@pytest.mark.parametrize(
+    "events, call, message",
+    [
+        ([], lambda env: env.execute(go(2)),
+         "replay script expected end of script, got action go(2)"),
+        ([], lambda env: env.sense("feel"),
+         "replay script expected end of script, got sense feel"),
+        ([("sense", "feel", TRUE)], lambda env: env.execute(go(2)),
+         "replay script expected sense feel, got action go(2)"),
+        ([("act", go(2), ())], lambda env: env.sense("feel"),
+         "replay script expected act go(2), got sense feel"),
+        ([("act", go(2), ())], lambda env: env.execute(go(3)),
+         "replay script expected act go(2), got action go(3)"),
+        ([("sense", "feel", TRUE)], lambda env: env.sense("smell"),
+         "replay script expected sense feel, got sense smell"),
+    ],
+)
+def test_replay_env_rejection_messages(events, call, message):
+    env = ReplayEnv(events)
+    with pytest.raises(EnvironmentRejected) as info:
+        call(env)
+    assert str(info.value) == message
+    assert env.snapshot()["cursor"] == 0
+
+
 def test_replay_script_round_trip():
     events = [
         ("act", go_cell(1, 2), ()),

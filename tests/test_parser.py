@@ -67,6 +67,17 @@ select(X,[X|Xs],Xs).
     assert printed == again
 
 
+def test_query_goal_prints_canonical_text():
+    dom = parse_domain(MAZE, "m.alpd")
+    text = "?([-at(agent,1),[at(gold,X),adj(X,Y)],[at(agent,Y),-at(gold,Y)]])"
+    (goal,) = parse_query(
+        "?([-at(agent,1), [at(gold,X), adj(X,Y)], [at(agent,Y), -at(gold,Y)]])", dom
+    )
+    assert repr(goal) == text
+    (again,) = parse_query(text, dom)
+    assert repr(again) == text
+
+
 def test_goal_classification():
     dom = parse_domain(SENSING, "s.alpd")
     goals = parse_query("?(at(1)), ?(feel(R)), p(R), !", dom)
