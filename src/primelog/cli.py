@@ -12,7 +12,6 @@ Exit codes: 0 the query succeeded, 1 it failed, 2 a runtime fault
 
 import argparse
 import csv
-import dataclasses
 import io
 import re
 import sys
@@ -145,10 +144,11 @@ def _trace_observer(stream):
 
 def _wumpus_config(path, **flags):
     """Wumpus parameters from an optional key = value file, overridden by
-    the flags given (not None); without a file, `threats` follows `size`."""
+    the flags given (not None). Unless set, `threats` follows the final
+    `size`."""
     given = {key: value for key, value in flags.items() if value is not None}
     if path:
-        return dataclasses.replace(WumpusConfig.from_file(path), **given)
+        return WumpusConfig.from_file(path, **given)
     return WumpusConfig(**given)
 
 

@@ -126,7 +126,8 @@ class WumpusConfig:
             )
 
     @classmethod
-    def from_mapping(cls, mapping):
+    def from_mapping(cls, mapping, **given):
+        """From raw `key: text` pairs; `given` values override them."""
         kwargs = {}
         for key, raw in mapping.items():
             if key in ("size", "threats", "seed"):
@@ -138,11 +139,13 @@ class WumpusConfig:
                 kwargs[key] = low == "true"
             else:
                 raise ValueError(f"unknown wumpus config key {key!r}")
+        kwargs.update(given)
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path):
-        """Read `key = value` lines; # starts a comment."""
+    def from_file(cls, path, **given):
+        """Read `key = value` lines; # starts a comment. `given` values
+        override the file's."""
         mapping = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -153,7 +156,7 @@ class WumpusConfig:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(mapping, **given)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .pi import (
     is_prime,
     update,
 )
-from .sld import FAILED, CutGoal, Machine, unify_track
+from .sld import FAILED, CutGoal, Machine
 from .terms import (
     Term,
     Var,
@@ -48,6 +48,7 @@ from .terms import (
     format_literal,
     format_term,
     unify,
+    unify_track,
     variables,
     walk,
 )
@@ -242,7 +243,10 @@ class Interpreter(Machine):
             self.cps.pop()
             self._note("fail", cp.subject)
             return FAILED
-        self._apply_solution(sol)
+        # The property was resolved through the store, so the answer
+        # binds only names the store leaves open.
+        self.bindings.update(sol)
+        self.trail.extend(sol)
         self._note("holds", cp.subject, sol)
         return cp.rest
 

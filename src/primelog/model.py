@@ -14,26 +14,14 @@ class PropClause:
     """One disjunction inside a state property: fluent literals plus
     positive aux atoms, both in source order."""
 
-    __slots__ = ("fluents", "aux", "_names")
+    __slots__ = ("fluents", "aux")
 
     def __init__(self, fluents, aux=()):
         self.fluents = tuple(fluents)
         self.aux = tuple(aux)
-        self._names = None
-
-    @property
-    def names(self):
-        """The clause's variable names, sorted; computed on first use."""
-        if self._names is None:
-            acc = variables([l.fluent for l in self.fluents])
-            self._names = tuple(sorted(variables(self.aux, acc)))
-        return self._names
 
     def variables(self, acc=None):
-        if acc is None:
-            acc = set()
-        acc.update(self.names)
-        return acc
+        return variables(self.aux, variables([l.fluent for l in self.fluents], acc))
 
     def __repr__(self):
         parts = [format_literal(l) for l in self.fluents]

@@ -23,7 +23,8 @@ The public operations:
   with forward/backward subsumption; detects inconsistency).
 - `is_prime`: decide whether a clause tuple already has the shape.
 - `entails_clause` / `entails_property`: enumerate answer substitutions
-  for possibly non-ground query clauses with embedded aux atoms.
+  for possibly non-ground query clauses with embedded aux atoms, bound
+  on one store and undone through a trail, as resolution does.
 - `update`: progression through a set of ground effect literals.
 - `applicable_case_solutions`: which effect cases of an action spec fire.
 - `integrate_sensing`: fold one observed sensing result into the state.
@@ -34,17 +35,19 @@ from itertools import chain
 from operator import attrgetter
 
 from .errors import EngineError, NonGroundError, SensingError
+from .model import StateProperty
 from .terms import (
     EMPTY_CLAUSE,
     Clause,
     Var,
     apply_literal,
     apply_subst,
+    flat_key,
     format_clause,
     format_term,
     normalize_clause,
-    syntactic_key,
-    unify,
+    undo,
+    unify_track,
     variables,
 )
 
@@ -416,98 +419,108 @@ def update(state, effects):
     return draft.freeze()
 
 
-def _subst_signature(bindings, names):
-    sig = []
-    for n in names:
-        t = bindings.get(n)
-        if t is not None:
-            sig.append((n, syntactic_key(apply_subst(t, bindings))))
-    return tuple(sig)
-
-
-def _cover(state_lits, i, query_lits, bindings):
-    """Match every literal of a candidate implicate against the query
-    clause, left to right with backtracking."""
+def _cover(state_lits, i, query_lits, store, trail):
+    """Match each literal of a candidate implicate with one of the query
+    clause, left to right, suspended at each complete match."""
     if i == len(state_lits):
-        yield bindings
+        yield
         return
     target = state_lits[i]
     for q in query_lits:
         if q.positive != target.positive:
             continue
-        u = unify(q.fluent, target.fluent, bindings)
-        if u is None:
-            continue
-        yield from _cover(state_lits, i + 1, query_lits, u)
+        mark = len(trail)
+        if unify_track(q.fluent, target.fluent, store, trail, left_first=True):
+            yield from _cover(state_lits, i + 1, query_lits, store, trail)
+        undo(store, trail, mark)
 
 
-def entails_clause(state, pclause, aux, bindings=None):
-    """Enumerate substitutions under which the belief state entails one
-    query clause (fluent literals and/or positive aux atoms).
-
-    A single fluent literal must unify with a unit prime implicate; a
-    multi-literal fluent part must instantiate to a superset of some
-    prime implicate; failing those, each aux atom is tried in order.
-    Distinct substitutions are yielded once, deterministic order.
-    """
-    base = {} if bindings is None else bindings
+def _clause_answers(state, pclause, aux, store, trail):
+    """Bind each answer to one query clause (fluent literals and/or
+    positive aux atoms) in `store`, on `trail`, and suspend there;
+    resuming undoes it. A single fluent literal must unify with a unit
+    prime implicate; a multi-literal fluent part must instantiate to a
+    superset of some prime implicate; failing those, each aux atom is
+    tried in order. Answers that bind the clause alike are given once."""
     if state.inconsistent:
         raise EngineError("cannot query an inconsistent belief state")
-    names = pclause.names
+    mark = len(trail)
+    fluents = [apply_literal(l, store) for l in pclause.fluents]
+    goals = [apply_subst(atom, store) for atom in pclause.aux]
     seen = set()
+    # What is bound below `mark` is the same in every answer, so answers
+    # differ where the clause's open variables do. Distinct units bind one
+    # literal differently: with no aux atom to come, they need no check.
+    opened = None
+    if goals or len(fluents) > 1:
+        opened = [Var(n) for n in variables([l.fluent for l in fluents], variables(goals))]
 
-    def emit(b):
-        sig = _subst_signature(b, names)
+    def fresh():
+        sig = flat_key(opened, store)
         if sig in seen:
             return False
         seen.add(sig)
         return True
 
-    fluents = [apply_literal(l, base) for l in pclause.fluents]
     if len(fluents) == 1:
         lit = fluents[0]
         f = lit.fluent
         for unit in state.units_matching(f, lit.positive):
-            u = unify(f, unit.literals[0].fluent, base)
-            if u is not None and emit(u):
-                yield u
-    elif len(fluents) > 1:
-        limit = len(fluents)
+            if unify_track(f, unit.literals[0].fluent, store, trail, left_first=True) and (
+                opened is None or fresh()
+            ):
+                yield
+            undo(store, trail, mark)
+    elif fluents:
         for cand in state.clauses:
-            if len(cand) > limit:
+            if len(cand) > len(fluents):
                 break
-            for u in _cover(cand.literals, 0, fluents, base):
-                if emit(u):
-                    yield u
-    for atom in pclause.aux:
+            for _ in _cover(cand.literals, 0, fluents, store, trail):
+                if fresh():
+                    yield
+    for atom, goal in zip(pclause.aux, goals):
         shared = None
-        for sol in aux.solve(apply_subst(atom, base), base):
+        for sol in aux.solve(goal):
+            store.update(sol)
+            trail.extend(sol)
             if shared is None:
                 shared = variables(atom) & variables([l.fluent for l in pclause.fluents])
             for name in shared:
-                val = sol.get(name)
-                if val is None or not apply_subst(val, sol).ground:
+                val = apply_subst(Var(name), store)
+                if val.__class__ is Var or not val.ground:
                     raise EngineError(
                         f"non-ground aux answer for {format_term(atom)} "
                         f"on variable {name} shared with fluent literals"
                     )
-            if emit(sol):
-                yield sol
+            if fresh():
+                yield
+            undo(store, trail, mark)
+
+
+def _conjunction(state, clauses, i, aux, store, trail):
+    """Answers to clauses[i:], threaded left to right on one binding
+    store and one trail; each is closed into a fresh idempotent dict."""
+    if i == len(clauses):
+        yield {n: apply_subst(t, store) for n, t in store.items()}
+        return
+    for _ in _clause_answers(state, clauses[i], aux, store, trail):
+        yield from _conjunction(state, clauses, i + 1, aux, store, trail)
+
+
+def entails_clause(state, pclause, aux, bindings=None):
+    """Enumerate substitutions under which the belief state entails one
+    query clause (see `_clause_answers`)."""
+    yield from entails_property(state, StateProperty((pclause,)), aux, bindings)
 
 
 def entails_property(state, prop, aux, bindings=None):
-    """Enumerate substitutions entailing a whole property (clause
-    conjunction), threading bindings left to right."""
-    base = {} if bindings is None else bindings
-
-    def rec(i, b):
-        if i == len(prop.clauses):
-            yield b
-            return
-        for b2 in entails_clause(state, prop.clauses[i], aux, b):
-            yield from rec(i + 1, b2)
-
-    yield from rec(0, base)
+    """Enumerate substitutions, each extending `bindings`, under which
+    the belief state entails a whole property (clause conjunction)."""
+    if not prop.clauses:
+        yield {} if bindings is None else bindings
+        return
+    store = {} if bindings is None else dict(bindings)
+    yield from _conjunction(state, prop.clauses, 0, aux, store, [])
 
 
 def first_entailment(state, prop, aux, bindings=None):

@@ -11,73 +11,11 @@ bounded by the step budget, never by Python's stack.
 
 from .errors import BarrierError, BudgetExceeded, EngineError
 from .model import CUT, CallGoal, _mapping_for, goal_variables, rename_goal
-from .terms import NIL, Term, Var, apply_subst, format_term, occurs, variables, walk
+from .terms import NIL, Term, Var, apply_subst, format_term, undo, unify_track, variables, walk
 
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
 FAILED = object()
-
-
-def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
-    """Destructive unification into a machine's binding store. Records
-    every bound name on the trail; on failure the caller undoes to its
-    mark, so partial progress is harmless.
-
-    Argument pairs are visited last first, unless `left_first` asks for
-    the order of `terms.unify`. The order decides which of two variables
-    is bound to the other; the built-ins use `left_first`, so they bind
-    the way the copying unifier does.
-
-    `linear` names variables that occur exactly once in `t2` and nowhere
-    in `t1` or the bindings, such as the renamed head variables of a
-    fresh clause activation. When such a variable is met at its own
-    position in `t2` (not through a binding), nothing bound so far can
-    contain it, so it is bound without an occurs check."""
-    stack = [(t1, t2, True)]
-    while stack:
-        a, b, own = stack.pop()
-        a = walk(a, bindings)
-        if own and b.__class__ is Var and b.name in linear:
-            if isinstance(a, Var):
-                bindings[a.name] = b
-                trail.append(a.name)
-            else:
-                bindings[b.name] = a
-                trail.append(b.name)
-            continue
-        walked = walk(b, bindings)
-        own = own and walked is b
-        b = walked
-        if a is b:
-            continue
-        if isinstance(a, Var):
-            if isinstance(b, Var):
-                if a.name == b.name:
-                    continue
-            elif occurs(a.name, b, bindings):
-                return False
-            bindings[a.name] = b
-            trail.append(a.name)
-            continue
-        if isinstance(b, Var):
-            if occurs(b.name, a, bindings):
-                return False
-            bindings[b.name] = a
-            trail.append(b.name)
-            continue
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return False
-        if a.ground and b.ground:
-            if a.key != b.key:
-                return False
-            continue
-        if left_first:
-            pairs = zip(reversed(a.args), reversed(b.args))
-        else:
-            pairs = zip(a.args, b.args)
-        for x, y in pairs:
-            stack.append((x, y, own))
-    return True
 
 
 def _head_singletons(head):
@@ -158,22 +96,6 @@ class Machine:
         if self.steps < 0:
             raise BudgetExceeded(self.out_of_steps)
 
-    def _undo(self, mark):
-        trail = self.trail
-        bindings = self.bindings
-        while len(trail) > mark:
-            del bindings[trail.pop()]
-
-    def _apply_solution(self, sol):
-        """Install a solution dict from the entailment layer. Solutions
-        are idempotent, so values need no further resolution."""
-        bindings = self.bindings
-        trail = self.trail
-        for name, value in sol.items():
-            if name not in bindings:
-                bindings[name] = value
-                trail.append(name)
-
     def resolve(self, goals):
         """Resolve a goal list to its next solution: True when the list
         is exhausted, False when no choicepoint is left. Pass FAILED to
@@ -200,7 +122,7 @@ class Machine:
             cp = cps[-1]
             if self.barrier > cp.barrier:
                 raise BarrierError("backtracked across executed action")
-            self._undo(cp.mark)
+            undo(self.bindings, self.trail, cp.mark)
             self._tick()
             if type(cp) is ClauseCP:
                 self._note("redo", cp.atom)
@@ -252,11 +174,11 @@ class Machine:
         if name == "=":
             if unify_track(left, right, bindings, trail, left_first=True):
                 return True
-            self._undo(mark)
+            undo(bindings, trail, mark)
             return False
         if name == "neq":
             unifies = unify_track(left, right, bindings, trail, left_first=True)
-            self._undo(mark)
+            undo(bindings, trail, mark)
             return not unifies
         items = []
         tail = walk(right, bindings)
@@ -272,9 +194,9 @@ class Machine:
             if unify_track(left, item, bindings, trail, left_first=True):
                 if name == "memberchk":
                     return True
-                self._undo(mark)
+                undo(bindings, trail, mark)
                 return False
-            self._undo(mark)
+            undo(bindings, trail, mark)
         return name == "nonmember"
 
     def _advance_clauses(self, cp):
@@ -285,7 +207,7 @@ class Machine:
             cp.idx += 1
             head, body, linear = self._activate_clause(clause, cp.depth)
             if not unify_track(cp.atom, head, bindings, trail, linear):
-                self._undo(cp.mark)
+                undo(bindings, trail, cp.mark)
                 continue
             goals = cp.rest
             if self.observer is not None:

@@ -5,8 +5,9 @@ Atoms whose name is all digits denote integers and compare numerically;
 everything else compares by name. Fluent literals wrap a term with a sign,
 and a clause is a sorted, duplicate-free bundle of literals.
 
-Substitutions are plain dicts mapping variable names to terms. `unify`
-returns a fresh, idempotent substitution (always with the occurs check).
+Substitutions are plain dicts mapping variable names to terms. The one
+unifier, `unify_track`, binds in place and records the names on a trail
+to undo; `unify` runs it on a copy and returns an idempotent result.
 """
 
 from .errors import NonGroundError
@@ -205,43 +206,110 @@ def occurs(name, term, bindings):
     return False
 
 
-def _unify_into(t1, t2, bindings):
-    t1 = walk(t1, bindings)
-    t2 = walk(t2, bindings)
-    if isinstance(t1, Var):
-        if isinstance(t2, Var) and t2.name == t1.name:
-            return True
-        if occurs(t1.name, t2, bindings):
+def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
+    """Unify in place into a binding store, with the occurs check,
+    recording every bound name on `trail`; on failure the caller undoes
+    to its mark. An explicit stack keeps deep terms off Python's stack.
+    Argument pairs are visited last first, or left to right with
+    `left_first`; the order decides which of two variables is bound.
+
+    `linear` names variables that occur once in `t2` and nowhere in `t1`
+    or the bindings, like the renamed head variables of a fresh clause.
+    Met at its own position in `t2`, such a variable is bound with no
+    occurs check: nothing bound so far can contain it."""
+    get = bindings.get
+    stack = [(t1, t2, True)]
+    while stack:
+        a, b, own = stack.pop()
+        while a.__class__ is Var:
+            nxt = get(a.name)
+            if nxt is None:
+                break
+            a = nxt
+        if own and b.__class__ is Var and b.name in linear:
+            if a.__class__ is Var:
+                bindings[a.name] = b
+                trail.append(a.name)
+            else:
+                bindings[b.name] = a
+                trail.append(b.name)
+            continue
+        while b.__class__ is Var:
+            nxt = get(b.name)
+            if nxt is None:
+                break
+            b = nxt
+            own = False
+        if a is b:
+            continue
+        if a.__class__ is Var:
+            if b.__class__ is Var:
+                if a.name == b.name:
+                    continue
+            elif not b.ground and occurs(a.name, b, bindings):
+                return False
+            bindings[a.name] = b
+            trail.append(a.name)
+            continue
+        if b.__class__ is Var:
+            if not a.ground and occurs(b.name, a, bindings):
+                return False
+            bindings[b.name] = a
+            trail.append(b.name)
+            continue
+        if a.functor != b.functor or len(a.args) != len(b.args):
             return False
-        bindings[t1.name] = t2
-        return True
-    if isinstance(t2, Var):
-        if occurs(t2.name, t1, bindings):
-            return False
-        bindings[t2.name] = t1
-        return True
-    if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-        return False
-    if t1.ground and t2.ground:
-        return t1.key == t2.key
-    for a, b in zip(t1.args, t2.args):
-        if not _unify_into(a, b, bindings):
-            return False
+        if a.ground and b.ground:
+            if a.key != b.key:
+                return False
+            continue
+        if left_first:
+            stack.extend(zip(reversed(a.args), reversed(b.args), (own,) * len(a.args)))
+        else:
+            stack.extend(zip(a.args, b.args, (own,) * len(a.args)))
     return True
 
 
 def unify(t1, t2, bindings=None):
-    """Most general unifier of two terms (with the occurs check), or None.
-
-    An existing substitution can be passed in; it is not mutated. The
-    returned substitution is idempotent.
-    """
+    """Most general unifier of two terms (with the occurs check), or None:
+    `unify_track` run on a copy of `bindings`, then made idempotent."""
     out = {} if bindings is None else dict(bindings)
-    if not _unify_into(t1, t2, out):
+    if not unify_track(t1, t2, out, [], left_first=True):
         return None
-    for name in out:
-        out[name] = apply_subst(out[name], out)
-    return out
+    return {name: apply_subst(value, out) for name, value in out.items()}
+
+
+def undo(bindings, trail, mark):
+    """Unbind the names recorded on `trail` after `mark`."""
+    while len(trail) > mark:
+        del bindings[trail.pop()]
+
+
+def flat_key(terms, bindings):
+    """The pre-order of `terms` under `bindings` as one flat tuple: the
+    key of each atom, (class, value, arity) of each compound, (_VAR, name)
+    of each unbound variable. Equal exactly when the substituted terms'
+    `syntactic_key`s are, and built without recursion."""
+    get = bindings.get
+    out = []
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        while t.__class__ is Var:
+            nxt = get(t.name)
+            if nxt is None:
+                out.append((_VAR, t.name))
+                break
+            t = nxt
+        else:
+            args = t.args
+            if args:
+                cls, val = _functor_class(t.functor)
+                out.append((cls, val, len(args)))
+                stack.extend(reversed(args))
+            else:
+                out.append(t.key)
+    return tuple(out)
 
 
 class Literal:

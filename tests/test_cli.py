@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from primelog import cli
@@ -261,6 +263,34 @@ def test_run_prints_a_3000_deep_answer(tmp_path, capsys, leaf):
     assert f"answer: T = {'f(' * 3000}{leaf}{')' * 3000}\n" in out
 
 
+def test_run_answers_a_belief_query_with_a_3000_deep_aux_answer(tmp_path, capsys):
+    domain = tmp_path / "nestv.alpd"
+    facts = " ".join(f"succ({i},{i + 1})." for i in range(3100))
+    domain.write_text(
+        emit_maze_domain(2)
+        + "nestv(N,N,V).\nnestv(I,N,f(T)) :- succ(I,J), nestv(J,N,T).\n"
+        + facts
+        + "\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "empty.alp"
+    program.write_text("", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "?(nestv(0,3000,T))",
+            "--env", "maze:2",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    # the leaf is the aux clause's own V, renamed apart
+    assert re.search(r"answer: T = (f\(){3000}V~a\d+\){3000}\n", out)
+
+
 # ---------------------------------------------------------------- gen-wumpus
 
 
@@ -307,6 +337,23 @@ def test_gen_config_file_with_overrides(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "seed 9" in captured.err
+
+
+@pytest.mark.parametrize("lines, threats", [("size = 4\n", 25), ("size = 4\nthreats = 3\n", 3)])
+def test_gen_size_flag_over_a_config_file_keeps_its_threat_default(
+    tmp_path, capsys, lines, threats
+):
+    # Without `threats` in the file, the default follows the final size,
+    # as it does for `gen-wumpus --size 16` alone.
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(lines, encoding="utf-8")
+    code, _, err = run_cli(
+        ["gen-wumpus", "--config", str(cfg), "--size", "16", "--out", str(tmp_path / "w.alpd")],
+        capsys,
+    )
+    assert code == 0
+    assert err.startswith("16x16 world, seed 0:")
+    assert err.endswith(f", {threats} threats\n")
 
 
 def test_gen_then_run_grabs_the_gold(tmp_path, capsys):

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copying_reference import unify
 from primelog import interpreter, pi
 from primelog.auxdb import AuxDB
 from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
@@ -51,7 +52,6 @@ from primelog.terms import (
     format_term,
     normalize_clause,
     syntactic_key,
-    unify,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -124,8 +124,9 @@ def _full_scan_sensing(state, axiom, observed, aux):
 
 def _full_scan_entails(state, pclause, bindings):
     """The answers to a single-literal query clause, found by unifying it
-    against every unit clause of the state in key order, each distinct
-    substitution of the clause's variables once."""
+    with the recursive reference unifier against every unit clause of the
+    state in key order, each distinct substitution of the clause's
+    variables once."""
     lit = apply_literal(pclause.fluents[0], bindings)
     answers, seen = [], set()
     for c in state:
@@ -134,7 +135,8 @@ def _full_scan_entails(state, pclause, bindings):
         u = unify(lit.fluent, c.literals[0].fluent, bindings)
         if u is None:
             continue
-        sig = tuple((n, syntactic_key(apply_subst(u[n], u))) for n in pclause.names if n in u)
+        names = sorted(pclause.variables())
+        sig = tuple((n, syntactic_key(apply_subst(u[n], u))) for n in names if n in u)
         if sig not in seen:
             seen.add(sig)
             answers.append(u)
@@ -527,35 +529,43 @@ def test_bound_conn_queries_unify_only_with_units_of_that_first_argument(monkeyp
     world = generate_wumpus(WumpusConfig(size=4, seed=7))
     domain = parse_domain(emit_wumpus_domain(world, "ground3"), "w4.alpd")
     program = parse_program(wumpus_agent("ground3"), domain, "cautious.alp")
-    plain_unify = pi.unify
-    plain_entails = pi.entails_clause
+    plain_unify = pi.unify_track
+    plain_clause = pi._clause_answers
     tried = []
     checked = []
 
-    def counted_unify(t1, t2, *args, **kwargs):
-        tried.append(t2)
-        return plain_unify(t1, t2, *args, **kwargs)
+    def counted_unify(t1, t2, bindings, *args, **kwargs):
+        tried.append((t1, t2, bindings))
+        return plain_unify(t1, t2, bindings, *args, **kwargs)
 
-    def watched_entails(state, pclause, aux, bindings=None):
+    def watched_clause(state, pclause, aux, store, trail):
         fluent = None
         if len(pclause.fluents) == 1:
-            fluent = apply_literal(pclause.fluents[0], bindings or {}).fluent
+            fluent = apply_literal(pclause.fluents[0], store).fluent
         if fluent is None or fluent.functor != "conn" or isinstance(fluent.args[0], Var):
-            yield from plain_entails(state, pclause, aux, bindings)
+            yield from plain_clause(state, pclause, aux, store, trail)
             return
-        before = len(tried)
-        answers = list(plain_entails(state, pclause, aux, bindings))
         expected = [
             u.literals[0].fluent
             for u in state.units_for("conn", 2, True)
             if u.literals[0].fluent.args[0] == fluent.args[0]
         ]
-        assert tried[before:] == expected
         checked.append((len(expected), len(state.units_for("conn", 2, True))))
-        yield from answers
+        before = len(tried)
 
-    monkeypatch.setattr(pi, "unify", counted_unify)
-    monkeypatch.setattr(pi, "entails_clause", watched_entails)
+        def tried_here():
+            return [t2 for t1, t2, b in tried[before:] if b is store and t1 == fluent]
+
+        # Each answer comes from a unit with that first argument, tried in
+        # order; when all answers are asked for, every such unit was tried.
+        for _ in plain_clause(state, pclause, aux, store, trail):
+            got = tried_here()
+            assert got == expected[: len(got)]
+            yield
+        assert tried_here() == expected
+
+    monkeypatch.setattr(pi, "unify_track", counted_unify)
+    monkeypatch.setattr(pi, "_clause_answers", watched_clause)
     query = parse_query(WUMPUS_QUERY, domain)
     outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
     assert outcome.succeeded

@@ -2,9 +2,10 @@
 
 The built-ins (`=`, `neq`, `memberchk`, `nonmember`) run in place on the
 machine's store. The copying version they replaced (substitute the goal,
-then `terms.unify`) is kept below as the reference they must agree with
-on success, on every resolved variable and on the error text; a failing
-built-in must leave the store and the trail as it found them.
+then unify with the recursive, copying unifier of `copying_reference`)
+is kept below as the reference they must agree with on success, on every
+resolved variable and on the error text; a failing built-in must leave
+the store and the trail as it found them.
 
 The other tests pin what the single walk makes possible: an iterative
 `apply_subst` (a 3000-cell answer list through the CLI) and sensor cases
@@ -25,6 +26,7 @@ from primelog.interpreter import solve
 from primelog.model import CallGoal, Program
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import Machine
+from copying_reference import unify
 from primelog.terms import (
     FALSE,
     NIL,
@@ -36,7 +38,6 @@ from primelog.terms import (
     format_term,
     list_parts,
     mk_list,
-    unify,
     variables,
 )
 
@@ -46,7 +47,7 @@ from primelog.terms import (
 def _copying_builtin(goal):
     """The solution of a builtin atom as a substitution, or None when it
     fails: the goal is substituted by the caller and every unification
-    copies through `terms.unify`."""
+    copies through the recursive reference unifier."""
     name = goal.functor
     if name == "true":
         return {}

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import copying_reference
 from primelog.errors import NonGroundError
-from primelog.sld import _head_singletons, unify_track
+from primelog.sld import _head_singletons
 from primelog.terms import (
     Clause,
     Literal,
@@ -12,13 +13,16 @@ from primelog.terms import (
     Var,
     apply_subst,
     compare,
+    flat_key,
     format_clause,
     format_term,
     list_parts,
     mk_list,
     normalize_clause,
     occurs,
+    syntactic_key,
     unify,
+    unify_track,
     variables,
     walk,
 )
@@ -95,6 +99,32 @@ def test_variables_of_a_3000_deep_term():
     for i in range(3000):
         term = t("f", term, Var(f"Y{i % 3}"))
     assert variables(term) == {"X", "Y0", "Y1", "Y2"}
+
+
+def _nest(inner, depth=3000):
+    for _ in range(depth):
+        inner = t("f", inner)
+    return inner
+
+
+def test_unify_of_two_3000_deep_non_ground_terms():
+    s = unify(_nest(t("g", Var("X"), t("b"))), _nest(t("g", t("a"), Var("Y"))))
+    assert s == {"X": t("a"), "Y": t("b")}
+    # X is bound to one deep term and then meets another
+    s = unify(t("p", Var("X"), Var("X")), t("p", _nest(Var("Y")), _nest(Var("Z"))))
+    assert s["Y"] == Var("Z")
+    assert format_term(s["X"]) == format_term(_nest(Var("Z")))
+    assert unify(Var("X"), _nest(Var("X"))) is None
+
+
+def test_flat_key_of_deep_and_numeric_terms():
+    def key(term, bindings=None):
+        return flat_key([term], bindings or {})
+
+    assert key(_nest(Var("X"))) == key(_nest(Var("X")))
+    assert key(_nest(Var("X"))) != key(_nest(Var("Y")))
+    assert key(Var("X"), {"X": _nest(t("a"))}) == key(_nest(t("a")))
+    assert key(t("f", Term("01"), Var("X"))) == key(t("f", Num(1), Var("X")))
 
 
 def test_occurs():
@@ -209,7 +239,11 @@ def _terms(depth):
 @given(_terms(2), _terms(2))
 def test_unify_is_a_unifier(t1, t2):
     s = unify(t1, t2)
+    expected = copying_reference.unify(t1, t2)
+    assert (s is None) == (expected is None)
     if s is not None:
+        # the same bindings in the same order as the recursive unifier
+        assert list(s.items()) == list(expected.items())
         a = apply_subst(t1, s)
         b = apply_subst(t2, s)
         assert format_term(a) == format_term(b)
@@ -217,7 +251,22 @@ def test_unify_is_a_unifier(t1, t2):
 
 @given(_terms(2), _terms(2))
 def test_unify_symmetric_in_success(t1, t2):
-    assert (unify(t1, t2) is None) == (unify(t2, t1) is None)
+    ok = unify(t1, t2) is not None
+    assert ok == (unify(t2, t1) is not None)
+    assert ok == (copying_reference.unify(t2, t1) is not None)
+
+
+@given(_terms(2), _terms(2), _terms(2), _terms(2))
+def test_flat_key_equality_is_syntactic_key_equality(t1, t2, t3, t4):
+    bindings = {}
+    if not unify_track(t3, t4, bindings, []):
+        bindings = {}
+    k1, k2 = flat_key([t1], bindings), flat_key([t2], bindings)
+    s1, s2 = apply_subst(t1, bindings), apply_subst(t2, bindings)
+    assert (k1 == k2) == (syntactic_key(s1) == syntactic_key(s2))
+    assert k1 == flat_key([s1], {})
+    # a sequence keys like its terms one after the other
+    assert flat_key([t1, t2], bindings) == k1 + k2
 
 
 _head_vars = st.sampled_from(["U", "V", "W"]).map(Var)
@@ -243,7 +292,7 @@ def test_unify_track_with_head_singletons_agrees_with_unify(pairs):
     head = Term("p", tuple(h for _, h in pairs))
     bindings = {}
     ok = unify_track(goal, head, bindings, [], frozenset(_head_singletons(head)))
-    expected = unify(goal, head)
+    expected = copying_reference.unify(goal, head)
     assert ok == (expected is not None)
     if ok:
         assert format_term(apply_subst(goal, bindings)) == format_term(apply_subst(head, bindings))
