@@ -281,11 +281,14 @@ def _int_list(text, what):
 
 
 def _bench_one(size, variant, seed, budget):
-    config = WumpusConfig(size=size, seed=seed)
-    world = generate_wumpus(config)
-    domain = parse_domain(emit_wumpus_domain(world, variant), f"<wumpus-{variant}>")
+    set_up = time.perf_counter()
+    world = generate_wumpus(WumpusConfig(size=size, seed=seed))
+    text = emit_wumpus_domain(world, variant)
+    generated = time.perf_counter()
+    domain = parse_domain(text, f"<wumpus-{variant}>")
     program = parse_program(wumpus_agent(variant), domain, f"<agent-{variant}>")
     query = parse_query("run", domain, "<query>")
+    parsed = time.perf_counter()
     env = WumpusEnv(world)
     started = time.perf_counter()
     try:
@@ -306,6 +309,8 @@ def _bench_one(size, variant, seed, budget):
         "max_state_clauses": max_clauses,
         "total_ms": f"{elapsed_ms:.3f}",
         "mean_action_ms": f"{mean_ms:.3f}",
+        "gen_ms": f"{(generated - set_up) * 1000.0:.3f}",
+        "parse_ms": f"{(parsed - generated) * 1000.0:.3f}",
     }
 
 
@@ -318,6 +323,8 @@ _CSV_COLUMNS = (
     "max_state_clauses",
     "total_ms",
     "mean_action_ms",
+    "gen_ms",
+    "parse_ms",
 )
 
 

@@ -21,9 +21,14 @@ A state property is a list of clauses; a clause is a literal or a list
 of literals; a literal is a fluent atom, `-` before a fluent atom, or a
 positive aux atom. `?(L)` with a bare literal L abbreviates `?([L])`,
 and `?(s(X))` for a declared sensor s triggers sensing instead.
+
+The reader tokenizes a text in one regular-expression pass, interns
+ground subterms (a repeated `c(3,4)` is built once per read), and keeps
+open terms on an explicit stack, so nesting depth is not limited.
 """
 
 import re
+from collections import namedtuple
 
 from .errors import ParseError
 from .model import (
@@ -53,20 +58,17 @@ from .terms import (
     format_literal,
     format_term,
     list_parts,
-    mk_list,
     normalize_clause,
     variables,
 )
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>%[^\n]*)"
-    r"|(?P<neck>:-)"
-    r"|(?P<num>\d+)"
-    r"|(?P<atom>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[()\[\],.|!?=/-])"
-)
+# One match per token, so `findall` reads a whole text in one C-level pass.
+# Whitespace and `%` comments are skipped inside the pattern, a character
+# that starts no token is captured on its own (`_Reader.err` reports the
+# first one), and `\Z` yields "", the end of input.
+_TOKEN = r":-|\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[()\[\],.|!?=/-]|\Z"
+_TOKEN_RE = re.compile(rf"(?:\s|%[^\n]*)*({_TOKEN}|.)")
+_GOOD_TOKEN_RE = re.compile(_TOKEN)
 
 _DIRECTIVES = {
     ("fluents", 1),
@@ -88,186 +90,200 @@ RESERVED_NAMES = (
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# Frames of the term reader's stack: an argument list [_ARGS, args,
+# functor], list items or tail [_ITEMS or _TAIL, items, tail], a `-` sign,
+# and the left operands of `/` and `=` [_SLASH or _EQ, left]. A bottom
+# frame [None] stands for the empty stack.
+_ARGS, _ITEMS, _TAIL, _NEG, _SLASH, _EQ = range(6)
 
 
 def _describe(tok):
-    if tok.kind == "eof":
-        return "end of input"
-    return f"{tok.text!r}"
+    return "end of input" if tok == "" else repr(tok)
 
 
-def _tokenize(text, filename):
-    tokens = []
-    pos = 0
-    line = 1
-    bol = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - bol + 1, filename
-            )
-        kind = m.lastgroup
-        s = m.group()
-        if kind in ("ws", "comment"):
-            if "\n" in s:
-                line += s.count("\n")
-                bol = pos + s.rfind("\n") + 1
-        else:
-            if kind == "punct":
-                kind = s
-            tokens.append(Token(kind, s, line, pos - bol + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - bol + 1))
-    return tokens
-
-
-class _RawClause:
-    """One read clause before semantic checks: head term, body item list
-    (None for a fact), and the token it started at."""
-
-    __slots__ = ("head", "body", "tok")
-
-    def __init__(self, head, body, tok):
-        self.head = head
-        self.body = body
-        self.tok = tok
+# A clause as read: head, body items (None for a fact), its first token.
+_RawClause = namedtuple("_RawClause", "head body tok")
 
 
 class _Reader:
+    """Reads a text's tokens, plain strings addressed by index. Ground
+    terms are interned by functor and the identities of their arguments."""
+
     def __init__(self, text, filename):
+        self.text = text
         self.filename = filename
-        self.toks = _tokenize(text, filename)
+        self.toks = _TOKEN_RE.findall(text)
         self.i = 0
         self.anon = 0
+        self.ground = {}
+        self.starts = None
 
     def peek(self):
         return self.toks[self.i]
 
-    def advance(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def where(self, tok):
+        """Line and column of token index `tok`, recovered by a second
+        scan: only errors and warnings need positions."""
+        if self.starts is None:
+            self.starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        start = self.starts[tok]
+        bol = self.text.rfind("\n", 0, start) + 1
+        return self.text.count("\n", 0, bol) + 1, start - bol + 1
 
     def err(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, self.filename)
+        """Raise a ParseError at token index `tok` (the next token by
+        default). A character that starts no token anywhere in the text
+        is reported instead: scanning precedes every other check."""
+        for j, text in enumerate(self.toks):
+            if _GOOD_TOKEN_RE.fullmatch(text) is None:
+                message, tok = f"unexpected character {text!r}", j
+                break
+        raise ParseError(message, *self.where(self.i if tok is None else tok), self.filename)
 
-    def expect(self, kind, where):
-        tok = self.advance()
-        if tok.kind != kind:
-            self.err(f"expected {kind!r} in {where}, found {_describe(tok)}", tok)
-        return tok
+    def expect(self, tok, where):
+        found = self.toks[self.i]
+        if found != tok:
+            self.err(f"expected {tok!r} in {where}, found {_describe(found)}")
+        self.i += 1
+
+    def _make(self, functor, args):
+        for a in args:
+            if a.__class__ is Var or not a.ground:
+                return Term(functor, args)
+        key = (functor, *map(id, args))
+        return self.ground.get(key) or self.ground.setdefault(key, Term(functor, args))
 
     def term(self):
-        t = self.primary()
-        nxt = self.peek()
-        if nxt.kind == "/":
-            self.advance()
-            t = Term("/", (t, self.primary()))
-        elif nxt.kind == "=":
-            self.advance()
-            t = Term("=", (t, self.term()))
-        return t
-
-    def primary(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            return Term(tok.text)
-        if tok.kind == "var":
-            if tok.text == "_":
-                self.anon += 1
-                return Var(f"_#{self.anon}")
-            return Var(tok.text)
-        if tok.kind == "atom":
-            if self.peek().kind == "(":
-                self.advance()
-                args = [self.term()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.term())
-                self.expect(")", "argument list")
-                return Term(tok.text, tuple(args))
-            return Term(tok.text)
-        if tok.kind == "[":
-            return self.list_term()
-        if tok.kind == "-":
-            return Term("-", (self.primary(),))
-        self.err(f"unexpected {_describe(tok)} in term", tok)
-
-    def list_term(self):
-        if self.peek().kind == "]":
-            self.advance()
-            return NIL
-        items = [self.term()]
-        while self.peek().kind == ",":
-            self.advance()
-            items.append(self.term())
-        tail = NIL
-        if self.peek().kind == "|":
-            self.advance()
-            tail = self.term()
-        self.expect("]", "list")
-        return mk_list(items, tail)
+        """Read one term. Open constructs wait on an explicit stack of
+        frames, so nesting depth costs no Python recursion."""
+        toks, ground, make = self.toks, self.ground, self._make
+        i = self.i
+        stack = [[None]]
+        top = None  # the kind of stack[-1]
+        t = None
+        while True:
+            if t is None:
+                tok = toks[i]
+                i += 1
+                c = tok[:1]
+                if "a" <= c <= "z" and toks[i] == "(":
+                    top = _ARGS
+                    stack.append([top, [], tok])
+                    i += 1
+                    continue
+                if tok == "-" or tok == "[" and toks[i] != "]":
+                    top = _NEG if tok == "-" else _ITEMS
+                    stack.append([top, [], NIL])
+                    continue
+                if "A" <= c <= "Z" or c == "_":
+                    if tok == "_":
+                        self.anon += 1
+                        tok = f"_#{self.anon}"
+                    t = Var(tok)
+                elif tok == "[":
+                    i += 1
+                    t = NIL
+                elif "a" <= c <= "z" or tok.isdecimal():
+                    t = ground.get(tok) or ground.setdefault(tok, Term(tok))
+                else:
+                    self.err(f"unexpected {_describe(tok)} in term", i - 1)
+            # `t` is a complete primary: sign it, then close a `/` or open `/` or `=`.
+            while top == _NEG:
+                stack.pop()
+                top = stack[-1][0]
+                t = make("-", (t,))
+            tok = toks[i]
+            if top == _SLASH:
+                t = make("/", (stack.pop()[1], t))
+                top = stack[-1][0]
+            elif tok == "/" or tok == "=":
+                top = _SLASH if tok == "/" else _EQ
+                stack.append([top, t])
+                i += 1
+                t = None
+                continue
+            # `t` is a complete term.
+            while top == _EQ:
+                t = make("=", (stack.pop()[1], t))
+                top = stack[-1][0]
+            if top is None:
+                self.i = i
+                return t
+            frame = stack[-1]
+            i += 1
+            if top == _TAIL:
+                frame[2] = t
+            else:
+                frame[1].append(t)
+                if tok == "," or tok == "|" and top == _ITEMS:
+                    if tok == "|":
+                        frame[0] = top = _TAIL
+                    t = None
+                    continue
+            close, where = (")", "argument list") if top == _ARGS else ("]", "list")
+            if tok != close:
+                self.err(f"expected {close!r} in {where}, found {_describe(tok)}", i - 1)
+            stack.pop()
+            if top == _ARGS:
+                t = make(frame[2], tuple(frame[1]))
+            else:
+                t = frame[2]
+                for item in reversed(frame[1]):
+                    t = make(".", (item, t))
+            top = stack[-1][0]
 
     def body_item(self):
         tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return ("cut", None, tok)
-        if tok.kind == "?":
-            self.advance()
+        at = self.i
+        if tok == "!":
+            self.i += 1
+            return ("cut", None, at)
+        if tok == "?":
+            self.i += 1
             self.expect("(", "query")
             arg = self.term()
             self.expect(")", "query")
-            return ("query", arg, tok)
-        return ("goal", self.term(), tok)
+            return ("query", arg, at)
+        return ("goal", self.term(), at)
 
     def clause(self):
         self.anon = 0
-        start = self.peek()
+        start = self.i
         head = self.term()
         if not isinstance(head, Term) or head.functor in ("-", "/", "=", "."):
             self.err("clause head must be an atom or compound term", start)
         if head.functor.isdigit():
             self.err("clause head cannot be a number", start)
-        tok = self.advance()
-        if tok.kind == ".":
-            return _RawClause(head, None, start)
-        if tok.kind != "neck":
-            self.err(f"expected '.' or ':-' after clause head, found {_describe(tok)}", tok)
-        body = [self.body_item()]
-        while self.peek().kind == ",":
-            self.advance()
-            body.append(self.body_item())
-        self.expect(".", "clause")
+        tok = self.peek()
+        if tok != "." and tok != ":-":
+            self.err(f"expected '.' or ':-' after clause head, found {_describe(tok)}")
+        self.i += 1
+        body = None
+        if tok == ":-":
+            body = self.goals()
+            self.expect(".", "clause")
         return _RawClause(head, body, start)
 
     def clauses(self):
         out = []
-        while self.peek().kind != "eof":
+        while self.peek() != "":
             out.append(self.clause())
         return out
+
+    def goals(self):
+        items = [self.body_item()]
+        while self.peek() == ",":
+            self.i += 1
+            items.append(self.body_item())
+        return items
 
     def body(self):
         """A bare goal sequence (for query strings), optional final period."""
         self.anon = 0
-        items = [self.body_item()]
-        while self.peek().kind == ",":
-            self.advance()
-            items.append(self.body_item())
-        if self.peek().kind == ".":
-            self.advance()
-        if self.peek().kind != "eof":
+        items = self.goals()
+        if self.peek() == ".":
+            self.i += 1
+        if self.peek() != "":
             self.err(f"trailing input after query: {_describe(self.peek())}")
         return items
 
@@ -302,24 +318,24 @@ class _Decls:
         self.aux = {}
         self.objects = {}
 
-    def taken(self, name):
-        return (
-            name in self.fluents
-            or name in self.actions
-            or name in self.sensors
-            or name in self.aux
-        )
+    def check_new(self, rd, tok, name):
+        """Reject a reserved or already declared name."""
+        if name in RESERVED_NAMES:
+            rd.err(f"{name!r} is reserved and cannot be declared", tok)
+        if any(name in table for table in (self.fluents, self.actions, self.sensors, self.aux)):
+            rd.err(f"{name!r} is declared twice", tok)
 
 
-def _decl_items(rd, raw, what):
-    items = _as_list(raw.head.args[0])
+def _list_items(rd, tok, term, message):
+    """The items of a proper list term; `message` is the error otherwise."""
+    items = _as_list(term)
     if items is None:
-        rd.err(f"{what} takes a list", raw.tok)
+        rd.err(message, tok)
     return items
 
 
 def _add_pred_decls(rd, raw, table, decls, what):
-    for item in _decl_items(rd, raw, what):
+    for item in _list_items(rd, raw.tok, raw.head.args[0], f"{what} takes a list"):
         if not (
             isinstance(item, Term)
             and item.functor == "/"
@@ -331,12 +347,8 @@ def _add_pred_decls(rd, raw, table, decls, what):
         ):
             rd.err(f"{what} items must look like name/arity", raw.tok)
         name = item.args[0].functor
-        arity = int(item.args[1].functor)
-        if name in RESERVED_NAMES:
-            rd.err(f"{name!r} is reserved and cannot be declared", raw.tok)
-        if decls.taken(name):
-            rd.err(f"{name!r} is declared twice", raw.tok)
-        table[name] = arity
+        decls.check_new(rd, raw.tok, name)
+        table[name] = int(item.args[1].functor)
 
 
 def _fluent_literal(rd, tok, fluent_arity, term, where, require_ground=False):
@@ -405,9 +417,7 @@ def _prop_clause(rd, tok, fluent_arity, aux_preds, term, where):
 
 
 def _property(rd, tok, fluent_arity, aux_preds, term, where):
-    items = _as_list(term)
-    if items is None:
-        rd.err(f"{where} must be a list of clauses", tok)
+    items = _list_items(rd, tok, term, f"{where} must be a list of clauses")
     return StateProperty(
         tuple(_prop_clause(rd, tok, fluent_arity, aux_preds, item, where) for item in items)
     )
@@ -457,24 +467,20 @@ def parse_domain(text, filename="<domain>"):
         elif key == ("actions", 1):
             _add_pred_decls(rd, raw, decls.actions, decls, "actions")
         elif key == ("sensors", 1):
-            for item in _decl_items(rd, raw, "sensors"):
+            for item in _list_items(rd, raw.tok, raw.head.args[0], "sensors takes a list"):
                 if not (isinstance(item, Term) and not item.args):
                     rd.err("sensors items are bare names", raw.tok)
-                name = item.functor
-                if name in RESERVED_NAMES:
-                    rd.err(f"{name!r} is reserved and cannot be declared", raw.tok)
-                if decls.taken(name):
-                    rd.err(f"{name!r} is declared twice", raw.tok)
-                decls.sensors.append(name)
+                decls.check_new(rd, raw.tok, item.functor)
+                decls.sensors.append(item.functor)
         elif key == ("aux", 1):
             _add_pred_decls(rd, raw, decls.aux, decls, "aux")
         elif key == ("objects", 2):
             sort = raw.head.args[0]
             if not (isinstance(sort, Term) and not sort.args):
                 rd.err("object sort must be an atom", raw.tok)
-            items = _as_list(raw.head.args[1])
-            if items is None:
-                rd.err("objects takes a list of ground terms", raw.tok)
+            items = _list_items(
+                rd, raw.tok, raw.head.args[1], "objects takes a list of ground terms"
+            )
             for item in items:
                 if isinstance(item, Var) or not item.ground:
                     rd.err("object terms must be ground", raw.tok)
@@ -506,16 +512,15 @@ def parse_domain(text, filename="<domain>"):
     for raw in directives:
         key = (raw.head.functor, len(raw.head.args))
         if key == ("initial_state", 1):
-            items = _as_list(raw.head.args[0])
-            if items is None:
-                rd.err("initial_state takes a list of clauses", raw.tok)
-            for item in items:
+            for item in _list_items(
+                rd, raw.tok, raw.head.args[0], "initial_state takes a list of clauses"
+            ):
                 c = _clause_spec(
                     rd, raw.tok, fluent_arity, item, "the initial state", require_ground=True
                 )
                 if c is None:
                     warnings.append(
-                        f"{filename}:{raw.tok.line}: tautologous initial clause dropped"
+                        f"{filename}:{rd.where(raw.tok)[0]}: tautologous initial clause dropped"
                     )
                 else:
                     initial_clauses.append(c)
@@ -530,18 +535,16 @@ def parse_domain(text, filename="<domain>"):
             precond = _property(
                 rd, raw.tok, fluent_arity, aux_preds, precond_t, f"{head.functor} precondition"
             )
-            case_terms = _as_list(cases_t)
-            if case_terms is None:
-                rd.err("action cases must be a list", raw.tok)
+            case_terms = _list_items(rd, raw.tok, cases_t, "action cases must be a list")
             cases = []
             for ct in case_terms:
                 cond_t, eff_t = _case_args(rd, raw.tok, ct, 2, "action cases")
                 cond = _property(
                     rd, raw.tok, fluent_arity, aux_preds, cond_t, f"{head.functor} case condition"
                 )
-                eff_items = _as_list(eff_t)
-                if eff_items is None:
-                    rd.err("case effects must be a list of literals", raw.tok)
+                eff_items = _list_items(
+                    rd, raw.tok, eff_t, "case effects must be a list of literals"
+                )
                 effects = tuple(
                     _fluent_literal(rd, raw.tok, fluent_arity, el, f"{head.functor} effects")
                     for el in eff_items
@@ -550,7 +553,7 @@ def parse_domain(text, filename="<domain>"):
             spec = ActionSpec(head, precond, tuple(cases))
             if not cases:
                 warnings.append(
-                    f"{filename}:{raw.tok.line}: action {head.functor} has no "
+                    f"{filename}:{rd.where(raw.tok)[0]}: action {head.functor} has no "
                     "effect cases; executing it will always fail"
                 )
             covered = variables_of_spec_sources(spec)
@@ -563,7 +566,7 @@ def parse_domain(text, filename="<domain>"):
             )
             if loose:
                 warnings.append(
-                    f"{filename}:{raw.tok.line}: action {head.functor} effect "
+                    f"{filename}:{rd.where(raw.tok)[0]}: action {head.functor} effect "
                     f"variables {', '.join(dict.fromkeys(loose))} are not bound "
                     "by the head, precondition, or case condition"
                 )
@@ -581,9 +584,7 @@ def parse_domain(text, filename="<domain>"):
                 rd.err(f"{name!r} is not a declared sensor", raw.tok)
             if name in sensor_axioms:
                 rd.err(f"sensor {name} has two axioms", raw.tok)
-            case_terms = _as_list(cases_t)
-            if case_terms is None:
-                rd.err("sensor cases must be a list", raw.tok)
+            case_terms = _list_items(rd, raw.tok, cases_t, "sensor cases must be a list")
             cases = []
             for ct in case_terms:
                 result_t, index_t, meaning_t = _case_args(
@@ -594,15 +595,14 @@ def parse_domain(text, filename="<domain>"):
                 index = _property(
                     rd, raw.tok, fluent_arity, aux_preds, index_t, f"{name} index"
                 )
-                meaning_items = _as_list(meaning_t)
-                if meaning_items is None:
-                    rd.err("sensor case meaning must be a list of clauses", raw.tok)
                 meaning = []
-                for item in meaning_items:
+                for item in _list_items(
+                    rd, raw.tok, meaning_t, "sensor case meaning must be a list of clauses"
+                ):
                     c = _clause_spec(rd, raw.tok, fluent_arity, item, f"{name} meaning")
                     if c is None:
                         warnings.append(
-                            f"{filename}:{raw.tok.line}: tautologous meaning "
+                            f"{filename}:{rd.where(raw.tok)[0]}: tautologous meaning "
                             f"clause dropped from sensor {name}"
                         )
                     else:
@@ -746,9 +746,9 @@ def parse_ground_terms(text, filename="<terms>"):
     are rejected."""
     rd = _Reader(text, filename)
     out = []
-    while rd.peek().kind != "eof":
+    while rd.peek() != "":
         rd.anon = 0
-        start = rd.peek()
+        start = rd.i
         term = rd.term()
         if variables(term, set()):
             rd.err("ground term expected", start)

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +292,24 @@ def test_run_answers_a_belief_query_with_a_3000_deep_aux_answer(tmp_path, capsys
     assert re.search(r"answer: T = (f\(){3000}V~a\d+\){3000}\n", out)
 
 
+def test_run_reads_a_query_nested_3000_deep(capsys):
+    samples = Path(__file__).parent.parent / "samples"
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(samples / "explorer.alp"),
+            "--domain", str(samples / "corridor5.alpd"),
+            "--query", f"X = {deep}",
+            "--env", "maze:5",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert f"answer: X = {deep}\n" in out
+
+
 # ---------------------------------------------------------------- gen-wumpus
 
 
@@ -489,6 +508,16 @@ def test_bench_emits_grid_rows(capsys):
         assert row["status"] == "success"
         assert int(row["actions"]) > 0
         assert float(row["total_ms"]) > 0
+
+
+def test_bench_reports_generation_and_parse_times(capsys):
+    code = cli.main(["bench", "--sizes", "4", "--variants", "ground2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    header, (row,) = parse_csv(captured.out)
+    assert header[-2:] == ["gen_ms", "parse_ms"]
+    assert float(row["gen_ms"]) > 0
+    assert float(row["parse_ms"]) > 0
 
 
 def test_bench_ground3_carries_more_clauses(capsys):
