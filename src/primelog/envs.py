@@ -126,23 +126,6 @@ class WumpusConfig:
             )
 
     @classmethod
-    def from_mapping(cls, mapping, **given):
-        """From raw `key: text` pairs; `given` values override them."""
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key in ("size", "threats", "seed"):
-                kwargs[key] = int(raw)
-            elif key == "solvable":
-                low = str(raw).strip().lower()
-                if low not in ("true", "false"):
-                    raise ValueError(f"solvable must be true or false, not {raw!r}")
-                kwargs[key] = low == "true"
-            else:
-                raise ValueError(f"unknown wumpus config key {key!r}")
-        kwargs.update(given)
-        return cls(**kwargs)
-
-    @classmethod
     def from_file(cls, path, **given):
         """Read `key = value` lines; # starts a comment. `given` values
         override the file's."""
@@ -156,7 +139,18 @@ class WumpusConfig:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping, **given)
+        kwargs = {}
+        for key, raw in mapping.items():
+            if key in ("size", "threats", "seed"):
+                kwargs[key] = int(raw)
+            elif key == "solvable":
+                if raw.lower() not in ("true", "false"):
+                    raise ValueError(f"solvable must be true or false, not {raw!r}")
+                kwargs[key] = raw.lower() == "true"
+            else:
+                raise ValueError(f"unknown wumpus config key {key!r}")
+        kwargs.update(given)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -96,23 +96,6 @@ class Outcome:
         return self.status == "success"
 
 
-class _StreamCP:
-    """Choicepoint over a solution stream (`?` property or `do`
-    precondition). `subject` names it in the trace; `advance(machine, cp)`
-    resumes it."""
-
-    __slots__ = ("advance", "it", "rest", "mark", "barrier", "subject", "spec")
-
-    def __init__(self, advance, it, rest, mark, barrier, subject, spec=None):
-        self.advance = advance
-        self.it = it
-        self.rest = rest
-        self.mark = mark
-        self.barrier = barrier
-        self.subject = subject
-        self.spec = spec
-
-
 def action_effects(state, spec, aux, theta, act):
     """The effects of the ground action `act` under the precondition
     solution `theta`: those of the one case whose condition `state`
@@ -136,6 +119,17 @@ def action_effects(state, spec, aux, theta, act):
             )
         effects.append(lit)
     return tuple(effects)
+
+
+def executions(state, spec, aux, theta0):
+    """The ways to execute an action in `state`, in precondition solution
+    order, starting from the head unifier `theta0`: for each solution, the
+    ground action and its effects, or None when no effect case fires."""
+    for theta in entails_property(state, spec.precond, aux, theta0):
+        act = apply_subst(spec.head, theta)
+        if not act.ground:
+            raise EngineError(f"unbound action argument in {format_term(act)}")
+        yield act, action_effects(state, spec, aux, theta, act)
 
 
 class Interpreter(Machine):
@@ -169,11 +163,8 @@ class Interpreter(Machine):
         qvars = set()
         stack = None
         for g in reversed(tuple(goals)):
-            if g is CUT:
-                g = CutGoal(0)
-            else:
-                goal_variables(g, qvars)
-            stack = (g, stack)
+            goal_variables(g, qvars)
+            stack = (CutGoal(0) if g is CUT else g, stack)
         try:
             ok = self.resolve(stack)
         except EngineError as e:
@@ -209,7 +200,7 @@ class Interpreter(Machine):
             return repr(subject)
         if isinstance(subject, SenseGoal):
             return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
-        return format_term(apply_subst(subject, self.bindings))
+        return format_term(subject, self.bindings)
 
     def _commit(self, event, new_state):
         """Log an executed action or observation. It raises the barrier:
@@ -230,18 +221,12 @@ class Interpreter(Machine):
         prop = resolve_property(goal.property, self.bindings)
         self._note("call", prop)
         stream = entails_property(self.agent.belief, prop, self.aux)
-        cp = _StreamCP(
-            Interpreter._advance_query, stream, rest, len(self.trail), self.barrier, prop
-        )
-        self.cps.append(cp)
-        return self._advance_query(cp)
+        return self._push(Interpreter._advance_query, stream, prop, rest)
 
     def _advance_query(self, cp):
         self._tick()
         sol = next(cp.it, None)
         if sol is None:
-            self.cps.pop()
-            self._note("fail", cp.subject)
             return FAILED
         # The property was resolved through the store, so the answer
         # binds only names the store leaves open.
@@ -272,36 +257,26 @@ class Interpreter(Machine):
         if theta0 is None:
             self._note("fail", subject)
             return FAILED
-        stream = entails_property(self.agent.belief, spec.precond, self.aux, theta0)
-        cp = _StreamCP(
-            Interpreter._advance_do, stream, rest, len(self.trail), self.barrier, subject, spec
-        )
-        self.cps.append(cp)
-        return self._advance_do(cp)
+        stream = executions(self.agent.belief, spec, self.aux, theta0)
+        return self._push(Interpreter._advance_do, stream, subject, rest)
 
     def _advance_do(self, cp):
-        spec = cp.spec
-        state = self.agent.belief
         while True:
             self._tick()
-            theta = next(cp.it, None)
-            if theta is None:
-                self.cps.pop()
-                self._note("fail", cp.subject)
+            act, effects = next(cp.it, (None, None))
+            if act is None:
                 return FAILED
-            act = apply_subst(spec.head, theta)
-            if not act.ground:
-                raise EngineError(f"unbound action argument in {format_term(act)}")
-            effects = action_effects(state, spec, self.aux, theta, act)
-            if effects is None:
-                self._note("warn", act)
-                continue
-            self.env.execute(act)
-            new_state = update(state, effects)
-            self._commit(("act", act, effects), new_state)
-            unify_track(cp.subject.action, act, self.bindings, self.trail)
-            self._note("exec", act, effects, new_state)
-            return cp.rest
+            if effects is not None:
+                break
+            self._note("warn", act)
+        # The barrier keeps any commit from coming between the push and a
+        # resume, so the belief is the state the executions started on.
+        self.env.execute(act)
+        new_state = update(self.agent.belief, effects)
+        self._commit(("act", act, effects), new_state)
+        unify_track(cp.subject.action, act, self.bindings, self.trail)
+        self._note("exec", act, effects, new_state)
+        return cp.rest
 
     # -- sensing ------------------------------------------------------
 
@@ -370,11 +345,9 @@ def replay(domain, events):
                 raise EngineError(
                     f"replay: {format_term(act)} does not match its specification head"
                 )
-            effects = None
-            for theta in entails_property(state, spec.precond, aux, theta0):
-                effects = action_effects(state, spec, aux, theta, act)
-                if effects is not None:
-                    break
+            effects = next(
+                (e for _, e in executions(state, spec, aux, theta0) if e is not None), None
+            )
             if effects is None:
                 raise EngineError(
                     f"replay: precondition of {format_term(act)} is not provable"

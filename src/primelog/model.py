@@ -205,12 +205,36 @@ class SenseGoal:
         return f"?({self.functor}({format_term(self.arg)}))"
 
 
+def _head_singletons(head):
+    """Names of the variables that occur exactly once in a clause head."""
+    counts = {}
+    stack = [head]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            counts[t.name] = counts.get(t.name, 0) + 1
+        elif not t.ground:
+            stack.extend(t.args)
+    return tuple(n for n, k in counts.items() if k == 1)
+
+
 class ProgramClause:
-    __slots__ = ("head", "body")
+    __slots__ = ("head", "body", "_plan")
 
     def __init__(self, head, body):
         self.head = head
         self.body = tuple(body)
+        self._plan = None
+
+    def plan(self):
+        """How to rename the clause apart, worked out on first use: its
+        variable names, sorted, and the names of its head singletons."""
+        if self._plan is None:
+            names = variables(self.head, set())
+            for g in self.body:
+                goal_variables(g, names)
+            self._plan = (tuple(sorted(names)), _head_singletons(self.head))
+        return self._plan
 
 
 class Program:
@@ -277,7 +301,7 @@ def resolve_property(prop, bindings):
 
 
 def goal_variables(goal, acc):
-    """Add the variable names of one body goal (not a cut) to `acc`."""
+    """Add the variable names of one body goal to `acc`; a cut has none."""
     if isinstance(goal, CallGoal):
         variables(goal.atom, acc)
     elif isinstance(goal, DoGoal):

@@ -343,10 +343,11 @@ def prime_closure(clauses, base=None):
         base = TOP
     elif base.inconsistent:
         return INCONSISTENT
-    sat = _Saturator(base)
-    for c in sorted(clauses, key=_clause_key):
+    for c in clauses:
         if not c.ground:
             raise NonGroundError(f"closure needs ground clauses: {format_clause(c)}")
+    sat = _Saturator(base)
+    for c in sorted(clauses, key=_clause_key):
         sat.add(c)
         if sat.inconsistent:
             return INCONSISTENT

@@ -2,33 +2,20 @@
 
 One iterative machine resolves definite clauses in Prolog clause order,
 leftmost goal first, with cut and the built-ins: a binding store undone
-through a trail, a stack of clause choicepoints, and the goal list as a
-linked list of (goal, rest) pairs. `Interpreter` extends it with the
+through a trail, a stack of choicepoints, and the goal list as a linked
+list of (goal, rest) pairs. `Interpreter` extends it with the
 agent goals and the execution barrier; `AuxDB.solve` drives a machine of
 its own to derive aux atoms inside belief queries. Derivation depth is
 bounded by the step budget, never by Python's stack.
 """
 
 from .errors import BarrierError, BudgetExceeded, EngineError
-from .model import CUT, CallGoal, _mapping_for, goal_variables, rename_goal
-from .terms import NIL, Term, Var, apply_subst, format_term, undo, unify_track, variables, walk
+from .model import CUT, CallGoal, _mapping_for, rename_goal
+from .terms import NIL, Var, apply_subst, format_term, list_parts, undo, unify_track
 
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
 FAILED = object()
-
-
-def _head_singletons(head):
-    """Names of the variables that occur exactly once in a clause head."""
-    counts = {}
-    stack = [head]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            counts[t.name] = counts.get(t.name, 0) + 1
-        elif not t.ground:
-            stack.extend(t.args)
-    return tuple(n for n, k in counts.items() if k == 1)
 
 
 class CutGoal:
@@ -50,13 +37,21 @@ class ExitNote:
         self.atom = atom
 
 
-class ClauseCP:
-    __slots__ = ("atom", "clauses", "idx", "rest", "mark", "barrier", "depth")
+class ChoicePoint:
+    """One alternative the machine can resume: the clauses of a call, the
+    answers of a `?` or the executions of a `do`. `advance(machine, cp)`
+    takes the next alternative from `it` and returns the goal list to
+    continue with, or FAILED when none is left. `subject` names it in the
+    trace; `rest` is the goal list after it; `mark`, `barrier` and
+    `depth` are the trail length, barrier and choicepoint-stack depth at
+    the time it was pushed."""
 
-    def __init__(self, atom, clauses, rest, mark, barrier, depth):
-        self.atom = atom
-        self.clauses = clauses
-        self.idx = 0
+    __slots__ = ("advance", "it", "subject", "rest", "mark", "barrier", "depth")
+
+    def __init__(self, advance, it, subject, rest, mark, barrier, depth):
+        self.advance = advance
+        self.it = it
+        self.subject = subject
         self.rest = rest
         self.mark = mark
         self.barrier = barrier
@@ -86,7 +81,6 @@ class Machine:
         self.trail = []
         self.cps = []
         self._fresh = fresh
-        self._clause_names = {}
 
     def _note(self, kind, *args):
         """Event hook; `Interpreter` reports through it."""
@@ -124,15 +118,27 @@ class Machine:
                 raise BarrierError("backtracked across executed action")
             undo(self.bindings, self.trail, cp.mark)
             self._tick()
-            if type(cp) is ClauseCP:
-                self._note("redo", cp.atom)
-                goals = self._advance_clauses(cp)
-            else:
-                self._note("redo", cp.subject)
-                goals = cp.advance(self, cp)
+            self._note("redo", cp.subject)
+            goals = self._resume(cp)
             if goals is not FAILED:
                 return goals
         return FAILED
+
+    def _push(self, advance, it, subject, rest):
+        """Push a choicepoint and take its first alternative."""
+        cps = self.cps
+        cp = ChoicePoint(advance, it, subject, rest, len(self.trail), self.barrier, len(cps))
+        cps.append(cp)
+        return self._resume(cp)
+
+    def _resume(self, cp):
+        """The next alternative of the top choicepoint; when none is left,
+        it is popped and reported failed."""
+        goals = cp.advance(self, cp)
+        if goals is FAILED:
+            self.cps.pop()
+            self._note("fail", cp.subject)
+        return goals
 
     def _dispatch_call(self, goal, rest):
         atom = goal.atom
@@ -149,9 +155,7 @@ class Machine:
         else:
             raise EngineError(f"undefined predicate {pred[0]}/{pred[1]}")
         self._note("call", atom)
-        cp = ClauseCP(atom, clauses, rest, len(self.trail), self.barrier, len(self.cps))
-        self.cps.append(cp)
-        return self._advance_clauses(cp)
+        return self._push(Machine._advance_clauses, iter(clauses), atom, rest)
 
     def _builtin(self, goal):
         """Run a builtin atom in place on the binding store. On success its
@@ -180,15 +184,10 @@ class Machine:
             unifies = unify_track(left, right, bindings, trail, left_first=True)
             undo(bindings, trail, mark)
             return not unifies
-        items = []
-        tail = walk(right, bindings)
-        while tail.__class__ is Term and tail.functor == "." and len(tail.args) == 2:
-            items.append(tail.args[0])
-            tail = walk(tail.args[1], bindings)
+        items, tail = list_parts(right, bindings)
         if tail.__class__ is Var or tail.key != NIL.key:
             raise EngineError(
-                f"{format_term(apply_subst(goal, bindings))}: "
-                "second argument is not a proper list"
+                f"{format_term(goal, bindings)}: second argument is not a proper list"
             )
         for item in items:
             if unify_track(left, item, bindings, trail, left_first=True):
@@ -200,51 +199,32 @@ class Machine:
         return name == "nonmember"
 
     def _advance_clauses(self, cp):
+        """Try the call's remaining clauses in order. Each is renamed apart
+        by its plan; the body of the first whose head unifies is renamed
+        too, its cuts bound to this choicepoint's depth."""
         bindings = self.bindings
         trail = self.trail
-        while cp.idx < len(cp.clauses):
-            clause = cp.clauses[cp.idx]
-            cp.idx += 1
-            head, body, linear = self._activate_clause(clause, cp.depth)
-            if not unify_track(cp.atom, head, bindings, trail, linear):
+        for clause in cp.it:
+            names, singletons = clause.plan()
+            head, linear, mapping = clause.head, (), None
+            if names:
+                mapping = _mapping_for(names, next(self._fresh))
+                head = apply_subst(head, mapping)
+                linear = frozenset(mapping[n].name for n in singletons)
+            if not unify_track(cp.subject, head, bindings, trail, linear):
                 undo(bindings, trail, cp.mark)
                 continue
             goals = cp.rest
             if self.observer is not None:
-                goals = (ExitNote(cp.atom), goals)
-            for g in reversed(body):
+                goals = (ExitNote(cp.subject), goals)
+            for g in reversed(clause.body):
+                if g is CUT:
+                    g = CutGoal(cp.depth)
+                elif mapping:
+                    g = rename_goal(g, mapping)
                 goals = (g, goals)
             return goals
-        self.cps.pop()
-        self._note("fail", cp.atom)
         return FAILED
-
-    def _activate_clause(self, clause, depth):
-        """Fresh-variable copy of a clause, with cut markers bound to the
-        choicepoint they commit to, and the renamed names of the variables
-        that occur once in its head."""
-        if not clause.body and clause.head.ground:
-            return clause.head, (), ()
-        cached = self._clause_names.get(id(clause))
-        if cached is None:
-            names = variables(clause.head, set())
-            for g in clause.body:
-                if g is not CUT:
-                    goal_variables(g, names)
-            cached = self._clause_names[id(clause)] = (
-                tuple(sorted(names)),
-                _head_singletons(clause.head),
-            )
-        names, singletons = cached
-        if not names:
-            body = tuple(CutGoal(depth) if g is CUT else g for g in clause.body)
-            return clause.head, body, ()
-        mapping = _mapping_for(names, next(self._fresh))
-        body = tuple(
-            CutGoal(depth) if g is CUT else rename_goal(g, mapping) for g in clause.body
-        )
-        linear = frozenset(mapping[n].name for n in singletons)
-        return apply_subst(clause.head, mapping), body, linear
 
     def _cut(self, goal, rest):
         del self.cps[goal.depth :]

@@ -10,6 +10,8 @@ unifier, `unify_track`, binds in place and records the names on a trail
 to undo; `unify` runs it on a copy and returns an idempotent result.
 """
 
+from operator import attrgetter
+
 from .errors import NonGroundError
 
 _NUM = 0
@@ -50,7 +52,8 @@ class Term:
     """A compound term: functor plus argument tuple. Arity 0 is an atom.
 
     The sort key is cached at construction for ground terms, so ordering
-    and clause operations on belief states stay cheap.
+    and clause operations on belief states stay cheap. Open terms hash and
+    compare by their `flat_key`, so a deep one costs no Python recursion.
     """
 
     __slots__ = ("functor", "args", "ground", "key", "_hash")
@@ -74,13 +77,13 @@ class Term:
             return False
         if self.ground and other.ground:
             return self.key == other.key
-        return self.functor == other.functor and self.args == other.args
+        return flat_key((self,), {}) == flat_key((other,), {})
 
     def __hash__(self):
         # Ground terms compare by key ("01" equals "1"), so they hash by it.
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.key if self.ground else (self.functor, self.args))
+            h = self._hash = hash(self.key if self.ground else flat_key((self,), {}))
         return h
 
     def __repr__(self):
@@ -95,20 +98,6 @@ FALSE = Term("false")
 def Num(value):
     """An integer as an atom with a numeric name."""
     return Term(str(int(value)), ())
-
-
-def syntactic_key(term):
-    """A total order key that also covers non-ground terms.
-
-    Agrees with the ground key on ground terms; variables sort after all
-    ground terms of the same nesting position, by name.
-    """
-    if isinstance(term, Var):
-        return (_VAR, term.name, 0, ())
-    if term.ground:
-        return term.key
-    cls, val = _functor_class(term.functor)
-    return (cls, val, len(term.args), tuple(syntactic_key(a) for a in term.args))
 
 
 def compare(t1, t2):
@@ -288,8 +277,10 @@ def undo(bindings, trail, mark):
 def flat_key(terms, bindings):
     """The pre-order of `terms` under `bindings` as one flat tuple: the
     key of each atom, (class, value, arity) of each compound, (_VAR, name)
-    of each unbound variable. Equal exactly when the substituted terms'
-    `syntactic_key`s are, and built without recursion."""
+    of each unbound variable. A total order key that also covers open
+    terms, built without recursion: it orders ground terms as their keys
+    do, and a variable after every ground term at its position, by name.
+    Flat and nested keys do not compare with each other."""
     get = bindings.get
     out = []
     stack = list(reversed(terms))
@@ -328,7 +319,7 @@ class Literal:
         return self.fluent.ground
 
     def skey(self):
-        return (syntactic_key(self.fluent), 0 if self.positive else 1)
+        return (flat_key((self.fluent,), {}), 0 if self.positive else 1)
 
     def __eq__(self, other):
         return (
@@ -402,21 +393,25 @@ class Clause:
 
 EMPTY_CLAUSE = Clause(())
 
+_literal_key = attrgetter("key")
+
 
 def normalize_clause(literals):
     """Sort, deduplicate, and tautology-check a bundle of literals.
 
     Returns the normalized Clause, or None when the bundle contains a
     complementary pair (the clause is trivially true). Works on ground and
-    non-ground literals alike; non-ground ones sort by structure.
+    non-ground literals alike: an all-ground bundle sorts by `Literal.key`,
+    any other by `Literal.skey`.
     """
-    lits = sorted(set(literals), key=Literal.skey)
+    lits = set(literals)
+    key = _literal_key if all(l.ground for l in lits) else Literal.skey
+    lits = sorted(lits, key=key)
     seen = {}
     for l in lits:
-        k = syntactic_key(l.fluent)
-        if k in seen and seen[k] != l.positive:
+        k = key(l)[0]
+        if seen.setdefault(k, l.positive) != l.positive:
             return None
-        seen[k] = l.positive
     return Clause(tuple(lits))
 
 
@@ -428,24 +423,39 @@ def mk_list(items, tail=NIL):
     return out
 
 
-def list_parts(term):
-    """Split a list term into (items, tail); tail is NIL for proper lists."""
+def list_parts(term, bindings=None):
+    """Split a list term into (items, tail), reading the spine through
+    `bindings`; tail is NIL for proper lists."""
+    get = (bindings or {}).get
     items = []
-    while isinstance(term, Term) and term.functor == "." and len(term.args) == 2:
+    while True:
+        while term.__class__ is Var:
+            nxt = get(term.name)
+            if nxt is None:
+                return items, term
+            term = nxt
+        if term.functor != "." or len(term.args) != 2:
+            return items, term
         items.append(term.args[0])
         term = term.args[1]
-    return items, term
 
 
-def format_term(term):
-    """The term's text. Subterms still to print and the punctuation
-    between them go on an explicit stack, so a deeply nested term costs
-    no Python recursion."""
+def format_term(term, bindings=None):
+    """The term's text, read through `bindings` as if they had been
+    substituted. Subterms still to print and the punctuation between them
+    go on an explicit stack, so a deeply nested term costs no Python
+    recursion."""
+    get = (bindings or {}).get
     out = []
     stack = [term]
     push = stack.append
     while stack:
         t = stack.pop()
+        while t.__class__ is Var:
+            nxt = get(t.name)
+            if nxt is None:
+                break
+            t = nxt
         cls = t.__class__
         if cls is str:
             out.append(t)
@@ -457,7 +467,7 @@ def format_term(term):
             out.append(t.functor)
         else:
             if t.functor == "." and len(t.args) == 2:
-                items, tail = list_parts(t)
+                items, tail = list_parts(t, bindings)
                 out.append("[")
                 push("]")
                 if not (isinstance(tail, Term) and tail.functor == "[]" and not tail.args):

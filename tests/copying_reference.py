@@ -1,14 +1,17 @@
-"""Reference implementations for the differential tests of unification
-and belief queries.
+"""Reference implementations for the differential tests of unification,
+term order and belief queries.
 
 primelog has one unification routine, `terms.unify_track`, which binds
 in place and undoes through a trail, and its belief queries bind on one
 store. Before that, `terms.unify` copied the substitution and unified
 with a recursive walk, and `pi` enumerated query answers by copying a
-dict for every candidate. Both are kept here, as they were, so the
-tests can compare the fast paths with an independent slow path:
+dict for every candidate; open terms were ordered by a nested key.
+These are kept here, as they were, so the tests can compare the fast
+paths with an independent slow path:
 
 - `unify`: the recursive, copying most general unifier;
+- `syntactic_key`: the nested order key of open terms, the reference
+  for `terms.flat_key` and `Literal.skey`;
 - `entails_clause` / `entails_property`: the dict-copying enumeration,
   built on that `unify`. It differs from the original in two lines: the
   clause's variable names are computed here, where `PropClause` used to
@@ -16,20 +19,35 @@ tests can compare the fast paths with an independent slow path:
   variable is reported as a non-ground aux answer, where the original
   failed with an AttributeError.
 
-Both recurse on nested terms, so they only serve shallow inputs.
+All of them recurse on nested terms, so they only serve shallow inputs.
 """
 
 from primelog.errors import EngineError
 from primelog.terms import (
+    _VAR,
     Var,
+    _functor_class,
     apply_literal,
     apply_subst,
     format_term,
     occurs,
-    syntactic_key,
     variables,
     walk,
 )
+
+
+def syntactic_key(term):
+    """A total order key that also covers non-ground terms.
+
+    Agrees with the ground key on ground terms; variables sort after all
+    ground terms of the same nesting position, by name.
+    """
+    if isinstance(term, Var):
+        return (_VAR, term.name, 0, ())
+    if term.ground:
+        return term.key
+    cls, val = _functor_class(term.functor)
+    return (cls, val, len(term.args), tuple(syntactic_key(a) for a in term.args))
 
 
 def _unify_into(t1, t2, bindings):

@@ -310,6 +310,42 @@ def test_run_reads_a_query_nested_3000_deep(capsys):
     assert f"answer: X = {deep}\n" in out
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_run_senses_a_meaning_with_a_3000_deep_open_literal(tmp_path, capsys, copies):
+    deep = "p(" + "f(" * 3000 + "X" + ")" * 3000 + ")"
+    meaning = "[" + ",".join([deep] * copies) + "]"
+    domain = tmp_path / "deep.alpd"
+    domain.write_text(
+        "fluents([at/2, p/1]).\n"
+        "actions([go/1]).\n"
+        "sensors([s]).\n"
+        "initial_state([at(agent,1)]).\n"
+        "action(go(Y), [at(agent,X), adj(X,Y)], [case([], [at(agent,Y), -at(agent,X)])]).\n"
+        f"sensor_axiom(s(_), [case(true, [at(agent,X)], [{meaning}]),\n"
+        "                     case(false, [at(agent,X)], [-p(X)])]).\n"
+        "adj(1,2).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "empty.alp"
+    program.write_text("", encoding="utf-8")
+    script = tmp_path / "run.script"
+    script.write_text("saw(s, true).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "?(s(V))",
+            "--env", f"replay:{script}",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert "answer: V = true\n" in out
+    assert "belief clauses: 2\n" in out
+
+
 # ---------------------------------------------------------------- gen-wumpus
 
 

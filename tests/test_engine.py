@@ -13,9 +13,9 @@ import pytest
 
 from primelog import cli
 from primelog.auxdb import AuxDB
-from primelog.envs import MazeEnv, WumpusConfig, WumpusEnv, generate_wumpus
+from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
-from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, solve
+from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, replay, solve
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.terms import Term, Var, apply_subst, format_term, variables
 
@@ -85,6 +85,45 @@ def test_traced_step_count(name, dom, prog, query, env, seed, make_env, steps):
     assert interp.run(parse_query(query, domain)).succeeded
     assert any(e[0] == "exit" for e in events)
     assert DEFAULT_STEP_BUDGET - interp.steps == steps
+
+
+def test_every_choicepoint_kind_golden(capsys):
+    code = cli.main(
+        [
+            "run",
+            "--program", str(GOLDEN / "choicepoints.alp"),
+            "--domain", str(GOLDEN / "choicepoints.alpd"),
+            "--query", "main",
+            "--env", f"replay:{GOLDEN / 'choicepoints.script'}",
+            "--trace",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (GOLDEN / "choicepoints.trace").read_text(encoding="utf-8")
+    assert captured.out == (GOLDEN / "choicepoints.report").read_text(encoding="utf-8")
+    lines = captured.err.splitlines()
+    # a clause REDO, a `?` stream's second answer, the aux rule asked twice
+    assert "REDO choose(C~1)" in lines
+    assert lines.index("REDO ?([mark(M~2)])") + 1 == lines.index("EXIT ?([mark(b)])")
+    assert lines.count("EXIT ?([reach(1,4)])") == 2
+    # a `do` that warns, then executes; `do` streams that run dry
+    warn = lines.index("WARN no applicable effect case for go(2); do/1 fails")
+    assert lines[warn + 1] == "EXEC go(3)"
+    assert "FAIL do(go(Y~4))" in lines and "FAIL do(go(9))" in lines
+    # the cut leaves main/0 no alternative to retry
+    assert "REDO main" not in lines and lines[-1] == "EXIT main"
+
+
+def test_every_choicepoint_kind_steps_and_replay():
+    domain = parse_domain((GOLDEN / "choicepoints.alpd").read_text(encoding="utf-8"), "d")
+    program = parse_program((GOLDEN / "choicepoints.alp").read_text(encoding="utf-8"), domain, "p")
+    script = (GOLDEN / "choicepoints.script").read_text(encoding="utf-8")
+    interp = Interpreter(domain, program, ReplayEnv.from_script(script))
+    outcome = interp.run(parse_query("main", domain))
+    assert outcome.succeeded
+    assert DEFAULT_STEP_BUDGET - interp.steps == 52
+    assert replay(domain, outcome.state.events) == outcome.state.belief
 
 
 @pytest.mark.parametrize("name, dom, prog, query, env, seed, make_env, steps", PAIRS)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copying_reference import unify
+from copying_reference import syntactic_key, unify
 from primelog import interpreter, pi
 from primelog.auxdb import AuxDB
 from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
@@ -51,7 +51,6 @@ from primelog.terms import (
     apply_subst,
     format_term,
     normalize_clause,
-    syntactic_key,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

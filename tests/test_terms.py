@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import copying_reference
+from copying_reference import syntactic_key
 from primelog.errors import NonGroundError
-from primelog.sld import _head_singletons
+from primelog.model import _head_singletons
+from primelog.pi import prime_closure
 from primelog.terms import (
     Clause,
     Literal,
@@ -15,12 +17,13 @@ from primelog.terms import (
     compare,
     flat_key,
     format_clause,
+    format_literal,
     format_term,
     list_parts,
     mk_list,
     normalize_clause,
     occurs,
-    syntactic_key,
+    undo,
     unify,
     unify_track,
     variables,
@@ -311,3 +314,93 @@ def test_normalize_clause_idempotent(pairs):
     if once is not None:
         again = normalize_clause(list(once.literals))
         assert format_clause(again) == format_clause(once)
+
+
+_store_vars = st.sampled_from(["X", "Y", "T", "_#1", "_#2"]).map(Var)
+
+
+def _store_terms(depth):
+    """Terms with lists whose tails may be a variable or a non-list."""
+    if depth == 0:
+        return st.one_of(
+            _functors.map(Term), st.integers(0, 9).map(Num), _store_vars, st.just(NIL)
+        )
+    sub = _store_terms(depth - 1)
+    return st.one_of(
+        _store_terms(0),
+        st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fc: Term(fc[0], tuple(fc[1]))
+        ),
+        st.tuples(st.lists(sub, max_size=3), sub).map(lambda it: mk_list(*it)),
+    )
+
+
+@settings(max_examples=300)
+@example(
+    Term("f", (Var("X"),)),
+    [
+        (Var("X"), Var("Y")),
+        (Var("Y"), mk_list([Var("_#1")], Var("T"))),
+        (Var("T"), mk_list([Num(1)], Term("a"))),
+    ],
+)
+@given(
+    _store_terms(3),
+    st.lists(st.tuples(_store_vars, st.one_of(_store_vars, _store_terms(2))), max_size=6),
+)
+def test_format_term_through_a_store_is_format_of_the_substituted_term(term, binds):
+    # chained bindings, anonymous variables, improper lists and list
+    # tails bound through the store
+    bindings, trail = {}, []
+    for var, value in binds:
+        mark = len(trail)
+        if not unify_track(var, value, bindings, trail):
+            undo(bindings, trail, mark)
+    substituted = apply_subst(term, bindings)
+    assert format_term(term, bindings) == format_term(substituted)
+    items, tail = list_parts(term, bindings)
+    ref_items, ref_tail = list_parts(substituted)
+    assert [format_term(i, bindings) for i in items] == [format_term(i) for i in ref_items]
+    assert format_term(tail, bindings) == format_term(ref_tail)
+
+
+_literals = st.tuples(_terms(2), st.booleans()).map(
+    lambda tp: Literal(Term("p", (tp[0],)), tp[1])
+)
+
+
+def _reference_skey(lit):
+    return (syntactic_key(lit.fluent), 0 if lit.positive else 1)
+
+
+@settings(max_examples=300)
+@given(st.lists(_literals, max_size=6))
+def test_flat_skey_orders_literals_like_the_nested_reference(lits):
+    assert [id(l) for l in sorted(lits, key=Literal.skey)] == [
+        id(l) for l in sorted(lits, key=_reference_skey)
+    ]
+    unique = {}
+    for l in lits:
+        unique.setdefault(_reference_skey(l), l)
+    norm = normalize_clause(lits)
+    if any((k[0], 1 - k[1]) in unique for k in unique):
+        assert norm is None
+    else:
+        assert [format_literal(l) for l in norm.literals] == [
+            format_literal(unique[k]) for k in sorted(unique)
+        ]
+
+
+def test_deep_open_terms_hash_and_compare_without_recursion():
+    a, b = _nest(Var("X")), _nest(Var("X"))
+    assert a == b and hash(a) == hash(b)
+    assert a != _nest(Var("Y"))
+    clause = normalize_clause([Literal(Term("p", (a,))), Literal(Term("p", (b,)))])
+    assert len(clause) == 1
+
+
+def test_closure_rejects_open_clauses_before_ordering_them():
+    ground = normalize_clause([Literal(t("p", t("a")))])
+    open_ = normalize_clause([Literal(t("p", Var("X")))])
+    with pytest.raises(NonGroundError):
+        prime_closure([ground, open_])
