@@ -11,7 +11,17 @@ bounded by the step budget, never by Python's stack.
 
 from .errors import BarrierError, BudgetExceeded, EngineError
 from .model import CUT, CallGoal, _mapping_for, rename_goal
-from .terms import NIL, Var, apply_subst, format_term, list_parts, undo, unify_track
+from .terms import (
+    NIL,
+    Var,
+    apply_subst,
+    format_term,
+    ground_equal,
+    list_parts,
+    undo,
+    unify_track,
+    walk,
+)
 
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
@@ -165,7 +175,9 @@ class Machine:
         `memberchk` keeps the bindings of the first matching element,
         `nonmember` succeeds when no element unifies. Both list builtins
         check that the whole spine is a proper list before trying any
-        element."""
+        element. A ground element and a ground item unify iff their keys
+        are equal, so such pairs are decided by key, with no unification
+        and nothing on the trail."""
         name = goal.functor
         if name == "true":
             return True
@@ -189,7 +201,15 @@ class Machine:
             raise EngineError(
                 f"{format_term(goal, bindings)}: second argument is not a proper list"
             )
+        element = walk(left, bindings)
+        ground = element.__class__ is not Var and element.ground
         for item in items:
+            if ground:
+                item = walk(item, bindings)
+                if item.__class__ is not Var and item.ground:
+                    if ground_equal(item, element):
+                        return name == "memberchk"
+                    continue
             if unify_track(left, item, bindings, trail, left_first=True):
                 if name == "memberchk":
                     return True

@@ -112,6 +112,24 @@ def compare(t1, t2):
     return 0
 
 
+def ground_equal(t1, t2):
+    """Whether two ground terms are equal, that is, their keys are. Keys
+    nested too deep for one comparison, like those of long lists, are
+    compared a level at a time on an explicit stack."""
+    try:
+        return t1.key == t2.key
+    except RecursionError:
+        pass
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if a is not b:
+            if a.key[:3] != b.key[:3]:
+                return False
+            stack.extend(zip(a.args, b.args))
+    return True
+
+
 def variables(term, acc=None):
     """The set of variable names occurring in a term (or iterable of
     terms). Uses an explicit stack, so deep terms cost no Python
@@ -195,17 +213,43 @@ def occurs(name, term, bindings):
     return False
 
 
+def _settled(term, get):
+    """An open compound as the ground term it stands for, when each of its
+    arguments dereferences (through `get`) to a ground term; else the
+    compound itself. It looks one level down only, so it costs O(arity)
+    and allocates nothing when it fails."""
+    for arg in term.args:
+        while arg.__class__ is Var:
+            arg = get(arg.name)
+            if arg is None:
+                return term
+        if not arg.ground:
+            return term
+    args = []
+    for arg in term.args:
+        while arg.__class__ is Var:
+            arg = get(arg.name)
+        args.append(arg)
+    return Term(term.functor, tuple(args))
+
+
 def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
     """Unify in place into a binding store, with the occurs check,
     recording every bound name on `trail`; on failure the caller undoes
     to its mark. An explicit stack keeps deep terms off Python's stack.
     Argument pairs are visited last first, or left to right with
     `left_first`; the order decides which of two variables is bound.
+    Two ground terms unify iff their keys are equal, so numerals are
+    equal by value ("01" = "1") at every depth.
 
     `linear` names variables that occur once in `t2` and nowhere in `t1`
     or the bindings, like the renamed head variables of a fresh clause.
     Met at its own position in `t2`, such a variable is bound with no
-    occurs check: nothing bound so far can contain it."""
+    occurs check: nothing bound so far can contain it. It is bound to
+    the settled value (see `_settled`): a list built as `[Y|Acc]` through
+    a linear head variable is then ground one cell at a time, and the
+    occurs check, `walk` and `apply_subst` stop at it in place of
+    chasing its chain of bindings."""
     get = bindings.get
     stack = [(t1, t2, True)]
     while stack:
@@ -220,7 +264,7 @@ def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
                 bindings[a.name] = b
                 trail.append(a.name)
             else:
-                bindings[b.name] = a
+                bindings[b.name] = a if a.ground else _settled(a, get)
                 trail.append(b.name)
             continue
         while b.__class__ is Var:
@@ -246,12 +290,16 @@ def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
             bindings[b.name] = a
             trail.append(b.name)
             continue
+        if a.ground and b.ground:
+            try:
+                if a.key != b.key:
+                    return False
+            except RecursionError:  # keys too deep for one comparison
+                if not ground_equal(a, b):
+                    return False
+            continue
         if a.functor != b.functor or len(a.args) != len(b.args):
             return False
-        if a.ground and b.ground:
-            if a.key != b.key:
-                return False
-            continue
         if left_first:
             stack.extend(zip(reversed(a.args), reversed(b.args), (own,) * len(a.args)))
         else:

@@ -9,7 +9,11 @@ dict for every candidate; open terms were ordered by a nested key.
 These are kept here, as they were, so the tests can compare the fast
 paths with an independent slow path:
 
-- `unify`: the recursive, copying most general unifier;
+- `unify`: the recursive, copying most general unifier. It differs from
+  the original in one rule: two ground terms unify iff their keys are
+  equal, at every depth, so numerals are equal by value (`01` = `1`);
+  the original compared functor text first, so `01 = 1` failed while
+  `f(01) = f(1)` succeeded;
 - `syntactic_key`: the nested order key of open terms, the reference
   for `terms.flat_key` and `Literal.skey`;
 - `entails_clause` / `entails_property`: the dict-copying enumeration,
@@ -65,10 +69,10 @@ def _unify_into(t1, t2, bindings):
             return False
         bindings[t2.name] = t1
         return True
-    if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-        return False
     if t1.ground and t2.ground:
         return t1.key == t2.key
+    if t1.functor != t2.functor or len(t1.args) != len(t2.args):
+        return False
     for a, b in zip(t1.args, t2.args):
         if not _unify_into(a, b, bindings):
             return False

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copying_reference import syntactic_key, unify
-from primelog import interpreter, pi
+from primelog import interpreter, pi, terms
 from primelog.auxdb import AuxDB
 from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
 from primelog.errors import EngineError, SensingError
@@ -341,7 +341,7 @@ def _keyed_queries(draw):
         if kind == "unbound":
             first = X
         elif kind == "ground":
-            # 3 is on no unit; 01 has the key of 1 but unifies with nothing
+            # 3 is on no unit; 01 has the key of 1, so it unifies with 1
             first = draw(st.sampled_from(FIRSTS + (Num(3), Term("01"))))
         elif kind == "bound":
             first = Var("B")
@@ -569,3 +569,35 @@ def test_bound_conn_queries_unify_only_with_units_of_that_first_argument(monkeyp
     outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
     assert outcome.succeeded
     assert checked and all(0 < tried_here < total for tried_here, total in checked)
+
+
+def test_the_occurs_check_stops_at_the_agents_settled_lists(monkeypatch):
+    """The cautious agent's Closed and Sensed lists are ground one cell at
+    a time, so the occurs checks of a 16x16 ground3 solve pop a few cells
+    each (49,937 cells in all when they walked the lists' chains of
+    bindings)."""
+    plain_walk, plain_occurs = terms.walk, terms.occurs
+    popped = [0]
+    inside = [False]
+
+    def counted_walk(term, bindings):
+        if inside[0]:
+            popped[0] += 1
+        return plain_walk(term, bindings)
+
+    def counted_occurs(name, term, bindings):
+        inside[0] = True
+        try:
+            return plain_occurs(name, term, bindings)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(terms, "walk", counted_walk)
+    monkeypatch.setattr(terms, "occurs", counted_occurs)
+    world = generate_wumpus(WumpusConfig(size=16, seed=0))
+    domain = parse_domain(emit_wumpus_domain(world, "ground3"), "w16.alpd")
+    program = parse_program(wumpus_agent("ground3"), domain, "cautious.alp")
+    query = parse_query(WUMPUS_QUERY, domain)
+    outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
+    assert outcome.succeeded
+    assert 0 < popped[0] <= 2000

@@ -14,6 +14,7 @@ identical sense events.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,8 +39,11 @@ from primelog.terms import (
     format_term,
     list_parts,
     mk_list,
+    unify_track,
     variables,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 # ---------------------------------------------------------------- reference
 
@@ -230,6 +234,121 @@ def test_neq_undoes_its_trial_unification():
     assert machine.bindings == {} and machine.trail == []
 
 
+# ---------------------------------------------------------------- lists in the store
+
+GROUND = (Term("a"), Term("b"), Num(1), Term("01"), Term("f", (Num(1),)), Term("f", (Term("01"),)))
+_elements = st.one_of(
+    st.sampled_from(GROUND + (Var("A"), Var("B"))),
+    st.sampled_from(("f", "g")).map(lambda f: Term(f, (Var("A"),))),
+)
+
+
+@st.composite
+def _list_goals(draw):
+    """(list builtin, store): a ground, partly ground or improper list held
+    in the store as the agent holds its lists: cells `[Item|Acc]` bound to
+    the linear head variable of a fresh clause (settled to ground terms
+    where they can be), chains of bindings, and A and B bound to ground
+    terms, to open ones or not at all."""
+    bindings, trail = {}, []
+    for name in ("A", "B"):
+        value = draw(st.sampled_from(GROUND + (None, Term("g", (Var("B"),)))))
+        if value is not None and not (name == "B" and not value.ground):
+            unify_track(Var(name), value, bindings, trail)
+    acc = draw(st.sampled_from((NIL, NIL, Term("c"), Var("T"))))
+    for i, item in enumerate(draw(st.lists(_elements, max_size=5))):
+        cell = Var(f"L{i}")
+        head = Term("p", (cell,))
+        assert unify_track(Term("p", (Term(".", (item, acc)),)), head, bindings, trail, {cell.name})
+        acc = cell
+        if draw(st.booleans()):
+            unify_track(Var(f"K{i}"), cell, bindings, trail)
+            acc = Var(f"K{i}")
+    name = draw(st.sampled_from(("memberchk", "nonmember")))
+    return Term(name, (draw(_elements), acc)), bindings
+
+
+@settings(max_examples=400, deadline=None)
+@given(_list_goals())
+def test_list_builtins_on_lists_built_through_the_store(case):
+    goal, store = case
+    expected, after = _reference(goal, store)
+    machine = _machine(store)
+    try:
+        found = machine.resolve((CallGoal(goal), None))
+    except EngineError as e:
+        assert expected == ("error", str(e))
+        return
+    if not found:
+        assert expected == ("fail",)
+        assert machine.bindings == store
+        return
+    assert expected == ("ok",)
+    assert _resolved(goal, machine.bindings) == _resolved(goal, after)
+    element, items = apply_subst(goal, store).args
+    items, _ = list_parts(items)
+    if all(isinstance(t, Term) and t.ground for t in [element, *items]):
+        # decided by key: nothing was bound
+        assert machine.trail == list(store)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("memberchk(b, [b|c])", "memberchk(b,[b|c])"),
+        ("memberchk(b, [b|T])", "memberchk(b,[b|T])"),
+        ("nonmember(01, [a, 1|c])", "nonmember(01,[a,1|c])"),
+    ],
+)
+def test_a_ground_element_still_needs_a_proper_list(text, message):
+    goal = parse_query(text, parse_domain(emit_maze_domain(2), "d.alpd"), "<q>")[0].atom
+    with pytest.raises(EngineError) as caught:
+        _machine({}).resolve((CallGoal(goal), None))
+    assert str(caught.value) == f"{message}: second argument is not a proper list"
+
+
+def test_memberchk_keeps_the_first_match_among_ground_items():
+    goal = Term("memberchk", (Term("f", (Var("X"),)), Var("L")))
+    items = [Term("g", (Num(1),)), Term("f", (Num(2),)), Term("f", (Num(3),))]
+    machine = _machine({"L": mk_list(items)})
+    assert machine.resolve((CallGoal(goal), None))
+    assert format_term(apply_subst(Var("X"), machine.bindings)) == "2"
+    # a ground element matched by key binds nothing
+    machine = _machine({"Y": Term("f", (Num(3),)), "L": mk_list(items)})
+    goal = Term("memberchk", (Var("Y"), Var("L")))
+    assert machine.resolve((CallGoal(goal), None))
+    assert machine.trail == ["Y", "L"]
+
+
+NUMERALS = """\
+a :- 01 = 1.
+b :- f(01) = f(1).
+c :- memberchk(01, [1]).
+d :- g(01, X) = g(1, Y).
+e :- nonmember(01, [1]).
+"""
+
+
+@pytest.mark.parametrize(
+    "query, status",
+    [("a", "success"), ("b", "success"), ("c", "success"), ("d", "success"), ("e", "failure")],
+)
+def test_numerals_are_equal_by_value_in_the_builtins(tmp_path, capsys, query, status):
+    program = tmp_path / "numerals.alp"
+    program.write_text(NUMERALS, encoding="utf-8")
+    code = cli.main(
+        [
+            "run",
+            "--domain", str(SAMPLES / "corridor5.alpd"),
+            "--env", "maze:5",
+            "--program", str(program),
+            "--query", query,
+        ]
+    )
+    assert code == (0 if status == "success" else 1)
+    assert capsys.readouterr().out.startswith(f"status: {status}\n")
+
+
 # ---------------------------------------------------------------- deep terms
 
 MK = "mk(N,N,[]) :- !.\nmk(I,N,[I|L]) :- succ(I,J), mk(J,N,L).\n"
@@ -257,6 +376,34 @@ def test_a_3000_cell_answer_list_through_the_cli(tmp_path, capsys, trace):
     assert "Traceback" not in captured.err
     expected = ",".join(str(i) for i in range(3000))
     assert f"answer: L = [{expected}]\n" in captured.out
+
+
+def test_two_3000_cell_lists_built_apart_compare_through_the_cli(tmp_path, capsys):
+    # rev/3 builds each list through a fresh head variable, so both are
+    # settled ground terms whose keys nest 6000 tuples deep
+    domain = tmp_path / "succ.alpd"
+    facts = " ".join(f"succ({i},{i + 1})." for i in range(5000))
+    domain.write_text(emit_maze_domain(3) + facts + "\n", encoding="utf-8")
+    program = tmp_path / "two.alp"
+    program.write_text(
+        MK
+        + "rev([],A,A).\nrev([X|Xs],A,R) :- rev(Xs,[X|A],R).\n"
+        + "two(N) :- mk(0,N,L), rev(L,[],R1), rev(L,[],R2), R1 = R2,\n"
+        + "   memberchk(R1, [R2]), nonmember(R1, [a, L]).\n",
+        encoding="utf-8",
+    )
+    code = cli.main(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "two(3000)",
+            "--env", "maze:3",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code == 0 and captured.out.startswith("status: success\n")
 
 
 def test_apply_subst_resolves_a_long_chain_of_list_cells():

@@ -19,6 +19,7 @@ from primelog.terms import (
     format_clause,
     format_literal,
     format_term,
+    ground_equal,
     list_parts,
     mk_list,
     normalize_clause,
@@ -404,3 +405,110 @@ def test_closure_rejects_open_clauses_before_ordering_them():
     open_ = normalize_clause([Literal(t("p", Var("X")))])
     with pytest.raises(NonGroundError):
         prime_closure([ground, open_])
+
+
+# ---------------------------------------------------------------- lists in the store
+
+_list_items = st.one_of(_terms(1), st.just(Term("01")), st.just(t("f", Term("01"))))
+
+
+def _shape(term, bindings):
+    """The flat key of `term` under `bindings` with its variables numbered
+    in order of first occurrence: equal exactly for variants."""
+    numbers = {}
+    return tuple(
+        (k[0], numbers.setdefault(k[1], len(numbers))) if len(k) == 2 else k
+        for k in flat_key([term], bindings)
+    )
+
+
+@settings(max_examples=400)
+@example(NIL, [], [(Term("a"), False), (Num(1), True)], [], Term("01"), "other")
+@example(
+    Var("X"), [("X", NIL)], [(Var("Y"), False), (Num(2), False)], [("Y", Num(3))], Num(2), "same"
+)
+@given(
+    st.one_of(st.just(NIL), _varnames.map(Var)),
+    st.lists(st.tuples(_varnames, _list_items), max_size=2),
+    st.lists(st.tuples(_list_items, st.booleans()), max_size=6),
+    st.lists(st.tuples(_varnames, _list_items), max_size=2),
+    _list_items,
+    st.sampled_from(("unbound", "same", "other")),
+)
+def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, y, out):
+    """The cautious agent's lists: each cell is `[Item|Acc]` bound to the
+    linear head variable of a fresh clause, `walk(A,[Y|C0],...)` against
+    `walk(Acc,C,...)`, sometimes through a chain of bindings, and goal
+    variables bound before and after. Every step must agree with the
+    copying reference, a cell must be settled to a ground term exactly
+    when its item and the rest of the list dereference to ground terms
+    (one level down, so `[f(X)|...]` with X bound stays open), and a clause
+    head repeating its variables, `walk(T,C,S,C,S)`, must unify with the
+    list as the reference does."""
+    bindings, trail, ref = {}, [], {}
+    names = set()
+
+    def step(goal, head, linear=()):
+        names.update(variables([goal, head]))
+        mark = len(trail)
+        ok = unify_track(goal, head, bindings, trail, linear)
+        expected = copying_reference.unify(goal, head, ref)
+        assert ok == (expected is not None)
+        if ok:
+            ref.clear()
+            ref.update(expected)
+        else:
+            undo(bindings, trail, mark)
+        everything = Term("all", tuple(Var(n) for n in sorted(names)))
+        assert _shape(everything, bindings) == _shape(everything, ref)
+
+    def ground(term):
+        value = walk(term, bindings)
+        return isinstance(value, Term) and value.ground
+
+    for name, value in early:
+        step(Var(name), value)
+    acc = tail
+    settled = ground(tail)
+    for i, (item, chained) in enumerate(cells):
+        settled = settled and ground(item)
+        cell = Var(f"C{i}")
+        step(t("walk", t(".", item, acc)), t("walk", cell), frozenset({cell.name}))
+        assert ground(cell) == settled
+        acc = cell
+        if chained:
+            step(Var(f"K{i}"), cell)
+            acc = Var(f"K{i}")
+    for name, value in late:
+        step(Var(name), value)
+    listed = t(".", y, acc)
+    other = {"unbound": Var("O"), "same": listed, "other": t(".", Num(1), acc)}[out]
+    goal = t("walk", Var("A"), listed, acc, other, Var("SO"))
+    head = t("walk", Var("T"), Var("C"), Var("S"), Var("C"), Var("S"))
+    step(goal, head, frozenset(_head_singletons(head)))
+
+
+def test_numerals_unify_by_value_at_every_depth():
+    for left, right in [
+        (Term("01"), Num(1)),
+        (t("f", Term("01")), t("f", Num(1))),
+        (t("g", Term("01"), Var("X")), t("g", Num(1), Var("Y"))),
+        (mk_list([Term("007"), Var("X")]), mk_list([Num(7), Term("01")])),
+    ]:
+        assert unify(left, right) is not None
+        assert copying_reference.unify(left, right) is not None
+    assert unify(Term("01"), Num(2)) is None
+    assert copying_reference.unify(t("g", Term("01"), Var("X")), t("g", Num(2), Var("Y"))) is None
+
+
+def test_long_ground_lists_built_apart_unify_and_compare():
+    # keys nested far deeper than one comparison can follow
+    first = mk_list([Num(i) for i in range(3000)])
+    second = mk_list([Term(str(i)) for i in range(3000)])
+    third = mk_list([Num(i) for i in range(2999)] + [Term("x")])
+    assert ground_equal(first, second) and not ground_equal(first, third)
+    assert unify_track(first, second, {}, [])
+    assert not unify_track(first, third, {}, [])
+    bindings, trail = {}, []
+    assert unify_track(t("p", first, Var("X")), t("p", second, third), bindings, trail)
+    assert trail == ["X"]
