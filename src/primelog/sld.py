@@ -175,9 +175,9 @@ class Machine:
         `memberchk` keeps the bindings of the first matching element,
         `nonmember` succeeds when no element unifies. Both list builtins
         check that the whole spine is a proper list before trying any
-        element. A ground element and a ground item unify iff their keys
-        are equal, so such pairs are decided by key, with no unification
-        and nothing on the trail."""
+        element. Two ground terms unify iff their keys are equal, so a
+        ground element over a ground list is decided by key, with no
+        unification and nothing on the trail."""
         name = goal.functor
         if name == "true":
             return True
@@ -202,14 +202,13 @@ class Machine:
                 f"{format_term(goal, bindings)}: second argument is not a proper list"
             )
         element = walk(left, bindings)
-        ground = element.__class__ is not Var and element.ground
+        if element.__class__ is not Var and element.ground and walk(right, bindings).ground:
+            try:
+                found = any(item.key == element.key for item in items)
+            except RecursionError:  # keys too deep for one comparison
+                found = any(ground_equal(item, element) for item in items)
+            return found == (name == "memberchk")
         for item in items:
-            if ground:
-                item = walk(item, bindings)
-                if item.__class__ is not Var and item.ground:
-                    if ground_equal(item, element):
-                        return name == "memberchk"
-                    continue
             if unify_track(left, item, bindings, trail, left_first=True):
                 if name == "memberchk":
                     return True

@@ -113,13 +113,10 @@ def compare(t1, t2):
 
 
 def ground_equal(t1, t2):
-    """Whether two ground terms are equal, that is, their keys are. Keys
-    nested too deep for one comparison, like those of long lists, are
-    compared a level at a time on an explicit stack."""
-    try:
-        return t1.key == t2.key
-    except RecursionError:
-        pass
+    """Whether two ground terms are equal, that is, their keys are,
+    compared a level at a time on an explicit stack. `t1.key == t2.key`
+    is quicker, but CPython compares nested tuples recursively, so keys
+    nested as deep as those of long lists need this."""
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()

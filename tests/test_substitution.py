@@ -320,6 +320,19 @@ def test_memberchk_keeps_the_first_match_among_ground_items():
     assert machine.trail == ["Y", "L"]
 
 
+def test_list_builtins_compare_deep_ground_items_built_apart():
+    # keys nested far deeper than one comparison can follow
+    element = mk_list([Num(i) for i in range(3000)])
+    equal = mk_list([Term(str(i)) for i in range(3000)])
+    other = mk_list([Num(i) for i in range(2999)] + [Term("x")])
+    for items, found in (([Term("a"), other, equal], True), ([other, Term("a")], False)):
+        for name in ("memberchk", "nonmember"):
+            machine = _machine({"L": mk_list(items)})
+            goal = Term(name, (element, Var("L")))
+            assert bool(machine.resolve((CallGoal(goal), None))) is (found == (name == "memberchk"))
+            assert machine.trail == ["L"]
+
+
 NUMERALS = """\
 a :- 01 = 1.
 b :- f(01) = f(1).
