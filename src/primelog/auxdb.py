@@ -9,14 +9,17 @@ and `?` queries.
 
 Predicates defined entirely by ground facts are indexed on their first
 argument, which is what makes adjacency lookups on large grids cheap;
-any other predicate keeps plain textual clause order.
+any other predicate keeps plain textual clause order. A ground goal over
+such a fact table is answered by looking its key up in the index, with
+no machine: one answer per equal fact, in the order the machine would
+give them.
 """
 
 import itertools
 
 from .model import CallGoal, Program
 from .sld import FAILED, Machine
-from .terms import Var, apply_subst, variables
+from .terms import Var, apply_subst, ground_equal, variables
 
 DEFAULT_AUX_BUDGET = 1_000_000
 
@@ -47,7 +50,15 @@ class AuxDB:
         if index is not None:
             first = goal.args[0]
             if not isinstance(first, Var) and first.ground:
-                return index.get(first.key, ())
+                try:
+                    return index.get(first.key, ())
+                except RecursionError:  # keys too deep for one comparison
+                    return [
+                        c
+                        for facts in index.values()
+                        if ground_equal(facts[0].head.args[0], first)
+                        for c in facts
+                    ]
         return self.program.clauses_for(*pred)
 
     def solve(self, goal, bindings=None):
@@ -56,10 +67,21 @@ class AuxDB:
         Each answer is an idempotent substitution extending `bindings` by
         the atom's own variables. The derivation runs on a machine of its
         own, renaming clause variables apart as `X~aN`; it raises
-        BudgetExceeded after `budget` resolution steps.
+        BudgetExceeded after `budget` resolution steps. A ground atom over
+        an indexed fact table needs no machine and takes no step: it has
+        one answer, a copy of `bindings`, per fact equal to it.
         """
         base = {} if bindings is None else bindings
         goal = apply_subst(goal, base)
+        if goal.ground and (goal.functor, len(goal.args)) in self._fact_index:
+            for fact in self.candidates(goal):
+                try:
+                    equal = fact.head.key == goal.key
+                except RecursionError:  # keys too deep for one comparison
+                    equal = ground_equal(fact.head, goal)
+                if equal:
+                    yield dict(base)
+            return
         names = variables(goal)
         machine = Machine(_NO_PROGRAM, self, self.budget, self._fresh)
         found = machine.resolve((CallGoal(goal), None))

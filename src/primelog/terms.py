@@ -211,23 +211,45 @@ def occurs(name, term, bindings):
 
 
 def _settled(term, get):
-    """An open compound as the ground term it stands for, when each of its
-    arguments dereferences (through `get`) to a ground term; else the
-    compound itself. It looks one level down only, so it costs O(arity)
-    and allocates nothing when it fails."""
-    for arg in term.args:
-        while arg.__class__ is Var:
-            arg = get(arg.name)
-            if arg is None:
-                return term
-        if not arg.ground:
-            return term
-    args = []
-    for arg in term.args:
-        while arg.__class__ is Var:
-            arg = get(arg.name)
-        args.append(arg)
-    return Term(term.functor, tuple(args))
+    """An open compound as the ground term it stands for, when every
+    variable under it is bound (through `get`) down to ground terms; else
+    the compound itself. A first pass follows the open subterms through
+    the store, as `occurs` does, and gives up at the first unbound
+    variable, having built nothing. The second builds the ground term
+    bottom-up: ground subterms are reused as they are, and an open
+    subterm met twice is built once. Both passes keep their subterms on
+    an explicit stack, so a chain of 3000 list cells costs no Python
+    recursion."""
+    stack = [term]
+    while stack:
+        for arg in stack.pop().args:
+            while arg.__class__ is Var:
+                arg = get(arg.name)
+                if arg is None:
+                    return term
+            if not arg.ground:
+                stack.append(arg)
+    built = {}  # id of an open subterm -> its ground term
+    node, args, it = term, [], iter(term.args)
+    while True:
+        for arg in it:
+            while arg.__class__ is Var:
+                arg = get(arg.name)
+            if not arg.ground:
+                done = built.get(id(arg))
+                if done is None:
+                    stack.append((node, args, it))
+                    node, args, it = arg, [], iter(arg.args)
+                    break
+                arg = done
+            args.append(arg)
+        else:
+            new = Term(node.functor, tuple(args))
+            if not stack:
+                return new
+            built[id(node)] = new
+            node, args, it = stack.pop()
+            args.append(new)
 
 
 def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
@@ -244,8 +266,10 @@ def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
     Met at its own position in `t2`, such a variable is bound with no
     occurs check: nothing bound so far can contain it. It is bound to
     the settled value (see `_settled`): a list built as `[Y|Acc]` through
-    a linear head variable is then ground one cell at a time, and the
-    occurs check, `walk` and `apply_subst` stop at it in place of
+    a linear head variable is then ground one cell at a time, a chain of
+    open cells `[Y|Ys]` whose end has been bound to a ground list is
+    ground as a whole once a linear head variable meets it, and the
+    occurs check, `walk` and `apply_subst` stop at either in place of
     chasing its chain of bindings."""
     get = bindings.get
     stack = [(t1, t2, True)]

@@ -310,6 +310,30 @@ def test_run_reads_a_query_nested_3000_deep(capsys):
     assert f"answer: X = {deep}\n" in out
 
 
+@pytest.mark.parametrize("query", ["{deep}", "?({deep})"])
+def test_run_looks_up_a_3000_deep_fact(tmp_path, capsys, query):
+    # the fact and the query are read apart, so their keys are equal
+    # tuples nested too deep for one comparison
+    deep = "deep(" + "f(" * 3000 + "a" + ")" * 3000 + ")"
+    domain = tmp_path / "deep.alpd"
+    domain.write_text(emit_maze_domain(2) + f"{deep}.\ndeep(b).\n", encoding="utf-8")
+    program = tmp_path / "empty.alp"
+    program.write_text("", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", query.format(deep=deep),
+            "--env", "maze:2",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert "status: success" in out
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_run_senses_a_meaning_with_a_3000_deep_open_literal(tmp_path, capsys, copies):
     deep = "p(" + "f(" * 3000 + "X" + ")" * 3000 + ")"

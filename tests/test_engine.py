@@ -10,12 +10,14 @@ answers, same order, same multiplicity.
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primelog import cli
 from primelog.auxdb import AuxDB
 from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
 from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, replay, solve
+from primelog.model import Program, ProgramClause
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.terms import Term, Var, apply_subst, format_term, variables
 
@@ -243,6 +245,43 @@ def test_aux_answers_extend_bindings_idempotently(goal):
             assert sol[name] is value
         for value in sol.values():
             assert apply_subst(value, sol) == value
+
+
+_FACT_ARGS = st.sampled_from(
+    [Term("a"), Term("b"), Term("1"), Term("01"), Term("2"), Term("f", (Term("01"),))]
+)
+_GOAL_ARGS = st.one_of(
+    _FACT_ARGS, st.sampled_from([Term("001"), Term("f", (Term("1"),)), Var("X"), Var("Y")])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["p", "q"]), st.lists(_FACT_ARGS, min_size=2, max_size=2))),
+    st.sampled_from(["p", "q"]),
+    st.lists(_GOAL_ARGS, min_size=2, max_size=2),
+    st.dictionaries(st.sampled_from(["X", "Y", "Z"]), _FACT_ARGS, max_size=2),
+)
+def test_ground_fact_lookups_answer_as_the_machine_does(facts, functor, args, base):
+    """A ground goal over a table of ground facts is answered by key,
+    without a machine; the answers must be those of the machine over the
+    same facts unindexed, in order and with duplicates, for ground goals,
+    open goals and goals made ground by `bindings`."""
+    program = Program([ProgramClause(Term(f, tuple(a)), ()) for f, a in facts] + [
+        ProgramClause(Term(f, (Term("c"), Term("c"))), ()) for f in ("p", "q")
+    ])
+    indexed, machine = AuxDB(program), AuxDB(program)
+    machine._fact_index = {}
+    goal = Term(functor, tuple(args))
+    names = variables(goal) | set(base)
+
+    def answers(db):
+        return [
+            {n: format_term(v) for n, v in sol.items() if n in names}
+            for sol in db.solve(goal, base)
+        ]
+
+    assert answers(indexed) == answers(machine)
 
 
 # ---------------------------------------------------------------- deep aux

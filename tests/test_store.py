@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import work_counts
 from copying_reference import syntactic_key, unify
 from primelog import interpreter, pi, terms
 from primelog.auxdb import AuxDB
@@ -601,3 +602,17 @@ def test_the_occurs_check_stops_at_the_agents_settled_lists(monkeypatch):
     outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
     assert outcome.succeeded
     assert 0 < popped[0] <= 2000
+
+
+def test_corridor_backtracks_over_ground_lists():
+    """corridor-backtrack's `select/3` retries run over lists settled to
+    ground terms: the explorer's Choicepoints is ground from the head of
+    `explore/2` on, so the occurs checks of one solve walk 17,658 cells
+    (443,304 when the chain of open cells stayed open), every settle
+    succeeds, and each failing `go(Y)` precondition looks its ground
+    `adj/2` goal up by key, with no machine."""
+    counts = work_counts.count_work("corridor-backtrack")
+    assert counts["occurs_cells"] <= 25_000
+    assert counts["settled_calls"] == counts["settled_hits"] > 0
+    assert counts["aux_solves"] == 5994
+    assert counts["aux_machines"] == 0

@@ -422,29 +422,50 @@ def _shape(term, bindings):
     )
 
 
-@settings(max_examples=400)
-@example(NIL, [], [(Term("a"), False), (Num(1), True)], [], Term("01"), "other")
+_CELL_KINDS = ("cell", "chained", "open", "open later", "open unbound")
+
+
+def _settles(term, bindings):
+    """Whether `term` dereferences through `bindings` to a ground term at
+    every depth: its flat key holds no (_VAR, name) entry."""
+    return all(len(k) != 2 for k in flat_key([term], bindings))
+
+
+@settings(max_examples=400, deadline=None)
+@example(NIL, [], [(Term("a"), "cell"), (Num(1), "chained")], [], Term("01"), "other")
 @example(
-    Var("X"), [("X", NIL)], [(Var("Y"), False), (Num(2), False)], [("Y", Num(3))], Num(2), "same"
+    Var("X"), [("X", NIL)], [(Var("Y"), "cell"), (Num(2), "cell")], [("Y", Num(3))], Num(2), "same"
+)
+@example(
+    NIL,
+    [],
+    [(Num(1), "open later"), (Num(2), "open"), (t("f", Var("X")), "cell")],
+    [("X", Num(3))],
+    Num(4),
+    "same",
 )
 @given(
     st.one_of(st.just(NIL), _varnames.map(Var)),
     st.lists(st.tuples(_varnames, _list_items), max_size=2),
-    st.lists(st.tuples(_list_items, st.booleans()), max_size=6),
+    st.lists(st.tuples(_list_items, st.sampled_from(_CELL_KINDS)), max_size=6),
     st.lists(st.tuples(_varnames, _list_items), max_size=2),
     _list_items,
     st.sampled_from(("unbound", "same", "other")),
 )
 def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, y, out):
-    """The cautious agent's lists: each cell is `[Item|Acc]` bound to the
-    linear head variable of a fresh clause, `walk(A,[Y|C0],...)` against
-    `walk(Acc,C,...)`, sometimes through a chain of bindings, and goal
-    variables bound before and after. Every step must agree with the
-    copying reference, a cell must be settled to a ground term exactly
-    when its item and the rest of the list dereference to ground terms
-    (one level down, so `[f(X)|...]` with X bound stays open), and a clause
-    head repeating its variables, `walk(T,C,S,C,S)`, must unify with the
-    list as the reference does."""
+    """The agents' lists, built cell by cell in front of a tail. The
+    cautious agent's cells are `[Item|Acc]` bound to the linear head
+    variable of a fresh clause, `walk(A,[Y|C0],...)` against
+    `walk(Acc,C,...)`, sometimes through a chain of bindings ("cell",
+    "chained"). `select/3` builds its cells the other way round: a goal
+    variable is bound to the head's `[Y|Ys]`, Y to the item, and Ys to the
+    rest now, later or never ("open", "open later", "open unbound"); a
+    linear head variable then meets the front. Goal variables are bound
+    before and after. Every step must agree with the copying reference, a
+    linear variable must be bound to a ground term exactly when what it
+    meets dereferences to a ground term at every depth, and a clause head
+    repeating its variables, `walk(T,C,S,C,S)`, must unify with the list
+    as the reference does."""
     bindings, trail, ref = {}, [], {}
     names = set()
 
@@ -462,30 +483,79 @@ def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, 
         everything = Term("all", tuple(Var(n) for n in sorted(names)))
         assert _shape(everything, bindings) == _shape(everything, ref)
 
-    def ground(term):
-        value = walk(term, bindings)
-        return isinstance(value, Term) and value.ground
+    def meet(term, cell):
+        """A linear head variable `cell` meets `term`: settled exactly
+        when `term` is ground at every depth."""
+        settles = _settles(term, bindings)
+        step(t("walk", term), t("walk", cell), frozenset({cell.name}))
+        value = walk(cell, bindings)
+        assert (isinstance(value, Term) and value.ground) == settles
 
     for name, value in early:
         step(Var(name), value)
     acc = tail
-    settled = ground(tail)
-    for i, (item, chained) in enumerate(cells):
-        settled = settled and ground(item)
-        cell = Var(f"C{i}")
-        step(t("walk", t(".", item, acc)), t("walk", cell), frozenset({cell.name}))
-        assert ground(cell) == settled
-        acc = cell
-        if chained:
-            step(Var(f"K{i}"), cell)
-            acc = Var(f"K{i}")
+    deferred = []
+    for i, (item, kind) in enumerate(cells):
+        if kind in ("cell", "chained"):
+            cell = Var(f"C{i}")
+            meet(t(".", item, acc), cell)
+            acc = cell
+            if kind == "chained":
+                step(Var(f"K{i}"), cell)
+                acc = Var(f"K{i}")
+            continue
+        front, elem, rest = Var(f"G{i}"), Var(f"E{i}"), Var(f"S{i}")
+        step(front, t(".", elem, rest))
+        step(elem, item)
+        if kind == "open":
+            step(rest, acc)
+        elif kind == "open later":
+            deferred.append((rest, acc))
+        meet(front, Var(f"L{i}"))
+        acc = front
     for name, value in late:
         step(Var(name), value)
+    for rest, value in deferred:
+        step(rest, value)
+    meet(acc, Var("LAST"))
     listed = t(".", y, acc)
     other = {"unbound": Var("O"), "same": listed, "other": t(".", Num(1), acc)}[out]
     goal = t("walk", Var("A"), listed, acc, other, Var("SO"))
     head = t("walk", Var("T"), Var("C"), Var("S"), Var("C"), Var("S"))
     step(goal, head, frozenset(_head_singletons(head)))
+
+
+@pytest.mark.parametrize("end", [NIL, Var("T")])
+def test_a_3000_cell_open_chain_settles_whole_or_not_at_all(end):
+    """`select/3`'s chain of open cells, G0 = [E0|S0], S0 = [E1|S1], ...,
+    met by a linear head variable: bound to the ground list when the chain
+    ends in `[]`, to the chain itself when it ends in an unbound variable."""
+    n = 3000
+    bindings, trail = {}, []
+    for i in range(n):
+        cell = t(".", Var(f"E{i}"), Var(f"S{i}"))
+        assert unify_track(Var(f"G{i}"), cell, bindings, trail)
+        assert unify_track(Var(f"E{i}"), Num(i), bindings, trail)
+        if i:
+            assert unify_track(Var(f"S{i - 1}"), Var(f"G{i}"), bindings, trail)
+    assert unify_track(Var(f"S{n - 1}"), end, bindings, trail)
+    head = t("walk", Var("L"))
+    assert unify_track(t("walk", Var("G0")), head, bindings, trail, frozenset({"L"}))
+    value = bindings["L"]
+    if end is NIL:
+        assert value.ground and ground_equal(value, mk_list([Num(i) for i in range(n)]))
+    else:
+        assert value is bindings["G0"]
+    assert format_term(value, bindings) == format_term(Var("G0"), bindings)
+
+
+def test_a_shared_open_subterm_settles_once():
+    bindings = {"X": t("g", Var("Y")), "Y": t("a")}
+    trail = []
+    assert unify_track(t("p", t("f", Var("X"), Var("X"))), t("p", Var("L")), bindings, trail, {"L"})
+    value = bindings["L"]
+    assert value.ground and format_term(value) == "f(g(a),g(a))"
+    assert value.args[0] is value.args[1]
 
 
 def test_numerals_unify_by_value_at_every_depth():
