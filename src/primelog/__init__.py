@@ -14,7 +14,6 @@ from .errors import (
     EnvironmentRejected,
     NondeterministicActionError,
     NonGroundError,
-    OracleBoundExceeded,
     ParseError,
     PrimelogError,
     SensingError,
@@ -45,7 +44,6 @@ __all__ = [
     "Literal",
     "NonGroundError",
     "NondeterministicActionError",
-    "OracleBoundExceeded",
     "Outcome",
     "ParseError",
     "PIList",

@@ -19,7 +19,7 @@ import itertools
 
 from .model import CallGoal, Program
 from .sld import FAILED, Machine
-from .terms import Var, apply_subst, ground_equal, variables
+from .terms import Var, apply_subst, variables
 
 DEFAULT_AUX_BUDGET = 1_000_000
 
@@ -50,15 +50,7 @@ class AuxDB:
         if index is not None:
             first = goal.args[0]
             if not isinstance(first, Var) and first.ground:
-                try:
-                    return index.get(first.key, ())
-                except RecursionError:  # keys too deep for one comparison
-                    return [
-                        c
-                        for facts in index.values()
-                        if ground_equal(facts[0].head.args[0], first)
-                        for c in facts
-                    ]
+                return index.get(first.key, ())
         return self.program.clauses_for(*pred)
 
     def solve(self, goal, bindings=None):
@@ -75,11 +67,7 @@ class AuxDB:
         goal = apply_subst(goal, base)
         if goal.ground and (goal.functor, len(goal.args)) in self._fact_index:
             for fact in self.candidates(goal):
-                try:
-                    equal = fact.head.key == goal.key
-                except RecursionError:  # keys too deep for one comparison
-                    equal = ground_equal(fact.head, goal)
-                if equal:
+                if fact.head == goal:
                     yield dict(base)
             return
         names = variables(goal)

@@ -169,31 +169,22 @@ class WumpusWorld:
 
 
 def provably_safe_cells(size, threats, start=(1, 1)):
-    """Fixpoint of cautious exploration: a cell is provably safe once some
-    reachable safe cell adjacent to it smells nothing. Returns the set of
-    cells a cautious agent can ever visit."""
+    """The cells a cautious agent can ever visit: the start, and every
+    neighbour of a visitable cell that smells nothing. One worklist pass,
+    so it costs linear time in the cells it returns."""
     if start in threats:
         return set()
     safe = {start}
-    while True:
-        frontier = [start]
-        reachable = {start}
-        while frontier:
-            here = frontier.pop()
-            for nb in _grid_neighbours(*here, size):
-                if nb in safe and nb not in reachable:
-                    reachable.add(nb)
-                    frontier.append(nb)
-        grew = False
-        for here in reachable:
-            if any(nb in threats for nb in _grid_neighbours(*here, size)):
-                continue
-            for nb in _grid_neighbours(*here, size):
-                if nb not in safe:
-                    safe.add(nb)
-                    grew = True
-        if not grew:
-            return reachable
+    work = [start]
+    while work:
+        neighbours = list(_grid_neighbours(*work.pop(), size))
+        if any(nb in threats for nb in neighbours):
+            continue
+        for nb in neighbours:
+            if nb not in safe:
+                safe.add(nb)
+                work.append(nb)
+    return safe
 
 
 MAX_ATTEMPTS = 1000
@@ -422,7 +413,7 @@ class ReplayEnv:
 
     def execute(self, action):
         self._advance(
-            lambda e: e[0] == "act" and e[1].key == action.key,
+            lambda e: e[0] == "act" and e[1] == action,
             f"action {format_term(action)}",
         )
         self.log.append(action)

@@ -65,7 +65,3 @@ class EnvironmentRejected(EngineError):
 
 class BudgetExceeded(EngineError):
     """The resolution step budget ran out."""
-
-
-class OracleBoundExceeded(PrimelogError):
-    """A brute-force oracle was asked to enumerate past its hard bound."""

@@ -66,7 +66,7 @@ def _first_key(fluent):
     if not args:
         return ()
     first = args[0]
-    return None if first.__class__ is Var else first.key
+    return first.key if first.__class__ is not Var and first.ground else None
 
 
 class PIList:

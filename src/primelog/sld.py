@@ -16,7 +16,6 @@ from .terms import (
     Var,
     apply_subst,
     format_term,
-    ground_equal,
     list_parts,
     undo,
     unify_track,
@@ -197,17 +196,14 @@ class Machine:
             undo(bindings, trail, mark)
             return not unifies
         items, tail = list_parts(right, bindings)
-        if tail.__class__ is Var or tail.key != NIL.key:
+        if tail.__class__ is Var or tail != NIL:
             raise EngineError(
                 f"{format_term(goal, bindings)}: second argument is not a proper list"
             )
         element = walk(left, bindings)
         if element.__class__ is not Var and element.ground and walk(right, bindings).ground:
-            try:
-                found = any(item.key == element.key for item in items)
-            except RecursionError:  # keys too deep for one comparison
-                found = any(ground_equal(item, element) for item in items)
-            return found == (name == "memberchk")
+            key = element.key
+            return any(item.key == key for item in items) == (name == "memberchk")
         for item in items:
             if unify_track(left, item, bindings, trail, left_first=True):
                 if name == "memberchk":

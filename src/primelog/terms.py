@@ -2,8 +2,10 @@
 
 Terms are either variables or compounds (atoms are compounds of arity 0).
 Atoms whose name is all digits denote integers and compare numerically;
-everything else compares by name. Fluent literals wrap a term with a sign,
-and a clause is a sorted, duplicate-free bundle of literals.
+everything else compares by name. Every term, ground or open, hashes and
+sorts by one key, the flat pre-order of `flat_key`, built the first time
+it is asked for. Fluent literals wrap a term with a sign, and a clause is
+a sorted, duplicate-free bundle of literals.
 
 Substitutions are plain dicts mapping variable names to terms. The one
 unifier, `unify_track`, binds in place and records the names on a trail
@@ -37,26 +39,15 @@ class Var:
         return self.name
 
 
-def _functor_class(functor):
-    if functor.isdigit():
-        return _NUM, int(functor)
-    return _SYM, functor
-
-
-def _term_key(term):
-    cls, val = _functor_class(term.functor)
-    return (cls, val, len(term.args), tuple(a.key for a in term.args))
-
-
 class Term:
     """A compound term: functor plus argument tuple. Arity 0 is an atom.
 
-    The sort key is cached at construction for ground terms, so ordering
-    and clause operations on belief states stay cheap. Open terms hash and
-    compare by their `flat_key`, so a deep one costs no Python recursion.
+    Every term hashes, compares and sorts by one `key`: its `flat_key`,
+    built on first use and cached, so a term that is never compared
+    costs no key and a deep one costs no Python recursion.
     """
 
-    __slots__ = ("functor", "args", "ground", "key", "_hash")
+    __slots__ = ("functor", "args", "ground", "_key", "_hash")
 
     def __init__(self, functor, args=()):
         self.functor = functor
@@ -67,23 +58,24 @@ class Term:
                 ground = False
                 break
         self.ground = ground
-        self.key = _term_key(self) if ground else None
+        self._key = None
         self._hash = None
 
+    @property
+    def key(self):
+        key = self._key
+        if key is None:
+            key = self._key = flat_key((self,), {})
+        return key
+
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return False
-        if self.ground and other.ground:
-            return self.key == other.key
-        return flat_key((self,), {}) == flat_key((other,), {})
+        return self is other or (isinstance(other, Term) and self.key == other.key)
 
     def __hash__(self):
-        # Ground terms compare by key ("01" equals "1"), so they hash by it.
+        # Terms compare by key ("01" equals "1"), so they hash by it.
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.key if self.ground else flat_key((self,), {}))
+            h = self._hash = hash(self.key)
         return h
 
     def __repr__(self):
@@ -110,21 +102,6 @@ def compare(t1, t2):
     if t1.key > t2.key:
         return 1
     return 0
-
-
-def ground_equal(t1, t2):
-    """Whether two ground terms are equal, that is, their keys are,
-    compared a level at a time on an explicit stack. `t1.key == t2.key`
-    is quicker, but CPython compares nested tuples recursively, so keys
-    nested as deep as those of long lists need this."""
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        if a is not b:
-            if a.key[:3] != b.key[:3]:
-                return False
-            stack.extend(zip(a.args, b.args))
-    return True
 
 
 def variables(term, acc=None):
@@ -312,12 +289,8 @@ def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
             trail.append(b.name)
             continue
         if a.ground and b.ground:
-            try:
-                if a.key != b.key:
-                    return False
-            except RecursionError:  # keys too deep for one comparison
-                if not ground_equal(a, b):
-                    return False
+            if a.key != b.key:
+                return False
             continue
         if a.functor != b.functor or len(a.args) != len(b.args):
             return False
@@ -344,12 +317,18 @@ def undo(bindings, trail, mark):
 
 
 def flat_key(terms, bindings):
-    """The pre-order of `terms` under `bindings` as one flat tuple: the
-    key of each atom, (class, value, arity) of each compound, (_VAR, name)
-    of each unbound variable. A total order key that also covers open
-    terms, built without recursion: it orders ground terms as their keys
-    do, and a variable after every ground term at its position, by name.
-    Flat and nested keys do not compare with each other."""
+    """The pre-order of `terms` under `bindings` as one flat tuple of
+    scalars: class, value and arity of each compound (an atom is a
+    compound of arity 0), `_VAR` and the name of each unbound variable.
+    Numerals are of class `_NUM` and valued as integers, so "01" and "1"
+    key alike; everything else is of class `_SYM`, valued by name.
+
+    With arities, a pre-order is a prefix-free code for the tree, so
+    these keys order terms exactly as nested (class, value, arity,
+    argument keys) tuples would, a variable after every ground term at
+    its position, by name; unlike those, they compare and hash without
+    recursion at any depth. A ground subterm whose key is already built
+    is copied in, not walked."""
     get = bindings.get
     out = []
     stack = list(reversed(terms))
@@ -358,37 +337,45 @@ def flat_key(terms, bindings):
         while t.__class__ is Var:
             nxt = get(t.name)
             if nxt is None:
-                out.append((_VAR, t.name))
+                out += (_VAR, t.name)
                 break
             t = nxt
         else:
-            args = t.args
-            if args:
-                cls, val = _functor_class(t.functor)
-                out.append((cls, val, len(args)))
-                stack.extend(reversed(args))
+            if t.ground and t._key is not None:
+                out += t._key
+                continue
+            functor, args = t.functor, t.args
+            if functor.isdigit():
+                out += (_NUM, int(functor), len(args))
             else:
-                out.append(t.key)
+                out += (_SYM, functor, len(args))
+            if args:
+                stack.extend(reversed(args))
     return tuple(out)
 
 
 class Literal:
-    """A signed fluent atom. Negative literals sort right after the
-    positive literal of the same fluent."""
+    """A signed fluent atom, keyed on first use by its fluent's key and
+    its sign: negative literals sort right after the positive literal of
+    the same fluent."""
 
-    __slots__ = ("positive", "fluent", "key")
+    __slots__ = ("positive", "fluent", "_key")
 
     def __init__(self, fluent, positive=True):
         self.positive = positive
         self.fluent = fluent
-        self.key = (fluent.key, 0 if positive else 1) if fluent.ground else None
+        self._key = None
+
+    @property
+    def key(self):
+        key = self._key
+        if key is None:
+            key = self._key = (self.fluent.key, 0 if self.positive else 1)
+        return key
 
     @property
     def ground(self):
         return self.fluent.ground
-
-    def skey(self):
-        return (flat_key((self.fluent,), {}), 0 if self.positive else 1)
 
     def __eq__(self, other):
         return (
@@ -423,12 +410,9 @@ class Clause:
     def __init__(self, literals):
         self.literals = literals
         self.ground = all(l.ground for l in literals)
-        if self.ground:
-            self.key = (len(literals), tuple(l.key for l in literals))
-            self.keyset = frozenset(l.key for l in literals)
-        else:
-            self.key = (len(literals), tuple(l.skey() for l in literals))
-            self.keyset = None
+        keys = tuple(l.key for l in literals)
+        self.key = (len(literals), keys)
+        self.keyset = frozenset(keys)
         self._hash = None
 
     def __len__(self):
@@ -470,16 +454,12 @@ def normalize_clause(literals):
 
     Returns the normalized Clause, or None when the bundle contains a
     complementary pair (the clause is trivially true). Works on ground and
-    non-ground literals alike: an all-ground bundle sorts by `Literal.key`,
-    any other by `Literal.skey`.
+    non-ground literals alike.
     """
-    lits = set(literals)
-    key = _literal_key if all(l.ground for l in lits) else Literal.skey
-    lits = sorted(lits, key=key)
+    lits = sorted(set(literals), key=_literal_key)
     seen = {}
     for l in lits:
-        k = key(l)[0]
-        if seen.setdefault(k, l.positive) != l.positive:
+        if seen.setdefault(l.key[0], l.positive) != l.positive:
             return None
     return Clause(tuple(lits))
 

@@ -5,17 +5,19 @@ primelog has one unification routine, `terms.unify_track`, which binds
 in place and undoes through a trail, and its belief queries bind on one
 store. Before that, `terms.unify` copied the substitution and unified
 with a recursive walk, and `pi` enumerated query answers by copying a
-dict for every candidate; open terms were ordered by a nested key.
-These are kept here, as they were, so the tests can compare the fast
-paths with an independent slow path:
+dict for every candidate; terms were ordered by nested keys (ground
+terms by one built when the term was, open terms by one built on
+demand). These are kept here, as they were, so the tests can compare the
+fast paths with an independent slow path:
 
 - `unify`: the recursive, copying most general unifier. It differs from
   the original in one rule: two ground terms unify iff their keys are
   equal, at every depth, so numerals are equal by value (`01` = `1`);
   the original compared functor text first, so `01 = 1` failed while
   `f(01) = f(1)` succeeded;
-- `syntactic_key`: the nested order key of open terms, the reference
-  for `terms.flat_key` and `Literal.skey`;
+- `syntactic_key`: the nested order key of every term, ground or open,
+  built here from the term's structure alone: the reference for
+  `terms.flat_key`, `Term.key` and the order of `Literal.key`;
 - `entails_clause` / `entails_property`: the dict-copying enumeration,
   built on that `unify`. It differs from the original in two lines: the
   clause's variable names are computed here, where `PropClause` used to
@@ -28,9 +30,10 @@ All of them recurse on nested terms, so they only serve shallow inputs.
 
 from primelog.errors import EngineError
 from primelog.terms import (
+    _NUM,
+    _SYM,
     _VAR,
     Var,
-    _functor_class,
     apply_literal,
     apply_subst,
     format_term,
@@ -40,16 +43,20 @@ from primelog.terms import (
 )
 
 
-def syntactic_key(term):
-    """A total order key that also covers non-ground terms.
+def _functor_class(functor):
+    if functor.isdigit():
+        return _NUM, int(functor)
+    return _SYM, functor
 
-    Agrees with the ground key on ground terms; variables sort after all
-    ground terms of the same nesting position, by name.
+
+def syntactic_key(term):
+    """A total order key over ground and non-ground terms alike:
+    (class, value, arity, argument keys). Numerals are valued as integers
+    and sort before symbols; variables sort after all ground terms of the
+    same nesting position, by name.
     """
     if isinstance(term, Var):
         return (_VAR, term.name, 0, ())
-    if term.ground:
-        return term.key
     cls, val = _functor_class(term.functor)
     return (cls, val, len(term.args), tuple(syntactic_key(a) for a in term.args))
 
@@ -70,7 +77,7 @@ def _unify_into(t1, t2, bindings):
         bindings[t2.name] = t1
         return True
     if t1.ground and t2.ground:
-        return t1.key == t2.key
+        return syntactic_key(t1) == syntactic_key(t2)
     if t1.functor != t2.functor or len(t1.args) != len(t2.args):
         return False
     for a, b in zip(t1.args, t2.args):

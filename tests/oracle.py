@@ -11,14 +11,18 @@ OracleBoundExceeded instead of silently grinding.
 
 import itertools
 
-from .auxdb import empty_aux
-from .errors import OracleBoundExceeded
-from .pi import PIList
-from .terms import Clause, Literal, apply_subst, format_term, unify
+from primelog.auxdb import empty_aux
+from primelog.errors import PrimelogError
+from primelog.pi import PIList
+from primelog.terms import Clause, Literal, apply_subst, format_term, unify
 
 MODEL_ATOM_BOUND = 20
 REFERENCE_ATOM_BOUND = 10
 WORLD_BOUND = 1 << 22
+
+
+class OracleBoundExceeded(PrimelogError):
+    """A brute-force oracle was asked to enumerate past its hard bound."""
 
 
 def clause_true(clause, world):

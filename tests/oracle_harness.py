@@ -7,14 +7,14 @@ alongside the agent's prime-implicate state and checks, step by step:
     true in every world still possible (the agent never over-commits).
 """
 
-from primelog.auxdb import AuxDB
-from primelog.interpreter import resolve_property
-from primelog.oracle import (
+from oracle import (
     filter_by_sensing,
     initial_beliefs,
     progress_beliefs,
     property_holds,
 )
+from primelog.auxdb import AuxDB
+from primelog.interpreter import resolve_property
 
 
 class OracleMirror:

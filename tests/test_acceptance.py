@@ -6,8 +6,12 @@ catching order-of-magnitude regressions, not micro-benchmarks."""
 import random
 import time
 
+from oracle import (
+    initial_beliefs,
+    progress_beliefs,
+    reference_prime_implicates,
+)
 from oracle_harness import OracleMirror
-
 from primelog import cli
 from primelog.auxdb import AuxDB
 from primelog.envs import (
@@ -21,11 +25,6 @@ from primelog.envs import (
 )
 from primelog.interpreter import solve
 from primelog.model import ActionCase, ActionSpec, EMPTY_PROPERTY
-from primelog.oracle import (
-    initial_beliefs,
-    progress_beliefs,
-    reference_prime_implicates,
-)
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.pi import entails_property, is_prime, prime_closure, update
 from primelog.strategies import (

@@ -334,6 +334,38 @@ def test_run_looks_up_a_3000_deep_fact(tmp_path, capsys, query):
     assert "status: success" in out
 
 
+def test_run_removes_a_3000_deep_fluent_from_the_belief(tmp_path, capsys):
+    # the domain, the query and the replay script each read the deep term
+    # apart, so the effect that removes the fluent is built separately
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    domain = tmp_path / "deep.alpd"
+    domain.write_text(
+        "fluents([p/1, q/0]).\n"
+        "actions([clear/1]).\n"
+        f"initial_state([p({deep}), q]).\n"
+        "action(clear(X), [p(X)], [case([], [-p(X)])]).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "empty.alp"
+    program.write_text("", encoding="utf-8")
+    script = tmp_path / "run.script"
+    script.write_text(f"did(clear({deep})).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", f"do(clear({deep})), ?(-p({deep})), ?(q)",
+            "--env", f"replay:{script}",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert "status: success" in out
+    assert "belief clauses: 2\n" in out
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_run_senses_a_meaning_with_a_3000_deep_open_literal(tmp_path, capsys, copies):
     deep = "p(" + "f(" * 3000 + "X" + ")" * 3000 + ")"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from primelog.envs import (
     MazeEnv,
@@ -11,6 +12,7 @@ from primelog.envs import (
     emit_wumpus_domain,
     format_replay_script,
     generate_wumpus,
+    _grid_neighbours,
     provably_safe_cells,
 )
 from primelog.errors import EngineError, EnvironmentRejected
@@ -127,6 +129,47 @@ def test_provably_safe_blocked_gold():
     threats = {(1, 2), (2, 1), (2, 2)}
     safe = provably_safe_cells(3, threats, (1, 1))
     assert safe == {(1, 1)}
+
+
+def _fixpoint_safe_cells(size, threats, start=(1, 1)):
+    """The reference: `provably_safe_cells` as it was, restarting a full
+    reachability pass every time the safe set grows."""
+    if start in threats:
+        return set()
+    safe = {start}
+    while True:
+        frontier = [start]
+        reachable = {start}
+        while frontier:
+            here = frontier.pop()
+            for nb in _grid_neighbours(*here, size):
+                if nb in safe and nb not in reachable:
+                    reachable.add(nb)
+                    frontier.append(nb)
+        grew = False
+        for here in reachable:
+            if any(nb in threats for nb in _grid_neighbours(*here, size)):
+                continue
+            for nb in _grid_neighbours(*here, size):
+                if nb not in safe:
+                    safe.add(nb)
+                    grew = True
+        if not grew:
+            return reachable
+
+
+@st.composite
+def _boards(draw):
+    size = draw(st.integers(1, 12))
+    cells = st.tuples(st.integers(1, size), st.integers(1, size))
+    threats = draw(st.frozensets(cells, max_size=size * size // 3))
+    return size, threats, draw(cells)
+
+
+@given(_boards())
+def test_provably_safe_cells_agrees_with_the_fixpoint_reference(board):
+    size, threats, start = board
+    assert provably_safe_cells(size, threats, start) == _fixpoint_safe_cells(size, threats, start)
 
 
 # ---------------------------------------------------------------- wumpus env

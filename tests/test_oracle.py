@@ -1,7 +1,17 @@
 import pytest
 
+from oracle import (
+    BeliefSet,
+    OracleBoundExceeded,
+    clause_true,
+    filter_by_sensing,
+    initial_beliefs,
+    models,
+    progress_beliefs,
+    property_holds,
+    reference_prime_implicates,
+)
 from primelog.auxdb import empty_aux
-from primelog.errors import OracleBoundExceeded
 from primelog.model import (
     ActionCase,
     ActionSpec,
@@ -10,16 +20,6 @@ from primelog.model import (
     SensorAxiom,
     SensorCase,
     StateProperty,
-)
-from primelog.oracle import (
-    BeliefSet,
-    clause_true,
-    filter_by_sensing,
-    initial_beliefs,
-    models,
-    progress_beliefs,
-    property_holds,
-    reference_prime_implicates,
 )
 from primelog.pi import prime_closure
 from primelog.terms import (

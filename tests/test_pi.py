@@ -1,11 +1,12 @@
 """Prime implicate engine tests. Expected clause sets for the derived
-cases were computed with the truth-table reference in primelog.oracle and
+cases were computed with the truth-table reference in tests/oracle.py and
 are frozen here; the hypothesis block keeps engine and reference equal on
 random inputs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import reference_prime_implicates
 from primelog.auxdb import AuxDB, empty_aux
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
 from primelog.interpreter import action_effects
@@ -20,9 +21,9 @@ from primelog.model import (
     SensorCase,
     StateProperty,
 )
-from primelog.oracle import reference_prime_implicates
 from primelog.pi import (
     INCONSISTENT,
+    TOP,
     PIList,
     entails_clause,
     entails_property,
@@ -142,6 +143,23 @@ def test_update_rejects_contradictory_effects():
     state = prime_closure([cl(lit("p"))])
     with pytest.raises(EngineError):
         update(state, [lit("q"), lit("q", pos=False)])
+
+
+def _deep(depth=3000):
+    term = Term("a")
+    for _ in range(depth):
+        term = Term("f", (term,))
+    return term
+
+
+def test_a_3000_deep_fluent_enters_and_leaves_the_belief():
+    # the effect that removes it is built apart from the one that added it
+    state = update(update(TOP, [lit("q")]), [lit("p", _deep())])
+    assert len(state) == 2
+    out = update(state, [lit("p", _deep(), pos=False)])
+    assert [format_term(c.literals[0].fluent)[:4] for c in out] == ["p(f(", "q"]
+    assert not out.clauses[0].literals[0].positive
+    assert list(entails_clause(out, PropClause((lit("p", _deep(), pos=False),), ()), empty_aux()))
 
 
 # ---------------------------------------------------------------- entailment

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import work_counts
 from copying_reference import syntactic_key, unify
+from oracle import reference_prime_implicates
 from primelog import interpreter, pi, terms
 from primelog.auxdb import AuxDB
 from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
@@ -36,7 +37,6 @@ from primelog.model import (
     SensorCase,
     StateProperty,
 )
-from primelog.oracle import reference_prime_implicates
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.pi import PIList, integrate_sensing, is_prime, prime_closure, update
 from primelog.strategies import WUMPUS_QUERY, wumpus_agent

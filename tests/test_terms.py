@@ -7,6 +7,7 @@ from primelog.errors import NonGroundError
 from primelog.model import _head_singletons
 from primelog.pi import prime_closure
 from primelog.terms import (
+    _VAR,
     Clause,
     Literal,
     NIL,
@@ -19,7 +20,6 @@ from primelog.terms import (
     format_clause,
     format_literal,
     format_term,
-    ground_equal,
     list_parts,
     mk_list,
     normalize_clause,
@@ -365,24 +365,64 @@ def test_format_term_through_a_store_is_format_of_the_substituted_term(term, bin
     assert format_term(tail, bindings) == format_term(ref_tail)
 
 
-_literals = st.tuples(_terms(2), st.booleans()).map(
-    lambda tp: Literal(Term("p", (tp[0],)), tp[1])
-)
+_numerals = st.sampled_from(["0", "1", "01", "7", "007", "10"]).map(Term)
 
 
-def _reference_skey(lit):
+def _keyed_terms(depth):
+    """Ground and open terms whose numerals may be written with leading
+    zeros, so that terms of different text key alike."""
+    if depth == 0:
+        return st.one_of(_functors.map(Term), _numerals, _varnames.map(Var))
+    sub = _keyed_terms(depth - 1)
+    return st.one_of(
+        _keyed_terms(0),
+        st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fc: Term(fc[0], tuple(fc[1]))
+        ),
+    )
+
+
+def _warm(term):
+    """Build the keys of `term`'s subterms, so that its own key copies
+    theirs in."""
+    for a in term.args:
+        if isinstance(a, Term):
+            _warm(a)
+            a.key
+
+
+_literals = st.tuples(st.sampled_from("pq"), _keyed_terms(2), st.booleans(), st.booleans())
+
+
+def _reference_literal_key(lit):
     return (syntactic_key(lit.fluent), 0 if lit.positive else 1)
 
 
 @settings(max_examples=300)
 @given(st.lists(_literals, max_size=6))
-def test_flat_skey_orders_literals_like_the_nested_reference(lits):
-    assert [id(l) for l in sorted(lits, key=Literal.skey)] == [
-        id(l) for l in sorted(lits, key=_reference_skey)
+def test_one_key_orders_and_equates_like_the_nested_reference(drawn):
+    lits = []
+    for name, arg, positive, warm in drawn:
+        fluent = Term(name, (arg,))
+        if warm:
+            _warm(fluent)
+        lits.append(Literal(fluent, positive))
+    assert [id(l) for l in sorted(lits, key=lambda l: l.key)] == [
+        id(l) for l in sorted(lits, key=_reference_literal_key)
     ]
+    for a in lits:
+        assert a.key == (flat_key([a.fluent], {}), 0 if a.positive else 1)
+        for b in lits:
+            same = syntactic_key(a.fluent) == syntactic_key(b.fluent)
+            assert (a.fluent == b.fluent) == same
+            assert (a == b) == (same and a.positive == b.positive)
+            if same:
+                assert hash(a.fluent) == hash(b.fluent)
+            if a == b:
+                assert hash(a) == hash(b)
     unique = {}
     for l in lits:
-        unique.setdefault(_reference_skey(l), l)
+        unique.setdefault(_reference_literal_key(l), l)
     norm = normalize_clause(lits)
     if any((k[0], 1 - k[1]) in unique for k in unique):
         assert norm is None
@@ -412,13 +452,24 @@ def test_closure_rejects_open_clauses_before_ordering_them():
 _list_items = st.one_of(_terms(1), st.just(Term("01")), st.just(t("f", Term("01"))))
 
 
+def _entries(key):
+    """A flat key cut into its entries: (_VAR, name) for a variable,
+    (class, value, arity) for a compound."""
+    i = 0
+    while i < len(key):
+        n = 2 if key[i] == _VAR else 3
+        yield key[i : i + n]
+        i += n
+
+
 def _shape(term, bindings):
-    """The flat key of `term` under `bindings` with its variables numbered
-    in order of first occurrence: equal exactly for variants."""
+    """The entries of the flat key of `term` under `bindings` with its
+    variables numbered in order of first occurrence: equal exactly for
+    variants."""
     numbers = {}
     return tuple(
-        (k[0], numbers.setdefault(k[1], len(numbers))) if len(k) == 2 else k
-        for k in flat_key([term], bindings)
+        (k[0], numbers.setdefault(k[1], len(numbers))) if k[0] == _VAR else k
+        for k in _entries(flat_key([term], bindings))
     )
 
 
@@ -428,7 +479,7 @@ _CELL_KINDS = ("cell", "chained", "open", "open later", "open unbound")
 def _settles(term, bindings):
     """Whether `term` dereferences through `bindings` to a ground term at
     every depth: its flat key holds no (_VAR, name) entry."""
-    return all(len(k) != 2 for k in flat_key([term], bindings))
+    return all(k[0] != _VAR for k in _entries(flat_key([term], bindings)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -543,7 +594,7 @@ def test_a_3000_cell_open_chain_settles_whole_or_not_at_all(end):
     assert unify_track(t("walk", Var("G0")), head, bindings, trail, frozenset({"L"}))
     value = bindings["L"]
     if end is NIL:
-        assert value.ground and ground_equal(value, mk_list([Num(i) for i in range(n)]))
+        assert value.ground and value == mk_list([Num(i) for i in range(n)])
     else:
         assert value is bindings["G0"]
     assert format_term(value, bindings) == format_term(Var("G0"), bindings)
@@ -572,11 +623,11 @@ def test_numerals_unify_by_value_at_every_depth():
 
 
 def test_long_ground_lists_built_apart_unify_and_compare():
-    # keys nested far deeper than one comparison can follow
     first = mk_list([Num(i) for i in range(3000)])
     second = mk_list([Term(str(i)) for i in range(3000)])
     third = mk_list([Num(i) for i in range(2999)] + [Term("x")])
-    assert ground_equal(first, second) and not ground_equal(first, third)
+    assert first == second and hash(first) == hash(second) and first != third
+    assert compare(first, third) < 0 and compare(third, second) > 0
     assert unify_track(first, second, {}, [])
     assert not unify_track(first, third, {}, [])
     bindings, trail = {}, []
