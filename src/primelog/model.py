@@ -205,19 +205,6 @@ class SenseGoal:
         return f"?({self.functor}({format_term(self.arg)}))"
 
 
-def _head_singletons(head):
-    """Names of the variables that occur exactly once in a clause head."""
-    counts = {}
-    stack = [head]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            counts[t.name] = counts.get(t.name, 0) + 1
-        elif not t.ground:
-            stack.extend(t.args)
-    return tuple(n for n, k in counts.items() if k == 1)
-
-
 class ProgramClause:
     __slots__ = ("head", "body", "_plan")
 
@@ -228,12 +215,12 @@ class ProgramClause:
 
     def plan(self):
         """How to rename the clause apart, worked out on first use: its
-        variable names, sorted, and the names of its head singletons."""
+        variable names, sorted."""
         if self._plan is None:
             names = variables(self.head, set())
             for g in self.body:
                 goal_variables(g, names)
-            self._plan = (tuple(sorted(names)), _head_singletons(self.head))
+            self._plan = tuple(sorted(names))
         return self._plan
 
 

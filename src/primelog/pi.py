@@ -24,7 +24,8 @@ The public operations:
 - `is_prime`: decide whether a clause tuple already has the shape.
 - `entails_clause` / `entails_property`: enumerate answer substitutions
   for possibly non-ground query clauses with embedded aux atoms, bound
-  on one store and undone through a trail, as resolution does.
+  on one store and undone through a trail, as resolution does, with
+  explicit stacks in place of Python recursion.
 - `update`: progression through a set of ground effect literals.
 - `applicable_case_solutions`: which effect cases of an action spec fire.
 - `integrate_sensing`: fold one observed sensing result into the state.
@@ -420,20 +421,29 @@ def update(state, effects):
     return draft.freeze()
 
 
-def _cover(state_lits, i, query_lits, store, trail):
-    """Match each literal of a candidate implicate with one of the query
-    clause, left to right, suspended at each complete match."""
-    if i == len(state_lits):
-        yield
-        return
-    target = state_lits[i]
-    for q in query_lits:
-        if q.positive != target.positive:
-            continue
-        mark = len(trail)
-        if unify_track(q.fluent, target.fluent, store, trail, left_first=True):
-            yield from _cover(state_lits, i + 1, query_lits, store, trail)
+def _cover(state_lits, query_lits, store, trail):
+    """Match each literal of a candidate implicate, never empty, with one
+    of the query clause, left to right, suspended at each complete match;
+    an explicit stack holds one iterator over the query literals and one
+    trail mark per matched literal."""
+    stack = [(iter(query_lits), len(trail))]
+    while stack:
+        it, mark = stack[-1]
+        target = state_lits[len(stack) - 1]
         undo(store, trail, mark)
+        for q in it:
+            if q.positive == target.positive and unify_track(
+                q.fluent, target.fluent, store, trail, left_first=True
+            ):
+                break
+            undo(store, trail, mark)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(state_lits):
+            yield
+        else:
+            stack.append((iter(query_lits), len(trail)))
 
 
 def _clause_answers(state, pclause, aux, store, trail):
@@ -476,7 +486,7 @@ def _clause_answers(state, pclause, aux, store, trail):
         for cand in state.clauses:
             if len(cand) > len(fluents):
                 break
-            for _ in _cover(cand.literals, 0, fluents, store, trail):
+            for _ in _cover(cand.literals, fluents, store, trail):
                 if fresh():
                     yield
     for atom, goal in zip(pclause.aux, goals):
@@ -498,14 +508,20 @@ def _clause_answers(state, pclause, aux, store, trail):
             undo(store, trail, mark)
 
 
-def _conjunction(state, clauses, i, aux, store, trail):
-    """Answers to clauses[i:], threaded left to right on one binding
-    store and one trail; each is closed into a fresh idempotent dict."""
-    if i == len(clauses):
-        yield {n: apply_subst(t, store) for n, t in store.items()}
-        return
-    for _ in _clause_answers(state, clauses[i], aux, store, trail):
-        yield from _conjunction(state, clauses, i + 1, aux, store, trail)
+def _conjunction(state, clauses, aux, store, trail):
+    """Answers to `clauses`, threaded left to right on one binding store
+    and one trail, each closed into a fresh idempotent dict; an explicit
+    stack holds the answer generators of the clauses entered so far."""
+    stack = [_clause_answers(state, clauses[0], aux, store, trail)]
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) == len(clauses):
+                yield {n: apply_subst(t, store) for n, t in store.items()}
+            else:
+                stack.append(_clause_answers(state, clauses[len(stack)], aux, store, trail))
+            break
+        else:
+            stack.pop()
 
 
 def entails_clause(state, pclause, aux, bindings=None):
@@ -521,7 +537,7 @@ def entails_property(state, prop, aux, bindings=None):
         yield {} if bindings is None else bindings
         return
     store = {} if bindings is None else dict(bindings)
-    yield from _conjunction(state, prop.clauses, 0, aux, store, [])
+    yield from _conjunction(state, prop.clauses, aux, store, [])
 
 
 def first_entailment(state, prop, aux, bindings=None):

@@ -220,13 +220,12 @@ class Machine:
         bindings = self.bindings
         trail = self.trail
         for clause in cp.it:
-            names, singletons = clause.plan()
-            head, linear, mapping = clause.head, (), None
+            names = clause.plan()
+            head, mapping = clause.head, None
             if names:
                 mapping = _mapping_for(names, next(self._fresh))
                 head = apply_subst(head, mapping)
-                linear = frozenset(mapping[n].name for n in singletons)
-            if not unify_track(cp.subject, head, bindings, trail, linear):
+            if not unify_track(cp.subject, head, bindings, trail):
                 undo(bindings, trail, cp.mark)
                 continue
             goals = cp.rest

@@ -9,7 +9,9 @@ a sorted, duplicate-free bundle of literals.
 
 Substitutions are plain dicts mapping variable names to terms. The one
 unifier, `unify_track`, binds in place and records the names on a trail
-to undo; `unify` runs it on a copy and returns an idempotent result.
+to undo, by one rule: a variable that meets an open compound is bound to
+the ground term the compound stands for when it has one. `unify` runs it
+on a copy and returns an idempotent result.
 """
 
 from operator import attrgetter
@@ -137,10 +139,11 @@ def apply_subst(term, bindings):
     """Substitute through a term, resolving chains of bindings. With a
     name -> fresh Var mapping for `bindings` it renames a term apart.
     Nested arguments go on an explicit stack, so a long list costs no
-    Python recursion."""
+    Python recursion, and an open subterm met twice is rebuilt once."""
     term = walk(term, bindings)
     if term.__class__ is Var or term.ground or not bindings:
         return term
+    built = {}  # id of an open subterm -> what it became
     # One frame per compound being rebuilt:
     # [term, new args so far, changed, iterator over its args, original arg].
     frame = [term, [], False, iter(term.args), term]
@@ -155,9 +158,12 @@ def apply_subst(term, bindings):
                     break
                 a = nxt
             if a.__class__ is not Var and not a.ground:
-                stack.append(frame)
-                frame = [a, [], False, iter(a.args), orig]
-                break
+                done = built.get(id(a))
+                if done is None:
+                    stack.append(frame)
+                    frame = [a, [], False, iter(a.args), orig]
+                    break
+                a = done
             if a is not orig:
                 frame[2] = True
             args.append(a)
@@ -166,6 +172,7 @@ def apply_subst(term, bindings):
             new = Term(t.functor, tuple(args)) if frame[2] else t
             if not stack:
                 return new
+            built[id(t)] = new
             parent = stack.pop()
             if new is not frame[4]:
                 parent[2] = True
@@ -173,118 +180,68 @@ def apply_subst(term, bindings):
             frame = parent
 
 
-def occurs(name, term, bindings):
-    """True when variable `name` occurs in `term` under `bindings`. Uses
-    an explicit stack, so long lists cost no Python recursion."""
+def _value(name, term, bindings):
+    """What variable `name` is bound to when it meets the open compound
+    `term`: None when `name` occurs in `term` (the occurs check), the
+    ground term `term` stands for when every variable under it is bound
+    down to ground terms, else `term` itself. One walk over the subterms,
+    on an explicit stack, decides both, so a list built through the
+    store, as `[Y|Acc]` cells or as a chain of open `[Y|Ys]` cells ending
+    in a ground list, is bound ground, and later walks stop at it."""
+    ground = True
     stack = [term]
     while stack:
-        term = walk(stack.pop(), bindings)
-        if isinstance(term, Var):
-            if term.name == name:
-                return True
-        elif not term.ground:
-            stack.extend(term.args)
-    return False
+        t = walk(stack.pop(), bindings)
+        if t.__class__ is Var:
+            if t.name == name:
+                return None
+            ground = False
+        elif not t.ground:
+            stack.extend(t.args)
+    return apply_subst(term, bindings) if ground else term
 
 
-def _settled(term, get):
-    """An open compound as the ground term it stands for, when every
-    variable under it is bound (through `get`) down to ground terms; else
-    the compound itself. A first pass follows the open subterms through
-    the store, as `occurs` does, and gives up at the first unbound
-    variable, having built nothing. The second builds the ground term
-    bottom-up: ground subterms are reused as they are, and an open
-    subterm met twice is built once. Both passes keep their subterms on
-    an explicit stack, so a chain of 3000 list cells costs no Python
-    recursion."""
-    stack = [term]
-    while stack:
-        for arg in stack.pop().args:
-            while arg.__class__ is Var:
-                arg = get(arg.name)
-                if arg is None:
-                    return term
-            if not arg.ground:
-                stack.append(arg)
-    built = {}  # id of an open subterm -> its ground term
-    node, args, it = term, [], iter(term.args)
-    while True:
-        for arg in it:
-            while arg.__class__ is Var:
-                arg = get(arg.name)
-            if not arg.ground:
-                done = built.get(id(arg))
-                if done is None:
-                    stack.append((node, args, it))
-                    node, args, it = arg, [], iter(arg.args)
-                    break
-                arg = done
-            args.append(arg)
-        else:
-            new = Term(node.functor, tuple(args))
-            if not stack:
-                return new
-            built[id(node)] = new
-            node, args, it = stack.pop()
-            args.append(new)
-
-
-def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
+def unify_track(t1, t2, bindings, trail, left_first=False):
     """Unify in place into a binding store, with the occurs check,
     recording every bound name on `trail`; on failure the caller undoes
     to its mark. An explicit stack keeps deep terms off Python's stack.
     Argument pairs are visited last first, or left to right with
     `left_first`; the order decides which of two variables is bound.
     Two ground terms unify iff their keys are equal, so numerals are
-    equal by value ("01" = "1") at every depth.
-
-    `linear` names variables that occur once in `t2` and nowhere in `t1`
-    or the bindings, like the renamed head variables of a fresh clause.
-    Met at its own position in `t2`, such a variable is bound with no
-    occurs check: nothing bound so far can contain it. It is bound to
-    the settled value (see `_settled`): a list built as `[Y|Acc]` through
-    a linear head variable is then ground one cell at a time, a chain of
-    open cells `[Y|Ys]` whose end has been bound to a ground list is
-    ground as a whole once a linear head variable meets it, and the
-    occurs check, `walk` and `apply_subst` stop at either in place of
-    chasing its chain of bindings."""
+    equal by value ("01" = "1") at every depth. A variable that meets an
+    open compound is bound to its `_value`."""
     get = bindings.get
-    stack = [(t1, t2, True)]
+    stack = [(t1, t2)]
     while stack:
-        a, b, own = stack.pop()
+        a, b = stack.pop()
         while a.__class__ is Var:
             nxt = get(a.name)
             if nxt is None:
                 break
             a = nxt
-        if own and b.__class__ is Var and b.name in linear:
-            if a.__class__ is Var:
-                bindings[a.name] = b
-                trail.append(a.name)
-            else:
-                bindings[b.name] = a if a.ground else _settled(a, get)
-                trail.append(b.name)
-            continue
         while b.__class__ is Var:
             nxt = get(b.name)
             if nxt is None:
                 break
             b = nxt
-            own = False
         if a is b:
             continue
         if a.__class__ is Var:
             if b.__class__ is Var:
                 if a.name == b.name:
                     continue
-            elif not b.ground and occurs(a.name, b, bindings):
-                return False
+            elif not b.ground:
+                b = _value(a.name, b, bindings)
+                if b is None:
+                    return False
             bindings[a.name] = b
             trail.append(a.name)
             continue
         if b.__class__ is Var:
-            if not a.ground and occurs(b.name, a, bindings):
-                return False
+            if not a.ground:
+                a = _value(b.name, a, bindings)
+                if a is None:
+                    return False
             bindings[b.name] = a
             trail.append(b.name)
             continue
@@ -295,9 +252,9 @@ def unify_track(t1, t2, bindings, trail, linear=(), left_first=False):
         if a.functor != b.functor or len(a.args) != len(b.args):
             return False
         if left_first:
-            stack.extend(zip(reversed(a.args), reversed(b.args), (own,) * len(a.args)))
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
         else:
-            stack.extend(zip(a.args, b.args, (own,) * len(a.args)))
+            stack.extend(zip(a.args, b.args))
     return True
 
 

@@ -37,7 +37,6 @@ from primelog.terms import (
     apply_literal,
     apply_subst,
     format_term,
-    occurs,
     variables,
     walk,
 )
@@ -59,6 +58,19 @@ def syntactic_key(term):
         return (_VAR, term.name, 0, ())
     cls, val = _functor_class(term.functor)
     return (cls, val, len(term.args), tuple(syntactic_key(a) for a in term.args))
+
+
+def occurs(name, term, bindings):
+    """True when variable `name` occurs in `term` under `bindings`."""
+    stack = [term]
+    while stack:
+        term = walk(stack.pop(), bindings)
+        if isinstance(term, Var):
+            if term.name == name:
+                return True
+        elif not term.ground:
+            stack.extend(term.args)
+    return False
 
 
 def _unify_into(t1, t2, bindings):

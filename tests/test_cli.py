@@ -402,6 +402,40 @@ def test_run_senses_a_meaning_with_a_3000_deep_open_literal(tmp_path, capsys, co
     assert "belief clauses: 2\n" in out
 
 
+_LONG_CLAUSE = "[" + ",".join(f"p({i})" for i in range(1, 1601)) + "]"
+
+
+@pytest.mark.parametrize(
+    "domain_text, prop",
+    [
+        (
+            (Path(__file__).parent.parent / "samples" / "corridor5.alpd").read_text(encoding="utf-8"),
+            ",".join(["at(agent,1)"] * 1000),
+        ),
+        (f"fluents([p/1]).\nactions([]).\ninitial_state([{_LONG_CLAUSE}]).\n", _LONG_CLAUSE),
+    ],
+    ids=["1000-clause-property", "1600-literal-clause"],
+)
+def test_run_entails_a_long_belief_query(tmp_path, capsys, domain_text, prop):
+    domain = tmp_path / "long.alpd"
+    domain.write_text(domain_text, encoding="utf-8")
+    program = tmp_path / "long.alp"
+    program.write_text(f"go :- ?([{prop}]).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "go",
+            "--env", "maze:5",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert "status: success" in out
+
+
 # ---------------------------------------------------------------- gen-wumpus
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import work_counts
 from copying_reference import syntactic_key, unify
 from oracle import reference_prime_implicates
-from primelog import interpreter, pi, terms
+from primelog import interpreter, pi
 from primelog.auxdb import AuxDB
 from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
 from primelog.errors import EngineError, SensingError
@@ -572,47 +572,25 @@ def test_bound_conn_queries_unify_only_with_units_of_that_first_argument(monkeyp
     assert checked and all(0 < tried_here < total for tried_here, total in checked)
 
 
-def test_the_occurs_check_stops_at_the_agents_settled_lists(monkeypatch):
+def test_the_occurs_check_stops_at_the_agents_settled_lists():
     """The cautious agent's Closed and Sensed lists are ground one cell at
-    a time, so the occurs checks of a 16x16 ground3 solve pop a few cells
-    each (49,937 cells in all when they walked the lists' chains of
-    bindings)."""
-    plain_walk, plain_occurs = terms.walk, terms.occurs
-    popped = [0]
-    inside = [False]
-
-    def counted_walk(term, bindings):
-        if inside[0]:
-            popped[0] += 1
-        return plain_walk(term, bindings)
-
-    def counted_occurs(name, term, bindings):
-        inside[0] = True
-        try:
-            return plain_occurs(name, term, bindings)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(terms, "walk", counted_walk)
-    monkeypatch.setattr(terms, "occurs", counted_occurs)
-    world = generate_wumpus(WumpusConfig(size=16, seed=0))
-    domain = parse_domain(emit_wumpus_domain(world, "ground3"), "w16.alpd")
-    program = parse_program(wumpus_agent("ground3"), domain, "cautious.alp")
-    query = parse_query(WUMPUS_QUERY, domain)
-    outcome = interpreter.solve(query, program, domain, WumpusEnv(world))
-    assert outcome.succeeded
-    assert 0 < popped[0] <= 2000
+    a time, so the binding walks of a 16x16 ground3 solve that do not
+    settle pop a few cells each (49,937 cells in all when they walked the
+    lists' chains of bindings)."""
+    counts = work_counts.count_work("wumpus-g3")
+    assert 0 < counts["unsettled_cells"] <= 2000
 
 
 def test_corridor_backtracks_over_ground_lists():
     """corridor-backtrack's `select/3` retries run over lists settled to
     ground terms: the explorer's Choicepoints is ground from the head of
-    `explore/2` on, so the occurs checks of one solve walk 17,658 cells
-    (443,304 when the chain of open cells stayed open), every settle
-    succeeds, and each failing `go(Y)` precondition looks its ground
-    `adj/2` goal up by key, with no machine."""
+    `explore/2` on. One solve makes 430 binding walks that settle and
+    5,886 that do not, which walk 17,658 cells (443,304 when the chain of
+    open cells stayed open), and each failing `go(Y)` precondition looks
+    its ground `adj/2` goal up by key, with no machine."""
     counts = work_counts.count_work("corridor-backtrack")
-    assert counts["occurs_cells"] <= 25_000
-    assert counts["settled_calls"] == counts["settled_hits"] > 0
+    assert counts["settled"] == 430
+    assert counts["walks"] - counts["settled"] == 5886
+    assert counts["unsettled_cells"] <= 25_000
     assert counts["aux_solves"] == 5994
     assert counts["aux_machines"] == 0

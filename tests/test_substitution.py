@@ -247,8 +247,8 @@ _elements = st.one_of(
 def _list_goals(draw):
     """(list builtin, store): a ground, partly ground or improper list held
     in the store as the agent holds its lists: cells `[Item|Acc]` bound to
-    the linear head variable of a fresh clause (settled to ground terms
-    where they can be), chains of bindings, and A and B bound to ground
+    a fresh head variable (settled to ground terms where they can be),
+    chains of bindings, and A and B bound to ground
     terms, to open ones or not at all."""
     bindings, trail = {}, []
     for name in ("A", "B"):
@@ -259,7 +259,7 @@ def _list_goals(draw):
     for i, item in enumerate(draw(st.lists(_elements, max_size=5))):
         cell = Var(f"L{i}")
         head = Term("p", (cell,))
-        assert unify_track(Term("p", (Term(".", (item, acc)),)), head, bindings, trail, {cell.name})
+        assert unify_track(Term("p", (Term(".", (item, acc)),)), head, bindings, trail)
         acc = cell
         if draw(st.booleans()):
             unify_track(Var(f"K{i}"), cell, bindings, trail)

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 import copying_reference
 from copying_reference import syntactic_key
 from primelog.errors import NonGroundError
-from primelog.model import _head_singletons
 from primelog.pi import prime_closure
 from primelog.terms import (
     _VAR,
@@ -23,7 +22,6 @@ from primelog.terms import (
     list_parts,
     mk_list,
     normalize_clause,
-    occurs,
     undo,
     unify,
     unify_track,
@@ -132,38 +130,36 @@ def test_flat_key_of_deep_and_numeric_terms():
 
 
 def test_occurs():
-    assert occurs("X", t("f", Var("X")), {})
-    assert not occurs("X", t("f", Var("Y")), {})
-    assert occurs("X", Var("Z"), {"Z": t("f", Var("X"))})
+    assert not unify_track(Var("X"), t("f", Var("X")), {}, [])
+    assert unify_track(Var("X"), t("f", Var("Y")), {}, [])
+    assert not unify_track(Var("X"), Var("Z"), {"Z": t("f", Var("X"))}, [])
 
 
 def test_occurs_on_a_long_non_ground_list():
     cells = mk_list([Var(f"Y{i}") for i in range(5000)], Var("T"))
-    assert occurs("T", cells, {})
-    assert not occurs("Z", cells, {})
-    assert occurs("Z", cells, {"Y4999": t("f", Var("Z"))})
+    assert not unify_track(Var("T"), cells, {}, [])
+    assert not unify_track(Var("Z"), cells, {"Y4999": t("f", Var("Z"))}, [])
     bindings, trail = {}, []
     assert unify_track(Var("Z"), cells, bindings, trail)
-    assert trail == ["Z"]
-    assert not unify_track(Var("T"), cells, {}, [])
+    assert trail == ["Z"] and bindings["Z"] is cells
 
 
 def test_head_singleton_skips_no_needed_occurs_check():
     # X occurs twice in the head, so binding it to f(X) must still fail
     head = t("p", t("f", Var("X")), Var("X"))
     goal = t("p", Var("Y"), Var("Y"))
-    assert not unify_track(goal, head, {}, [], frozenset())
+    assert not unify_track(goal, head, {}, [])
     # V occurs once in the head, but the goal reaches it through Y, which
     # is bound to V before V meets f(U) with U bound to s(Y)
     head = t("q", t("f", Var("U")), Var("U"), Var("V"))
     goal = t("q", Var("Y"), t("s", Var("Y")), Var("Y"))
-    assert not unify_track(goal, head, {}, [], frozenset({"V"}))
+    assert not unify_track(goal, head, {}, [])
     assert unify(goal, head) is None
     # V is met inside W's binding g(Y), not at its own position, with Y
     # bound to g(V) through W
     head = t("p", Var("W"), Var("W"), t("g", Var("V")))
     goal = t("p", t("g", Var("Y")), Var("Y"), Var("Y"))
-    assert not unify_track(goal, head, {}, [], frozenset({"V"}))
+    assert not unify_track(goal, head, {}, [])
     assert unify(goal, head) is None
 
 
@@ -171,7 +167,7 @@ def test_head_singletons_bind_like_the_checked_unifier():
     head = t("p", t("f", Var("A")), mk_list([Var("B")], Var("T")))
     goal = t("p", Var("Y"), mk_list([Num(1), Num(2)]))
     bindings, trail = {}, []
-    assert unify_track(goal, head, bindings, trail, frozenset({"A", "B", "T"}))
+    assert unify_track(goal, head, bindings, trail)
     expected = unify(goal, head)
     for name in ("Y", "B", "T"):
         assert format_term(apply_subst(Var(name), bindings)) == format_term(expected[name])
@@ -295,7 +291,7 @@ def test_unify_track_with_head_singletons_agrees_with_unify(pairs):
     goal = Term("p", tuple(g for g, _ in pairs))
     head = Term("p", tuple(h for _, h in pairs))
     bindings = {}
-    ok = unify_track(goal, head, bindings, [], frozenset(_head_singletons(head)))
+    ok = unify_track(goal, head, bindings, [])
     expected = copying_reference.unify(goal, head)
     assert ok == (expected is not None)
     if ok:
@@ -505,25 +501,26 @@ def _settles(term, bindings):
 )
 def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, y, out):
     """The agents' lists, built cell by cell in front of a tail. The
-    cautious agent's cells are `[Item|Acc]` bound to the linear head
-    variable of a fresh clause, `walk(A,[Y|C0],...)` against
-    `walk(Acc,C,...)`, sometimes through a chain of bindings ("cell",
-    "chained"). `select/3` builds its cells the other way round: a goal
-    variable is bound to the head's `[Y|Ys]`, Y to the item, and Ys to the
-    rest now, later or never ("open", "open later", "open unbound"); a
-    linear head variable then meets the front. Goal variables are bound
-    before and after. Every step must agree with the copying reference, a
-    linear variable must be bound to a ground term exactly when what it
-    meets dereferences to a ground term at every depth, and a clause head
-    repeating its variables, `walk(T,C,S,C,S)`, must unify with the list
-    as the reference does."""
+    cautious agent's cells are `[Item|Acc]` bound to a fresh head
+    variable, `walk(A,[Y|C0],...)` against `walk(Acc,C,...)`, sometimes
+    through a chain of bindings ("cell", "chained"). `select/3` builds
+    its cells the other way round: a goal variable is bound to the head's
+    `[Y|Ys]`, Y to the item, and Ys to the rest now, later or never
+    ("open", "open later", "open unbound"); a fresh head variable then
+    meets the front. Goal variables are bound before and after. Every
+    step must agree with the copying reference; a head variable meeting
+    a cell, and a goal variable meeting it as the caller's output meets
+    `smell_at(Y,S,[Y|S])`'s third argument, must each be bound to a
+    ground term exactly when the cell dereferences to a ground term at
+    every depth; and a clause head repeating its variables,
+    `walk(T,C,S,C,S)`, must unify with the list as the reference does."""
     bindings, trail, ref = {}, [], {}
     names = set()
 
-    def step(goal, head, linear=()):
+    def step(goal, head):
         names.update(variables([goal, head]))
         mark = len(trail)
-        ok = unify_track(goal, head, bindings, trail, linear)
+        ok = unify_track(goal, head, bindings, trail)
         expected = copying_reference.unify(goal, head, ref)
         assert ok == (expected is not None)
         if ok:
@@ -535,12 +532,16 @@ def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, 
         assert _shape(everything, bindings) == _shape(everything, ref)
 
     def meet(term, cell):
-        """A linear head variable `cell` meets `term`: settled exactly
-        when `term` is ground at every depth."""
+        """The head variable `cell` meets `term`, and so does a fresh goal
+        variable: each settled exactly when `term` is ground at every
+        depth."""
         settles = _settles(term, bindings)
-        step(t("walk", term), t("walk", cell), frozenset({cell.name}))
-        value = walk(cell, bindings)
-        assert (isinstance(value, Term) and value.ground) == settles
+        out = Var("O" + cell.name)
+        step(t("walk", term), t("walk", cell))
+        step(t("smell_at", out), t("smell_at", term))
+        for var in (cell, out):
+            value = walk(var, bindings)
+            assert (isinstance(value, Term) and value.ground) == settles
 
     for name, value in early:
         step(Var(name), value)
@@ -573,13 +574,13 @@ def test_unify_track_on_lists_built_through_the_store(tail, early, cells, late, 
     other = {"unbound": Var("O"), "same": listed, "other": t(".", Num(1), acc)}[out]
     goal = t("walk", Var("A"), listed, acc, other, Var("SO"))
     head = t("walk", Var("T"), Var("C"), Var("S"), Var("C"), Var("S"))
-    step(goal, head, frozenset(_head_singletons(head)))
+    step(goal, head)
 
 
 @pytest.mark.parametrize("end", [NIL, Var("T")])
 def test_a_3000_cell_open_chain_settles_whole_or_not_at_all(end):
     """`select/3`'s chain of open cells, G0 = [E0|S0], S0 = [E1|S1], ...,
-    met by a linear head variable: bound to the ground list when the chain
+    met by a head variable: bound to the ground list when the chain
     ends in `[]`, to the chain itself when it ends in an unbound variable."""
     n = 3000
     bindings, trail = {}, []
@@ -591,7 +592,7 @@ def test_a_3000_cell_open_chain_settles_whole_or_not_at_all(end):
             assert unify_track(Var(f"S{i - 1}"), Var(f"G{i}"), bindings, trail)
     assert unify_track(Var(f"S{n - 1}"), end, bindings, trail)
     head = t("walk", Var("L"))
-    assert unify_track(t("walk", Var("G0")), head, bindings, trail, frozenset({"L"}))
+    assert unify_track(t("walk", Var("G0")), head, bindings, trail)
     value = bindings["L"]
     if end is NIL:
         assert value.ground and value == mk_list([Num(i) for i in range(n)])
@@ -603,10 +604,22 @@ def test_a_3000_cell_open_chain_settles_whole_or_not_at_all(end):
 def test_a_shared_open_subterm_settles_once():
     bindings = {"X": t("g", Var("Y")), "Y": t("a")}
     trail = []
-    assert unify_track(t("p", t("f", Var("X"), Var("X"))), t("p", Var("L")), bindings, trail, {"L"})
+    assert unify_track(t("p", t("f", Var("X"), Var("X"))), t("p", Var("L")), bindings, trail)
     value = bindings["L"]
     assert value.ground and format_term(value) == "f(g(a),g(a))"
     assert value.args[0] is value.args[1]
+
+
+def test_apply_subst_rebuilds_a_shared_open_subterm_once():
+    # X0 = f(X1,X1), ..., X19 = f(X20,X20), X20 = a: a tree of 2^20
+    # leaves held in 21 cells
+    bindings = {f"X{i}": t("f", Var(f"X{i + 1}"), Var(f"X{i + 1}")) for i in range(20)}
+    bindings["X20"] = t("a")
+    node = apply_subst(Var("X0"), bindings)
+    for _ in range(20):
+        assert node.ground and node.args[0] is node.args[1]
+        node = node.args[0]
+    assert node == t("a")
 
 
 def test_numerals_unify_by_value_at_every_depth():

@@ -1,34 +1,64 @@
-"""Deterministic work counts of one solve of each perfbench workload.
+"""Deterministic work counts of one solve of each workload.
 
     PYTHONPATH=src python tests/work_counts.py [WORKLOAD ...]
 
 prints a Markdown table of, per workload:
 
-- `terms.occurs` calls and the cells they walk (`walk` calls inside them);
-- `terms._settled` calls and the ones that settled a ground term;
+- `terms._value` calls: the one walk a binding makes over an open
+  compound (the occurs check, which also settles a ground value);
+- the cells walked by the walks that do not settle (`walk` calls inside
+  them), and the walks that settled a ground term;
 - `auxdb.solve` calls and the resolution machines they built.
 
-The counts come from wrapping those functions from outside the package,
-so they are the same on every machine and every run. The tests import
-`count_work` to pin the corridor's counts.
+The workloads are perfbench's three and `open-list`, `mko(0,500,L),
+tk(L,500)`: a list built with its tail left open, then taken apart, so
+every step's walk runs to the open tail and the cells grow with the
+square of the length. The counts come from wrapping those functions from
+outside the package, so they are the same on every machine and every
+run. The tests import `count_work` to pin them.
 """
 
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
-from primelog import auxdb, interpreter, terms
+from primelog import auxdb, envs, interpreter, parser, terms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 COLUMNS = (
-    "occurs_calls",
-    "occurs_cells",
-    "settled_calls",
-    "settled_hits",
+    "walks",
+    "unsettled_cells",
+    "settled",
     "aux_solves",
     "aux_machines",
 )
+
+
+class OpenList:
+    """`mko(0,N,L)` builds an N-item list whose last tail is bound to a
+    fresh variable, and `tk(L,N)` takes it apart a cell at a time."""
+
+    name = "open-list"
+    length = 500
+    program = (
+        "mko(N,N,T) :- !.\n"
+        "mko(I,N,[I|T]) :- succ(I,J), mko(J,N,T).\n"
+        "tk(L,0) :- !.\n"
+        "tk([X|T],J) :- succ(I,J), tk(T,I).\n"
+    )
+
+    def setup(self):
+        n = self.length
+        facts = " ".join(f"succ({i},{i + 1})." for i in range(n))
+        domain = parser.parse_domain(envs.emit_maze_domain(3) + facts + "\n", "<open-list>")
+        program = parser.parse_program(self.program, domain, "<open-list>")
+        query = parser.parse_query(f"mko(0,{n},L), tk(L,{n})", domain, "<query>")
+        return SimpleNamespace(query=query, program=program, domain=domain)
+
+    def make_env(self, inputs):
+        return envs.MazeEnv(3)
 
 
 def _workloads():
@@ -36,7 +66,7 @@ def _workloads():
         sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS
 
-    return WORKLOADS
+    return {**WORKLOADS, OpenList.name: OpenList()}
 
 
 @contextmanager
@@ -50,37 +80,33 @@ def _patched(owner, name, make):
 
 
 def count_work(workload):
-    """The counts of one solve of the named perfbench workload."""
+    """The counts of one solve of the named workload."""
     spec = _workloads()[workload]
     inputs = spec.setup()
     counts = dict.fromkeys(COLUMNS, 0)
-    inside = [False]
+    cells = [None]  # the walk count of the `_value` call under way
 
     def walk(plain):
         def counted(term, bindings):
-            if inside[0]:
-                counts["occurs_cells"] += 1
+            if cells[0] is not None:
+                cells[0] += 1
             return plain(term, bindings)
 
         return counted
 
-    def occurs(plain):
+    def value(plain):
         def counted(name, term, bindings):
-            counts["occurs_calls"] += 1
-            inside[0] = True
+            counts["walks"] += 1
+            cells[0] = 0
             try:
-                return plain(name, term, bindings)
+                found = plain(name, term, bindings)
             finally:
-                inside[0] = False
-
-        return counted
-
-    def settled(plain):
-        def counted(term, get):
-            counts["settled_calls"] += 1
-            value = plain(term, get)
-            counts["settled_hits"] += value is not term
-            return value
+                walked, cells[0] = cells[0], None
+            if found is None or found is term:
+                counts["unsettled_cells"] += walked
+            else:
+                counts["settled"] += 1
+            return found
 
         return counted
 
@@ -100,8 +126,7 @@ def count_work(workload):
 
     with (
         _patched(terms, "walk", walk),
-        _patched(terms, "occurs", occurs),
-        _patched(terms, "_settled", settled),
+        _patched(terms, "_value", value),
         _patched(auxdb.AuxDB, "solve", solve),
         _patched(auxdb, "Machine", machine),
     ):
