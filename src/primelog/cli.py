@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _step_budget(text):
+    """An argparse type: a step budget is an integer of at least 1."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, not {text!r}")
+    return budget
+
+
 def _build_parser():
     top = _Parser(prog="primelog", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
@@ -65,7 +76,7 @@ def _build_parser():
     run.add_argument("--trace", action="store_true", help="trace goals to stderr")
     run.add_argument(
         "--steps",
-        type=int,
+        type=_step_budget,
         default=DEFAULT_STEP_BUDGET,
         help="resolution step budget",
     )
@@ -109,7 +120,7 @@ def _build_parser():
     bench.add_argument("--seeds", default="0", help="comma-separated world seeds")
     bench.add_argument(
         "--steps",
-        type=int,
+        type=_step_budget,
         default=DEFAULT_STEP_BUDGET,
         help="resolution step budget per run",
     )

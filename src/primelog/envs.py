@@ -110,15 +110,17 @@ class WumpusConfig:
     """
 
     size: int = 8
-    threats: int = -1
+    threats: int | None = None
     seed: int = 0
     solvable: bool = True
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("wumpus worlds need size >= 2")
-        if self.threats < 0:
+        if self.threats is None:
             object.__setattr__(self, "threats", max(1, (self.size * self.size) // 10))
+        if self.threats < 0:
+            raise ValueError(f"the threat count cannot be negative, not {self.threats}")
         free = self.size * self.size - 2
         if self.threats > free:
             raise ValueError(

@@ -298,6 +298,13 @@ def _as_list(term):
     return items
 
 
+def _literals(term):
+    """The items of a clause written as a literal or a list of literals
+    (and of a `?` argument, a clause or a list of clauses)."""
+    items = _as_list(term)
+    return [term] if items is None else items
+
+
 def _signed(term):
     if isinstance(term, Term) and term.functor == "-" and len(term.args) == 1:
         return False, term.args[0]
@@ -308,47 +315,12 @@ def _pred_str(functor, arity):
     return f"{functor}/{arity}"
 
 
-class _Decls:
-    """Declared names of one domain, as the parser accumulates them."""
-
-    def __init__(self):
-        self.fluents = {}
-        self.actions = {}
-        self.sensors = []
-        self.aux = {}
-        self.objects = {}
-
-    def check_new(self, rd, tok, name):
-        """Reject a reserved or already declared name."""
-        if name in RESERVED_NAMES:
-            rd.err(f"{name!r} is reserved and cannot be declared", tok)
-        if any(name in table for table in (self.fluents, self.actions, self.sensors, self.aux)):
-            rd.err(f"{name!r} is declared twice", tok)
-
-
 def _list_items(rd, tok, term, message):
     """The items of a proper list term; `message` is the error otherwise."""
     items = _as_list(term)
     if items is None:
         rd.err(message, tok)
     return items
-
-
-def _add_pred_decls(rd, raw, table, decls, what):
-    for item in _list_items(rd, raw.tok, raw.head.args[0], f"{what} takes a list"):
-        if not (
-            isinstance(item, Term)
-            and item.functor == "/"
-            and len(item.args) == 2
-            and isinstance(item.args[0], Term)
-            and not item.args[0].args
-            and isinstance(item.args[1], Term)
-            and item.args[1].functor.isdigit()
-        ):
-            rd.err(f"{what} items must look like name/arity", raw.tok)
-        name = item.args[0].functor
-        decls.check_new(rd, raw.tok, name)
-        table[name] = int(item.args[1].functor)
 
 
 def _fluent_literal(rd, tok, fluent_arity, term, where, require_ground=False):
@@ -369,22 +341,8 @@ def _fluent_literal(rd, tok, fluent_arity, term, where, require_ground=False):
     return Literal(atom, positive)
 
 
-def _clause_spec(rd, tok, fluent_arity, term, where, require_ground=False):
-    """A clause written as a literal or a list of literals. Returns the
-    normalized Clause, or None for a tautology."""
-    items = _as_list(term)
-    if items is None:
-        items = [term]
-    lits = [
-        _fluent_literal(rd, tok, fluent_arity, el, where, require_ground) for el in items
-    ]
-    return normalize_clause(lits)
-
-
 def _prop_clause(rd, tok, fluent_arity, aux_preds, term, where):
-    items = _as_list(term)
-    if items is None:
-        items = [term]
+    items = _literals(term)
     if not items:
         rd.err(f"empty clause in {where}", tok)
     fluents = []
@@ -394,19 +352,12 @@ def _prop_clause(rd, tok, fluent_arity, aux_preds, term, where):
         if not isinstance(atom, Term) or atom.functor in ("-", "/", "."):
             rd.err(f"expected a literal in {where}", tok)
         pred = (atom.functor, len(atom.args))
-        fl_arity = fluent_arity.get(atom.functor)
-        if fl_arity == len(atom.args):
-            fluents.append(Literal(atom, positive))
-        elif pred in aux_preds or pred in BUILTINS:
+        if pred in aux_preds or pred in BUILTINS:
             if not positive:
                 rd.err(f"aux atoms cannot be negated ({where})", tok)
             aux.append(atom)
-        elif fl_arity is not None:
-            rd.err(
-                f"fluent {atom.functor} has arity {fl_arity}, "
-                f"not {len(atom.args)} ({where})",
-                tok,
-            )
+        elif atom.functor in fluent_arity:
+            fluents.append(_fluent_literal(rd, tok, fluent_arity, el, where))
         else:
             rd.err(
                 f"{_pred_str(*pred)} is neither a declared fluent nor "
@@ -441,16 +392,62 @@ def _case_args(rd, tok, term, arity, where):
     return term.args
 
 
+def _declarations(rd, directives):
+    """The names the `fluents`, `actions`, `sensors` and `aux` directives
+    declare, a table by kind (sensors are bare names, the others
+    name/arity), and the `objects` tables."""
+    decls = {"fluents": {}, "actions": {}, "sensors": {}, "aux": {}}
+    objects = {}
+    for raw in directives:
+        kind, args = raw.head.functor, raw.head.args
+        if kind in decls:
+            for item in _list_items(rd, raw.tok, args[0], f"{kind} takes a list"):
+                if kind == "sensors":
+                    if not (isinstance(item, Term) and not item.args):
+                        rd.err("sensors items are bare names", raw.tok)
+                    name, arity = item.functor, None
+                else:
+                    if not (
+                        isinstance(item, Term)
+                        and item.functor == "/"
+                        and isinstance(item.args[0], Term)
+                        and not item.args[0].args
+                        and isinstance(item.args[1], Term)
+                        and item.args[1].functor.isdigit()
+                    ):
+                        rd.err(f"{kind} items must look like name/arity", raw.tok)
+                    name, arity = item.args[0].functor, int(item.args[1].functor)
+                if name in RESERVED_NAMES:
+                    rd.err(f"{name!r} is reserved and cannot be declared", raw.tok)
+                if any(name in table for table in decls.values()):
+                    rd.err(f"{name!r} is declared twice", raw.tok)
+                decls[kind][name] = arity
+        elif kind == "objects":
+            sort = args[0]
+            if not (isinstance(sort, Term) and not sort.args):
+                rd.err("object sort must be an atom", raw.tok)
+            items = _list_items(rd, raw.tok, args[1], "objects takes a list of ground terms")
+            for item in items:
+                if isinstance(item, Var) or not item.ground:
+                    rd.err("object terms must be ground", raw.tok)
+            if sort.functor in objects:
+                rd.err(f"objects({sort.functor}, ...) appears twice", raw.tok)
+            objects[sort.functor] = tuple(items)
+    return decls, objects
+
+
 def parse_domain(text, filename="<domain>"):
     """Read and validate a domain file. Returns a DomainFile whose initial
     state is already in prime implicate form."""
     rd = _Reader(text, filename)
-    raws = rd.clauses()
     warnings = []
+
+    def warn(raw, message):
+        warnings.append(f"{filename}:{rd.where(raw.tok)[0]}: {message}")
 
     directives = []
     aux_raws = []
-    for raw in raws:
+    for raw in rd.clauses():
         key = (raw.head.functor, len(raw.head.args))
         if key in _DIRECTIVES:
             if raw.body is not None:
@@ -459,42 +456,16 @@ def parse_domain(text, filename="<domain>"):
         else:
             aux_raws.append(raw)
 
-    decls = _Decls()
-    for raw in directives:
-        key = (raw.head.functor, len(raw.head.args))
-        if key == ("fluents", 1):
-            _add_pred_decls(rd, raw, decls.fluents, decls, "fluents")
-        elif key == ("actions", 1):
-            _add_pred_decls(rd, raw, decls.actions, decls, "actions")
-        elif key == ("sensors", 1):
-            for item in _list_items(rd, raw.tok, raw.head.args[0], "sensors takes a list"):
-                if not (isinstance(item, Term) and not item.args):
-                    rd.err("sensors items are bare names", raw.tok)
-                decls.check_new(rd, raw.tok, item.functor)
-                decls.sensors.append(item.functor)
-        elif key == ("aux", 1):
-            _add_pred_decls(rd, raw, decls.aux, decls, "aux")
-        elif key == ("objects", 2):
-            sort = raw.head.args[0]
-            if not (isinstance(sort, Term) and not sort.args):
-                rd.err("object sort must be an atom", raw.tok)
-            items = _list_items(
-                rd, raw.tok, raw.head.args[1], "objects takes a list of ground terms"
-            )
-            for item in items:
-                if isinstance(item, Var) or not item.ground:
-                    rd.err("object terms must be ground", raw.tok)
-            if sort.functor in decls.objects:
-                rd.err(f"objects({sort.functor}, ...) appears twice", raw.tok)
-            decls.objects[sort.functor] = tuple(items)
+    decls, objects = _declarations(rd, directives)
+    fluents, actions, sensors = decls["fluents"], decls["actions"], decls["sensors"]
 
     # Aux predicates may also be declared implicitly, by defining clauses.
-    aux_arity = dict(decls.aux)
+    aux_arity = dict(decls["aux"])
     for raw in aux_raws:
         name = raw.head.functor
         if name in RESERVED_NAMES:
             rd.err(f"{name!r} is reserved and cannot be defined", raw.tok)
-        if name in decls.fluents or name in decls.actions or name in decls.sensors:
+        if name in fluents or name in actions or name in sensors:
             rd.err(
                 f"{name!r} is declared as a fluent, action, or sensor "
                 "and cannot have clauses",
@@ -504,75 +475,79 @@ def parse_domain(text, filename="<domain>"):
         if aux_arity.setdefault(name, arity) != arity:
             rd.err(f"{name!r} is used with two different arities", raw.tok)
     aux_preds = set(aux_arity.items())
-    fluent_arity = decls.fluents
+
+    def belief_clauses(raw, term, message, where, tautology, require_ground=False):
+        """The initial state's or a sensor case meaning's clauses, each a
+        literal or a list of literals; a tautology is dropped with a warning."""
+        out = []
+        for item in _list_items(rd, raw.tok, term, message):
+            c = normalize_clause(
+                [
+                    _fluent_literal(rd, raw.tok, fluents, el, where, require_ground)
+                    for el in _literals(item)
+                ]
+            )
+            if c is None:
+                warn(raw, tautology)
+            else:
+                out.append(c)
+        return out
 
     initial_clauses = []
     action_specs = {}
     sensor_axioms = {}
     for raw in directives:
-        key = (raw.head.functor, len(raw.head.args))
-        if key == ("initial_state", 1):
-            for item in _list_items(
-                rd, raw.tok, raw.head.args[0], "initial_state takes a list of clauses"
-            ):
-                c = _clause_spec(
-                    rd, raw.tok, fluent_arity, item, "the initial state", require_ground=True
-                )
-                if c is None:
-                    warnings.append(
-                        f"{filename}:{rd.where(raw.tok)[0]}: tautologous initial clause dropped"
-                    )
-                else:
-                    initial_clauses.append(c)
-        elif key == ("action", 3):
-            head, precond_t, cases_t = raw.head.args
+        kind, args = raw.head.functor, raw.head.args
+        if kind == "initial_state":
+            initial_clauses += belief_clauses(
+                raw,
+                args[0],
+                "initial_state takes a list of clauses",
+                "the initial state",
+                "tautologous initial clause dropped",
+                require_ground=True,
+            )
+        elif kind == "action":
+            head, precond_t, cases_t = args
             if not isinstance(head, Term) or head.functor.isdigit():
                 rd.err("action head must be an atom or compound term", raw.tok)
-            _declared_action(rd, raw.tok, decls.actions, head)
+            _declared_action(rd, raw.tok, actions, head)
             akey = (head.functor, len(head.args))
             if akey in action_specs:
                 rd.err(f"action {_pred_str(*akey)} is specified twice", raw.tok)
+            name = head.functor
             precond = _property(
-                rd, raw.tok, fluent_arity, aux_preds, precond_t, f"{head.functor} precondition"
+                rd, raw.tok, fluents, aux_preds, precond_t, f"{name} precondition"
             )
-            case_terms = _list_items(rd, raw.tok, cases_t, "action cases must be a list")
+            # Executing a matched case can bind these names.
+            covered = precond.variables(variables(head))
             cases = []
-            for ct in case_terms:
+            for ct in _list_items(rd, raw.tok, cases_t, "action cases must be a list"):
                 cond_t, eff_t = _case_args(rd, raw.tok, ct, 2, "action cases")
                 cond = _property(
-                    rd, raw.tok, fluent_arity, aux_preds, cond_t, f"{head.functor} case condition"
+                    rd, raw.tok, fluents, aux_preds, cond_t, f"{name} case condition"
                 )
+                cond.variables(covered)
                 eff_items = _list_items(
                     rd, raw.tok, eff_t, "case effects must be a list of literals"
                 )
                 effects = tuple(
-                    _fluent_literal(rd, raw.tok, fluent_arity, el, f"{head.functor} effects")
+                    _fluent_literal(rd, raw.tok, fluents, el, f"{name} effects")
                     for el in eff_items
                 )
                 cases.append(ActionCase(cond, effects))
-            spec = ActionSpec(head, precond, tuple(cases))
             if not cases:
-                warnings.append(
-                    f"{filename}:{rd.where(raw.tok)[0]}: action {head.functor} has no "
-                    "effect cases; executing it will always fail"
-                )
-            covered = variables_of_spec_sources(spec)
-            loose = sorted(
-                n
-                for case in spec.cases
-                for l in case.effects
-                for n in variables(l.fluent)
-                if n not in covered
-            )
+                warn(raw, f"action {name} has no effect cases; executing it will always fail")
+            loose = variables([l.fluent for case in cases for l in case.effects]) - covered
             if loose:
-                warnings.append(
-                    f"{filename}:{rd.where(raw.tok)[0]}: action {head.functor} effect "
-                    f"variables {', '.join(dict.fromkeys(loose))} are not bound "
-                    "by the head, precondition, or case condition"
+                warn(
+                    raw,
+                    f"action {name} effect variables {', '.join(sorted(loose))} "
+                    "are not bound by the head, precondition, or case condition",
                 )
-            action_specs[akey] = spec
-        elif key == ("sensor_axiom", 2):
-            head, cases_t = raw.head.args
+            action_specs[akey] = ActionSpec(head, precond, tuple(cases))
+        elif kind == "sensor_axiom":
+            head, cases_t = args
             if not (
                 isinstance(head, Term)
                 and len(head.args) == 1
@@ -580,33 +555,27 @@ def parse_domain(text, filename="<domain>"):
             ):
                 rd.err("sensor axiom head must look like sensor(Var)", raw.tok)
             name = head.functor
-            if name not in decls.sensors:
+            if name not in sensors:
                 rd.err(f"{name!r} is not a declared sensor", raw.tok)
             if name in sensor_axioms:
                 rd.err(f"sensor {name} has two axioms", raw.tok)
-            case_terms = _list_items(rd, raw.tok, cases_t, "sensor cases must be a list")
             cases = []
-            for ct in case_terms:
+            for ct in _list_items(rd, raw.tok, cases_t, "sensor cases must be a list"):
                 result_t, index_t, meaning_t = _case_args(
                     rd, raw.tok, ct, 3, "sensor cases"
                 )
                 if isinstance(result_t, Var) or not result_t.ground:
                     rd.err("sensor case results must be ground", raw.tok)
                 index = _property(
-                    rd, raw.tok, fluent_arity, aux_preds, index_t, f"{name} index"
+                    rd, raw.tok, fluents, aux_preds, index_t, f"{name} index"
                 )
-                meaning = []
-                for item in _list_items(
-                    rd, raw.tok, meaning_t, "sensor case meaning must be a list of clauses"
-                ):
-                    c = _clause_spec(rd, raw.tok, fluent_arity, item, f"{name} meaning")
-                    if c is None:
-                        warnings.append(
-                            f"{filename}:{rd.where(raw.tok)[0]}: tautologous meaning "
-                            f"clause dropped from sensor {name}"
-                        )
-                    else:
-                        meaning.append(c)
+                meaning = belief_clauses(
+                    raw,
+                    meaning_t,
+                    "sensor case meaning must be a list of clauses",
+                    f"{name} meaning",
+                    f"tautologous meaning clause dropped from sensor {name}",
+                )
                 cases.append(SensorCase(result_t, index, tuple(meaning)))
             sensor_axioms[name] = SensorAxiom(name, cases)
 
@@ -631,10 +600,10 @@ def parse_domain(text, filename="<domain>"):
             body.append(CallGoal(atom))
         aux_clauses.append(ProgramClause(raw.head, tuple(body)))
 
-    for name in decls.actions:
-        if (name, decls.actions[name]) not in action_specs:
-            warnings.append(f"action {name}/{decls.actions[name]} has no specification")
-    for name in decls.sensors:
+    for name, arity in actions.items():
+        if (name, arity) not in action_specs:
+            warnings.append(f"action {name}/{arity} has no specification")
+    for name in sensors:
         if name not in sensor_axioms:
             warnings.append(f"sensor {name} has no axiom")
 
@@ -643,11 +612,11 @@ def parse_domain(text, filename="<domain>"):
         raise ParseError("the initial state is inconsistent", filename=filename)
 
     return DomainFile(
-        fluents=decls.fluents,
-        actions=decls.actions,
-        sensors=decls.sensors,
+        fluents=fluents,
+        actions=actions,
+        sensors=sensors,
         aux=aux_arity,
-        objects=decls.objects,
+        objects=objects,
         initial=initial,
         action_specs=action_specs,
         sensor_axioms=sensor_axioms,
@@ -656,37 +625,22 @@ def parse_domain(text, filename="<domain>"):
     )
 
 
-def variables_of_spec_sources(spec):
-    """Names that executing a matched action specification can bind:
-    head, precondition, and case condition variables."""
-    acc = variables(spec.head)
-    spec.precond.variables(acc)
-    for case in spec.cases:
-        case.cond.variables(acc)
-    return acc
-
-
 def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
     if kind == "cut":
         return CUT
     if kind == "query":
-        term = payload
         if (
-            isinstance(term, Term)
-            and term.functor in domain.sensors
-            and len(term.args) == 1
+            isinstance(payload, Term)
+            and payload.functor in domain.sensors
+            and len(payload.args) == 1
         ):
-            return SenseGoal(term.functor, term.args[0])
-        items = _as_list(term)
-        if items is None:
-            prop = StateProperty(
-                (_prop_clause(rd, tok, domain.fluents, aux_preds, term, "query"),)
-            )
-        else:
-            prop = _property(rd, tok, domain.fluents, aux_preds, term, "query")
-        return QueryGoal(prop)
-    term = payload
-    positive, atom = _signed(term)
+            return SenseGoal(payload.functor, payload.args[0])
+        clauses = (
+            _prop_clause(rd, tok, domain.fluents, aux_preds, item, "query")
+            for item in _literals(payload)
+        )
+        return QueryGoal(StateProperty(tuple(clauses)))
+    positive, atom = _signed(payload)
     if not positive:
         rd.err("goals cannot be negated", tok)
     if not isinstance(atom, Term) or atom.functor.isdigit():

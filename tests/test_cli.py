@@ -501,6 +501,38 @@ def test_gen_size_flag_over_a_config_file_keeps_its_threat_default(
     assert err.endswith(f", {threats} threats\n")
 
 
+def test_gen_rejects_a_negative_threat_count(capsys):
+    code, out, err = run_cli(["gen-wumpus", "--size", "4", "--threats", "-3"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: the threat count cannot be negative, not -3\n"
+
+
+def test_gen_rejects_a_negative_threat_count_in_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("size = 4\nthreats = -3\n", encoding="utf-8")
+    code, out, err = run_cli(["gen-wumpus", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: the threat count cannot be negative, not -3\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("steps", ["0", "-1", "x"])
+def test_a_step_budget_below_one_is_bad_input(maze_files, capsys, command, steps):
+    domain, program = maze_files
+    if command == "run":
+        argv = ["run", "--program", str(program), "--domain", str(domain),
+                "--query", maze_query(5), "--env", "maze:5"]
+    else:
+        argv = ["bench", "--sizes", "4"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [f"--steps={steps}"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (3, "")
+    assert err.endswith(
+        f"error: argument --steps: expected an integer of at least 1, not {steps!r}\n"
+    )
+
+
 def test_gen_then_run_grabs_the_gold(tmp_path, capsys):
     domain = tmp_path / "w.alpd"
     agent = tmp_path / "w.alp"

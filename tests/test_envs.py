@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +80,12 @@ def test_wumpus_config_rejects_tiny_grid():
         WumpusConfig(size=1)
 
 
+def test_wumpus_config_rejects_a_negative_threat_count():
+    with pytest.raises(ValueError, match="negative"):
+        WumpusConfig(size=4, threats=-3)
+    assert WumpusConfig(size=4, threats=0).threats == 0
+
+
 def test_wumpus_config_from_file(tmp_path):
     p = tmp_path / "w.cfg"
     p.write_text("# world\nsize = 4\nthreats=2\nseed = 9\nsolvable = false\n")
@@ -101,6 +109,20 @@ def test_generate_is_deterministic_per_seed():
     c = generate_wumpus(WumpusConfig(size=6, seed=4))
     assert (a.gold, a.threats) == (b.gold, b.threats)
     assert (a.gold, a.threats) != (c.gold, c.threats)
+
+
+def test_generate_default_threat_worlds_are_pinned():
+    # Gold and threats of every world for seeds 0-9 at sizes 4, 8 and 16,
+    # each with the default threat count.
+    text = "".join(
+        f"{size} {seed} {w.gold} {sorted(w.threats)}\n"
+        for size in (4, 8, 16)
+        for seed in range(10)
+        for w in [generate_wumpus(WumpusConfig(size=size, seed=seed))]
+    )
+    assert text.startswith("4 0 (4, 1) [(4, 3)]\n4 1 (2, 1) [(3, 4)]\n")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "07343019dfc123e9e0c7e0a2f3c0aeb4f8412e6aa13a0e3ee6197138d8abd4ea"
 
 
 def test_generate_keeps_start_and_gold_clear():
