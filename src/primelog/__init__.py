@@ -25,7 +25,6 @@ from .pi import (
     entails_clause,
     entails_property,
     integrate_sensing,
-    is_prime,
     prime_closure,
     update,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "entails_clause",
     "entails_property",
     "integrate_sensing",
-    "is_prime",
     "parse_domain",
     "parse_program",
     "parse_query",

@@ -21,7 +21,7 @@ is ever built, so observation costs nothing when it is off.
 import itertools
 
 from .auxdb import AuxDB
-from .errors import EngineError, NondeterministicActionError
+from .errors import EngineError, NondeterministicActionError, PrimelogError
 from .model import (
     CUT,
     DoGoal,
@@ -36,7 +36,7 @@ from .pi import (
     applicable_case_solutions,
     entails_property,
     integrate_sensing,
-    is_prime,
+    prime_closure,
     update,
 )
 from .sld import FAILED, CutGoal, Machine
@@ -205,7 +205,7 @@ class Interpreter(Machine):
     def _commit(self, event, new_state):
         """Log an executed action or observation. It raises the barrier:
         no choicepoint created before it can be resumed."""
-        if self.debug_checks and not is_prime(new_state):
+        if self.debug_checks and prime_closure(tuple(new_state)) != new_state:
             after = "update" if event[0] == "act" else "sensing"
             raise EngineError(f"internal: belief state lost primeness after {after}")
         agent = self.agent
@@ -214,6 +214,20 @@ class Interpreter(Machine):
         if len(new_state) > agent.max_belief:
             agent.max_belief = len(new_state)
         self.barrier += 1
+
+    def _environment(self, method, arg):
+        """`env.method(arg)`. A fault of the environment's own becomes an
+        EngineError, which ends the run as a runtime fault with the agent
+        state attached."""
+        try:
+            return getattr(self.env, method)(arg)
+        except PrimelogError:
+            raise
+        except Exception as e:
+            shown = arg if isinstance(arg, str) else format_term(arg)
+            raise EngineError(
+                f"environment fault in {method}({shown}): {type(e).__name__}: {e}"
+            ) from e
 
     # -- belief queries -----------------------------------------------
 
@@ -271,7 +285,7 @@ class Interpreter(Machine):
             self._note("warn", act)
         # The barrier keeps any commit from coming between the push and a
         # resume, so the belief is the state the executions started on.
-        self.env.execute(act)
+        self._environment("execute", act)
         new_state = update(self.agent.belief, effects)
         self._commit(("act", act, effects), new_state)
         unify_track(cp.subject.action, act, self.bindings, self.trail)
@@ -290,7 +304,7 @@ class Interpreter(Machine):
                 f"sensing argument of {goal.functor} must be an unbound variable"
             )
         self._note("call", goal)
-        observed = self.env.sense(goal.functor)
+        observed = self._environment("sense", goal.functor)
         if not isinstance(observed, Term) or not observed.ground:
             raise EngineError(
                 f"environment answered {goal.functor} with a non-ground result"

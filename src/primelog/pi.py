@@ -6,22 +6,27 @@ no member subsumes another, and no member is a tautology. That shape
 reduces entailment checks to subsumption lookups, keeps progression a
 local operation, and stays stable under the saturation used here.
 
-The store: a `PIList` is a value that carries its own indexes (clause
-key -> clause, literal key -> clause keys, and the unit clauses keyed by
-predicate, sign and first-argument key) in immutable buckets. `update`
-and `prime_closure(..., base=...)` build the next state on a draft that
-shares the parent's buckets and replaces only those it touches, so a
-step costs the clauses it meets, not the size of the belief. A
-single-literal query whose first argument is ground unifies only with
-the units filed under that argument, as first-argument indexing does in
-a Prolog engine. Sensing looks sensor cases up by their index literal
+The store: the states derived from one another form a version tree
+(Baker's shallow binding, 1978; Conchon and Filliâtre, *A Persistent
+Union-Find Data Structure*, 2007). One version, the root, owns the live
+indexes: clause key -> clause, literal key -> clause keys, and the unit
+clauses keyed by predicate, sign and first-argument key. Every other
+version holds the writes that turn its neighbour toward the root into
+itself. `update` and `prime_closure(..., base=...)` write the next state
+into the base's indexes in place and keep the inverse of each write,
+which becomes the base's way back: a step costs the clauses it touches,
+not the size of the belief. Reading an older version first reroots the
+tree there, replaying the writes on the path; reads of the newest state,
+which is all the interpreter does, are plain lookups. A single-literal
+query whose first argument is ground unifies only with the units filed
+under that argument, as first-argument indexing does in a Prolog engine.
+Sensing looks sensor cases up by their index literal
 (`SensorAxiom.candidates`) instead of trying every case.
 
 The public operations:
 
 - `prime_closure`: clause set -> PIList (worklist resolution saturation
   with forward/backward subsumption; detects inconsistency).
-- `is_prime`: decide whether a clause tuple already has the shape.
 - `entails_clause` / `entails_property`: enumerate answer substitutions
   for possibly non-ground query clauses with embedded aux atoms, bound
   on one store and undone through a trail, as resolution does, with
@@ -31,6 +36,7 @@ The public operations:
 - `integrate_sensing`: fold one observed sensing result into the state.
 """
 
+from bisect import bisect_left, insort
 from collections import deque
 from itertools import chain
 from operator import attrgetter
@@ -70,27 +76,70 @@ def _first_key(fluent):
     return first.key if first.__class__ is not Var and first.ground else None
 
 
+def _write(root, clause, present):
+    """Insert `clause` into the live tables of `root` (present=True) or
+    delete it from them. Emptied buckets go, so the tables depend on the
+    clause set alone, whatever writes built them."""
+    by_key, by_lit = root._by_key, root._by_lit
+    k = clause.key
+    lits = clause.literals
+    if present:
+        by_key[k] = clause
+        for l in lits:
+            by_lit.setdefault(l.key, set()).add(k)
+    else:
+        del by_key[k]
+        for l in lits:
+            bucket = by_lit[l.key]
+            bucket.remove(k)
+            if not bucket:
+                del by_lit[l.key]
+    if len(lits) != 1:
+        return
+    units = root._units
+    ps = _pred_sign(lits[0])
+    first = _first_key(lits[0].fluent)
+    if present:
+        firsts, buckets = units.setdefault(ps, ([], {}))
+        bucket = buckets.get(first)
+        if bucket is None:
+            insort(firsts, first)
+            buckets[first] = [clause]
+        else:
+            insort(bucket, clause, key=_clause_key)
+    else:
+        firsts, buckets = units[ps]
+        bucket = buckets[first]
+        del bucket[bisect_left(bucket, k, key=_clause_key)]
+        if not bucket:
+            del buckets[first]
+            del firsts[bisect_left(firsts, first)]
+            if not firsts:
+                del units[ps]
+
+
 class PIList:
     """An immutable, duplicate-free set of ground clauses, iterated in key
-    order, with the indexes that make a step cost only what it touches:
+    order: one version in a tree of versions that share one set of
+    indexes (see the module docstring). The root version owns them:
 
-    - clause key -> clause;
-    - literal key -> frozenset of the keys of the clauses containing it;
-    - (functor, arity, positive) -> first-argument key -> the unit clauses
-      on that predicate and sign whose first argument has that key, as a
-      tuple in key order. Each inner table is ordered by first-argument
-      key, and a unit's key begins with its first argument's, so the
-      buckets of a predicate and sign read one after the other are all
-      its units in key order.
+    - `_by_key`: clause key -> clause;
+    - `_by_lit`: literal key -> set of the keys of the clauses containing it;
+    - `_units`: (functor, arity, positive) -> (first-argument keys in key
+      order, first-argument key -> the unit clauses on that predicate and
+      sign whose first argument has that key, as a list in key order). A
+      unit's key begins with its first argument's, so the buckets read in
+      the order of the keys are all the predicate's units in key order.
 
-    Buckets are never modified, so a child state shares every bucket it
-    does not touch with its parent. The sorted `clauses` tuple is built on
-    first use. The single empty clause (`INCONSISTENT`) represents an
-    unsatisfiable state; no clauses at all represent a tautologous
-    (information-free) one.
+    Any other version has those three set to None and `_diff` set to
+    (neighbour, writes): replaying the (clause, present) writes on the
+    neighbour's tables gives this version's. `_live()` reroots the tree
+    here. The sorted `clauses` tuple is built on first use. The single
+    empty clause (`INCONSISTENT`) represents an unsatisfiable state; no
+    clauses at all represent a tautologous (information-free) one.
     """
 
-    __slots__ = ("_by_key", "_by_lit", "_units", "_sorted")
+    __slots__ = ("_by_key", "_by_lit", "_units", "_diff", "_size", "_sorted")
 
     def __init__(self, clauses=()):
         unique = {}
@@ -100,28 +149,56 @@ class PIList:
             unique[c.key] = c
         if EMPTY_CLAUSE.key in unique:
             unique = {EMPTY_CLAUSE.key: EMPTY_CLAUSE}
-        draft = _Draft()
+        self._by_key, self._by_lit, self._units = {}, {}, {}
         for c in unique.values():
-            draft.insert(c)
-        self._by_key, self._by_lit, self._units = draft.tables()
-        self._sorted = None
+            _write(self, c, True)
+        self._diff = self._sorted = None
+        self._size = len(unique)
+
+    def _live(self):
+        """This version, made the root of its tree: each version on the
+        path from the root takes the tables over, replaying its writes,
+        and leaves the inverse writes with the version it took them from."""
+        if self._diff is None:
+            return self
+        path = []
+        version = self
+        while version._diff is not None:
+            path.append(version)
+            version = version._diff[0]
+        for nearer in reversed(path):
+            writes = nearer._diff[1]
+            nearer._by_key, nearer._by_lit, nearer._units = (
+                version._by_key, version._by_lit, version._units)
+            version._by_key = version._by_lit = version._units = None
+            for clause, present in writes:
+                _write(nearer, clause, present)
+            version._diff = (nearer, [(c, not p) for c, p in reversed(writes)])
+            nearer._diff = None
+            version = nearer
+        return self
 
     @property
     def clauses(self):
         """The clauses as a tuple in key order."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._by_key.values(), key=_clause_key))
+            self._sorted = tuple(sorted(self._live()._by_key.values(), key=_clause_key))
         return self._sorted
 
     @property
     def inconsistent(self):
-        return EMPTY_CLAUSE.key in self._by_key
+        return EMPTY_CLAUSE.key in self._live()._by_key
 
     def __len__(self):
-        return len(self._by_key)
+        return self._size
 
     def __eq__(self, other):
-        return isinstance(other, PIList) and other._by_key.keys() == self._by_key.keys()
+        if self is other:
+            return True
+        if not isinstance(other, PIList) or other._size != self._size:
+            return False
+        mine = set(self._live()._by_key)
+        return other._live()._by_key.keys() == mine
 
     def __hash__(self):
         return hash(self.clauses)
@@ -135,121 +212,58 @@ class PIList:
     def units_for(self, functor, arity, positive):
         """Unit clauses on a given predicate and sign, in key order: its
         first-argument buckets one after the other."""
-        subs = self._units.get((functor, arity, positive))
-        return tuple(chain.from_iterable(subs.values())) if subs else ()
+        firsts, buckets = self._live()._units.get((functor, arity, positive), ((), {}))
+        return tuple(chain.from_iterable(map(buckets.__getitem__, firsts)))
 
     def units_matching(self, fluent, positive):
         """The unit clauses of sign `positive` that may unify with
-        `fluent`, in key order: the one first-argument bucket when the
-        first argument is ground (a unit outside it differs from it in a
-        ground first argument), else every unit on the predicate."""
-        subs = self._units.get((fluent.functor, len(fluent.args), positive))
-        if not subs:
-            return ()
+        `fluent`, as a tuple in key order: the one first-argument bucket
+        when the first argument is ground (a unit outside it differs from
+        it in a ground first argument), else every unit on the predicate."""
+        ps = (fluent.functor, len(fluent.args), positive)
         first = _first_key(fluent)
         if first is None:
-            return chain.from_iterable(subs.values())
-        return subs.get(first, ())
+            return self.units_for(*ps)
+        return tuple(self._live()._units.get(ps, ((), {}))[1].get(first, ()))
 
 
 class _Draft:
-    """The next state, built from a parent PIList without changing it, or
-    from nothing.
+    """The next version of `parent`, written straight into its tables.
 
-    The parent's top-level tables are copied; a literal bucket becomes a
-    private set the first time it is written, and a first-argument unit
-    bucket is rebuilt at the end from its removals and additions, in a
-    copy of its predicate's table. Every other bucket is shared with the
-    parent.
+    The parent is made the root first. Each write is applied in place and
+    its inverse recorded; `freeze` hands the tables to a new version and
+    leaves the parent the inverse writes, reversed, as its way back;
+    `discard` replays them at once and leaves the parent as it was.
     """
 
-    __slots__ = ("parent", "by_key", "by_lit", "_units", "_own", "_unit_delta")
+    __slots__ = ("parent", "by_key", "by_lit", "undo")
 
-    def __init__(self, parent=None):
-        self.parent = parent
-        if parent is None:
-            self.by_key, self.by_lit, self._units = {}, {}, {}
-        else:
-            self.by_key = dict(parent._by_key)
-            self.by_lit = dict(parent._by_lit)
-            self._units = parent._units
-        self._own = set()        # literal keys whose bucket is a private set
-        # (functor, arity, sign) -> first-argument key -> (removed keys, {key: added unit})
-        self._unit_delta = {}
+    def __init__(self, parent):
+        self.parent = parent._live()
+        self.by_key, self.by_lit = parent._by_key, parent._by_lit
+        self.undo = []
 
-    def _bucket(self, lit_key):
-        if lit_key in self._own:
-            return self.by_lit[lit_key]
-        self._own.add(lit_key)
-        bucket = self.by_lit[lit_key] = set(self.by_lit.get(lit_key, ()))
-        return bucket
-
-    def _delta(self, lit):
-        ps = _pred_sign(lit)
-        by_first = self._unit_delta.get(ps)
-        if by_first is None:
-            by_first = self._unit_delta[ps] = {}
-        first = _first_key(lit.fluent)
-        delta = by_first.get(first)
-        if delta is None:
-            delta = by_first[first] = (set(), {})
-        return delta
-
-    def insert(self, clause):
-        k = clause.key
-        self.by_key[k] = clause
-        for l in clause.literals:
-            self._bucket(l.key).add(k)
-        if len(clause.literals) == 1:
-            self._delta(clause.literals[0])[1][k] = clause
-
-    def remove(self, clause):
-        k = clause.key
-        del self.by_key[k]
-        for l in clause.literals:
-            self._bucket(l.key).discard(k)
-        if len(clause.literals) == 1:
-            removed, added = self._delta(clause.literals[0])
-            if added.get(k) is clause:
-                del added[k]
-            else:
-                removed.add(k)
-
-    def tables(self):
-        """The finished (clause, literal, unit) tables, buckets frozen."""
-        by_lit = self.by_lit
-        for lk in self._own:
-            if by_lit[lk]:
-                by_lit[lk] = frozenset(by_lit[lk])
-            else:
-                del by_lit[lk]
-        units = dict(self._units)
-        for ps, by_first in self._unit_delta.items():
-            subs = dict(units.get(ps, ()))
-            grown = False
-            for first, (removed, added) in by_first.items():
-                bucket = [u for u in subs.get(first, ()) if u.key not in removed]
-                bucket.extend(added.values())
-                if bucket:
-                    grown = grown or first not in subs
-                    subs[first] = tuple(sorted(bucket, key=_clause_key))
-                else:
-                    subs.pop(first, None)
-            if not subs:
-                units.pop(ps, None)
-            else:
-                # a new first argument is appended; put it in key order
-                units[ps] = dict(sorted(subs.items())) if grown else subs
-        return self.by_key, by_lit, units
+    def write(self, clause, present):
+        _write(self.parent, clause, present)
+        self.undo.append((clause, not present))
 
     def freeze(self):
-        """The finished state; the parent itself when nothing changed."""
-        if not self._own:
-            return self.parent
+        """The finished state; the parent itself when nothing was written."""
+        parent = self.parent
+        if not self.undo:
+            return parent
         state = object.__new__(PIList)
-        state._by_key, state._by_lit, state._units = self.tables()
-        state._sorted = None
+        state._by_key, state._by_lit, state._units = parent._by_key, parent._by_lit, parent._units
+        state._diff = state._sorted = None
+        state._size = len(state._by_key)
+        parent._by_key = parent._by_lit = parent._units = None
+        self.undo.reverse()
+        parent._diff = (state, self.undo)
         return state
+
+    def discard(self):
+        for clause, present in reversed(self.undo):
+            _write(self.parent, clause, present)
 
 
 INCONSISTENT = PIList((EMPTY_CLAUSE,))
@@ -268,8 +282,8 @@ class _Saturator:
     from the draft's literal buckets, so base clauses the new ones never
     meet are never looked at."""
 
-    def __init__(self, base):
-        self.draft = _Draft(base)
+    def __init__(self, draft):
+        self.draft = draft
         self.work = deque()
         self.inconsistent = False
 
@@ -294,8 +308,8 @@ class _Saturator:
         # backward subsumption: the newcomer may simplify the set
         for other in others:
             if clause.subsumes(other):
-                self.draft.remove(other)
-        self.draft.insert(clause)
+                self.draft.write(other, False)
+        self.draft.write(clause, True)
         self.work.append(clause)
 
     def run(self):
@@ -326,11 +340,6 @@ class _Saturator:
                     if self.inconsistent:
                         return
 
-    def result(self):
-        if self.inconsistent:
-            return INCONSISTENT
-        return self.draft.freeze()
-
 
 def prime_closure(clauses, base=None):
     """Saturate a set of ground clauses into its prime implicates.
@@ -338,55 +347,29 @@ def prime_closure(clauses, base=None):
     `base` may carry an already-prime PIList whose clauses are taken as
     mutually resolved, so only the new clauses (and whatever they spawn)
     get processed, against the base clauses they share a literal with.
-    Returns INCONSISTENT when the empty clause derives.
+    Without one the closure starts a version tree of its own. Returns
+    INCONSISTENT when the empty clause derives, and then leaves `base`
+    as it was.
     """
     if base is None:
-        base = TOP
+        base = PIList()
     elif base.inconsistent:
         return INCONSISTENT
     for c in clauses:
         if not c.ground:
             raise NonGroundError(f"closure needs ground clauses: {format_clause(c)}")
-    sat = _Saturator(base)
+    draft = _Draft(base)
+    sat = _Saturator(draft)
     for c in sorted(clauses, key=_clause_key):
         sat.add(c)
         if sat.inconsistent:
-            return INCONSISTENT
-    sat.run()
-    return sat.result()
-
-
-def is_prime(clauses):
-    """True iff the clause tuple is sorted, duplicate- and tautology-free,
-    pairwise non-subsuming, and closed under non-redundant resolution."""
-    cs = list(clauses)
-    keys = [c.key for c in cs]
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
-        return False
-    for c in cs:
-        if normalize_clause(c.literals) is None or normalize_clause(c.literals) != c:
-            return False
-    for i, c in enumerate(cs):
-        for j, d in enumerate(cs):
-            if i != j and c.subsumes(d):
-                return False
-    for i, c in enumerate(cs):
-        for d in cs[i + 1 :]:
-            for lit in c.literals:
-                comp = _complement_key(lit.key)
-                if not any(m.key == comp for m in d.literals):
-                    continue
-                resolvent = normalize_clause(
-                    [l for l in c.literals if l.key != lit.key]
-                    + [m for m in d.literals if m.key != comp]
-                )
-                if resolvent is None:
-                    continue
-                if len(resolvent) == 0:
-                    return False
-                if not any(e.subsumes(resolvent) for e in cs):
-                    return False
-    return True
+            break
+    else:
+        sat.run()
+    if sat.inconsistent:
+        draft.discard()
+        return INCONSISTENT
+    return draft.freeze()
 
 
 def update(state, effects):
@@ -410,14 +393,13 @@ def update(state, effects):
     if not seen:
         return state
     draft = _Draft(state)
-    for fk in seen:
-        for sign in (0, 1):
-            for k in state._by_lit.get((fk, sign), ()):
-                doomed = draft.by_key.get(k)
-                if doomed is not None:
-                    draft.remove(doomed)
+    by_key, by_lit = draft.by_key, draft.by_lit
+    # Collected before the first write, which may empty these buckets.
+    doomed = {k for fk in seen for sign in (0, 1) for k in by_lit.get((fk, sign), ())}
+    for k in doomed:
+        draft.write(by_key[k], False)
     for l in {l.key: l for l in effects}.values():
-        draft.insert(Clause((l,)))
+        draft.write(Clause((l,)), True)
     return draft.freeze()
 
 

@@ -340,3 +340,72 @@ def test_runaway_aux_recursion_exhausts_its_budget():
     aux = AuxDB(domain.aux_program, budget=1000)
     with pytest.raises(EngineError, match="budget"):
         list(aux.solve(_aux_goal("loop(a)", domain)))
+
+
+class _BrokenEnv(MazeEnv):
+    """A corridor whose `execute` or `sense` fails with a KeyError of its
+    own, as an environment with a bug would."""
+
+    def __init__(self, failing):
+        super().__init__(5)
+        self.failing = failing
+
+    def execute(self, action):
+        if self.failing == "execute" and self.log:
+            raise KeyError("cell 3")
+        return super().execute(action)
+
+    def sense(self, functor):
+        if self.failing == "sense":
+            raise KeyError(functor)
+        return super().sense(functor)
+
+
+@pytest.mark.parametrize(
+    "failing, program, message",
+    [
+        (
+            "execute",
+            "walk :- do(go(2)), do(go(3)).\n",
+            "environment fault in execute(go(3)): KeyError: 'cell 3'",
+        ),
+        ("sense", "look(R) :- ?(glow(R)).\n", "environment fault in sense(glow): KeyError: 'glow'"),
+    ],
+)
+def test_an_environment_fault_is_a_runtime_error_with_the_agent_state(failing, program, message):
+    domain = parse_domain(
+        (SAMPLES / "corridor5.alpd").read_text(encoding="utf-8")
+        + "sensors([glow]).\nsensor_axiom(glow(_), [case(true, [], [])]).\n",
+        "corridor5.alpd",
+    )
+    query = "walk" if failing == "execute" else "look(R)"
+    with pytest.raises(EngineError) as caught:
+        program = parse_program(program, domain, "p.alp")
+        solve(parse_query(query, domain), program, domain, _BrokenEnv(failing))
+    assert str(caught.value) == message
+    assert isinstance(caught.value.__cause__, KeyError)
+    assert [format_term(a) for a in caught.value.state.history] == (
+        ["go(2)"] if failing == "execute" else []
+    )
+
+
+def test_an_environment_fault_exits_2_through_the_cli(monkeypatch, capsys):
+    def broken(self, action):
+        raise KeyError("cell 2")
+
+    monkeypatch.setattr(MazeEnv, "execute", broken)
+    code = cli.main(
+        [
+            "run",
+            "--program", str(SAMPLES / "explorer.alp"),
+            "--domain", str(SAMPLES / "corridor5.alpd"),
+            "--query", "explore([2,3,4,5],[])",
+            "--env", "maze:5",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert captured.err == (
+        "runtime error: environment fault in execute(go(2)): KeyError: 'cell 2'\n"
+    )

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import reference_prime_implicates
 from primelog.auxdb import AuxDB, empty_aux
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
-from primelog.interpreter import action_effects
+from primelog.envs import MazeEnv, emit_maze_domain
+from primelog.interpreter import Interpreter, action_effects
 from primelog.model import (
     ActionCase,
     ActionSpec,
@@ -21,6 +22,7 @@ from primelog.model import (
     SensorCase,
     StateProperty,
 )
+from primelog.parser import parse_domain
 from primelog.pi import (
     INCONSISTENT,
     TOP,
@@ -29,7 +31,6 @@ from primelog.pi import (
     entails_property,
     first_entailment,
     integrate_sensing,
-    is_prime,
     prime_closure,
     update,
 )
@@ -97,6 +98,12 @@ def test_closure_of_nothing_is_top():
     assert not prime_closure([]).inconsistent
 
 
+def is_prime(state):
+    """Primeness as `--debug-checks` decides it: closing the state's own
+    clauses gives the state back."""
+    return prime_closure(tuple(state)) == state
+
+
 def test_is_prime():
     good = prime_closure([cl(lit("p"), lit("q")), cl(lit("q", pos=False), lit("r"))])
     assert is_prime(good)
@@ -104,6 +111,26 @@ def test_is_prime():
         [cl(lit("p"), lit("q")), cl(lit("q", pos=False), lit("r"))]
     )
     assert not is_prime(missing_resolvent)
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        # a resolvent is missing
+        [cl(lit("p"), lit("q")), cl(lit("q", pos=False), lit("r"))],
+        # one member subsumes another
+        [cl(lit("p")), cl(lit("p"), lit("q"))],
+        # the two units resolve to the empty clause
+        [cl(lit("p")), cl(lit("p", pos=False))],
+    ],
+)
+def test_debug_checks_reject_a_non_prime_state(clauses):
+    domain = parse_domain(emit_maze_domain(3), "maze.alpd")
+    interp = Interpreter(domain, Program([]), MazeEnv(3), debug_checks=True)
+    event = ("act", Term("go", (Num(2),)), ())
+    interp._commit(event, prime_closure(clauses[:1]))
+    with pytest.raises(EngineError, match="lost primeness after update"):
+        interp._commit(event, PIList(clauses))
 
 
 def test_base_seeding_matches_full_closure():

@@ -8,9 +8,14 @@ prints a Markdown table of, per workload:
   compound (the occurs check, which also settles a ground value);
 - the cells walked by the walks that do not settle (`walk` calls inside
   them), and the walks that settled a ground term;
-- `auxdb.solve` calls and the resolution machines they built.
+- `auxdb.solve` calls and the resolution machines they built;
+- `belief_entries_copied`: the belief table entries written per belief
+  step (an `update` or a sensing with its closure), counted at
+  `pi._write`, one for the clause, one per literal and one for a unit's
+  bucket. The store writes only what a step changes, and copies nothing.
 
-The workloads are perfbench's three and `open-list`, `mko(0,500,L),
+The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
+beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
 tk(L,500)`: a list built with its tail left open, then taken apart, so
 every step's walk runs to the open tail and the cells grow with the
 square of the length. The counts come from wrapping those functions from
@@ -23,7 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
-from primelog import auxdb, envs, interpreter, parser, terms
+from primelog import auxdb, envs, interpreter, parser, pi, terms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,6 +38,7 @@ COLUMNS = (
     "settled",
     "aux_solves",
     "aux_machines",
+    "belief_entries_copied",
 )
 
 
@@ -61,12 +67,21 @@ class OpenList:
         return envs.MazeEnv(3)
 
 
-def _workloads():
+def _perfbench():
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
-    from workloads import WORKLOADS
+    import workloads
 
-    return {**WORKLOADS, OpenList.name: OpenList()}
+    return workloads
+
+
+def ground3(size):
+    """perfbench's ground3 wumpus workload at another board size."""
+    return _perfbench().Wumpus(f"wumpus-g3-{size}", size, "ground3", 0)
+
+
+def _workloads():
+    return {**_perfbench().WORKLOADS, "wumpus-g3-48": ground3(48), OpenList.name: OpenList()}
 
 
 @contextmanager
@@ -80,10 +95,12 @@ def _patched(owner, name, make):
 
 
 def count_work(workload):
-    """The counts of one solve of the named workload."""
-    spec = _workloads()[workload]
+    """The counts of one solve of the named workload, or of a workload
+    object such as `ground3(size)` gives."""
+    spec = _workloads()[workload] if isinstance(workload, str) else workload
     inputs = spec.setup()
     counts = dict.fromkeys(COLUMNS, 0)
+    steps = [0]
     cells = [None]  # the walk count of the `_value` call under way
 
     def walk(plain):
@@ -124,17 +141,36 @@ def count_work(workload):
 
         return counted
 
+    def step(plain):
+        def counted(*args):
+            steps[0] += 1
+            return plain(*args)
+
+        return counted
+
+    def write(plain):
+        def counted(root, clause, present):
+            n = len(clause.literals)
+            counts["belief_entries_copied"] += 1 + n + (n == 1)
+            return plain(root, clause, present)
+
+        return counted
+
     with (
         _patched(terms, "walk", walk),
         _patched(terms, "_value", value),
         _patched(auxdb.AuxDB, "solve", solve),
         _patched(auxdb, "Machine", machine),
+        _patched(interpreter, "update", step),
+        _patched(interpreter, "integrate_sensing", step),
+        _patched(pi, "_write", write),
     ):
         outcome = interpreter.solve(
             inputs.query, inputs.program, inputs.domain, spec.make_env(inputs)
         )
     if not outcome.succeeded:
-        raise RuntimeError(f"{workload}: the solve ended with status {outcome.status}")
+        raise RuntimeError(f"{spec.name}: the solve ended with status {outcome.status}")
+    counts["belief_entries_copied"] /= max(steps[0], 1)
     return counts
 
 
@@ -145,7 +181,11 @@ def main(argv):
     print("| --- |" + " --- |" * len(COLUMNS))
     for name in names:
         counts = count_work(name)
-        print(f"| {name} | " + " | ".join(f"{counts[c]:,}" for c in COLUMNS) + " |")
+        cells = (
+            f"{counts[c]:,.1f}" if isinstance(counts[c], float) else f"{counts[c]:,}"
+            for c in COLUMNS
+        )
+        print(f"| {name} | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":
