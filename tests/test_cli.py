@@ -138,6 +138,79 @@ def test_run_barrier_violation_exits_two(tmp_path, capsys):
     assert "backtracked across executed action" in err
 
 
+BARRIER_TRACES = {
+    "failure-after-do": (
+        "bad :- do(go(2)), fail.\n",
+        "bad",
+        """\
+CALL bad
+CALL do(go(2))
+EXEC go(2)
+STATE size=3
+FAIL fail
+runtime error: backtracked across executed action
+""",
+    ),
+    # The cut drops the do's own choicepoint; later failure first exhausts
+    # pick/1, pushed after the action, and only then reaches step/1's,
+    # which is older than it.
+    "backtrack-into-older-choicepoint": (
+        "step(3). step(2).\n"
+        "go_once(X) :- do(go(X)), !.\n"
+        "pick(a). pick(b).\n"
+        "back :- step(X), go_once(X), pick(Y), Y = c.\n",
+        "back",
+        """\
+CALL back
+CALL step(X~1)
+EXIT step(3)
+CALL go_once(3)
+CALL do(go(3))
+FAIL do(go(3))
+REDO go_once(3)
+FAIL go_once(3)
+REDO step(X~1)
+EXIT step(2)
+CALL go_once(2)
+CALL do(go(2))
+EXEC go(2)
+STATE size=3
+EXIT go_once(2)
+CALL pick(Y~1)
+EXIT pick(a)
+FAIL =(a,c)
+REDO pick(Y~1)
+EXIT pick(b)
+FAIL =(b,c)
+REDO pick(Y~1)
+FAIL pick(Y~1)
+runtime error: backtracked across executed action
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARRIER_TRACES))
+def test_run_barrier_trace_is_pinned(case, tmp_path, capsys):
+    source, query, want = BARRIER_TRACES[case]
+    domain = tmp_path / "maze.alpd"
+    domain.write_text(emit_maze_domain(5), encoding="utf-8")
+    program = tmp_path / "prog.alp"
+    program.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", query,
+            "--env", "maze:5",
+            "--trace",
+        ],
+        capsys,
+    )
+    assert (code, err) == (2, want)
+
+
 def test_run_budget_exhaustion_exits_two(tmp_path, capsys):
     domain = tmp_path / "maze.alpd"
     domain.write_text(emit_maze_domain(3), encoding="utf-8")
