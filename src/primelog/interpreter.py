@@ -9,10 +9,13 @@ and progresses the belief state. Aux atoms inside properties are derived
 by `AuxDB.solve` on a machine of its own.
 
 Execution is online: once an action has been sent to the environment it
-cannot be taken back. The machine's barrier counts executed actions and
-sensing events; resuming any choicepoint created before the latest one
-raises BarrierError instead of silently recomputing a world that no
-longer exists.
+cannot be taken back. Each executed action and sensing event commits:
+every choicepoint that exists then becomes `sld.DEAD`, and backtracking
+into one raises BarrierError instead of silently recomputing a world
+that no longer exists. The commit empties the trail, which only those
+choicepoints could undo, and a store that has doubled keeps only the
+bindings the goals still to run and the query reach, so a run's memory
+follows what the agent still needs, not how long it has run.
 
 An attached observer receives every event. Without one, no event text
 is ever built, so observation costs nothing when it is off.
@@ -39,7 +42,7 @@ from .pi import (
     prime_closure,
     update,
 )
-from .sld import FAILED, CutGoal, Machine
+from .sld import DEAD, FAILED, CutGoal, ExitNote, Machine
 from .terms import (
     Term,
     Var,
@@ -54,6 +57,10 @@ from .terms import (
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
+
+# The fewest bindings a commit compacts: below it, a compaction would run
+# at almost every commit and cost more time than the memory it frees.
+COMPACT_FLOOR = 1024
 
 
 class AgentState:
@@ -154,6 +161,8 @@ class Interpreter(Machine):
         self.agent = AgentState(domain.initial)
         self.observer = observer
         self.debug_checks = debug_checks
+        self.query_names = ()
+        self._compact_at = COMPACT_FLOOR
 
     # -- public entry -------------------------------------------------
 
@@ -165,6 +174,7 @@ class Interpreter(Machine):
         for g in reversed(tuple(goals)):
             goal_variables(g, qvars)
             stack = (CutGoal(0) if g is CUT else g, stack)
+        self.query_names = qvars
         try:
             ok = self.resolve(stack)
         except EngineError as e:
@@ -202,9 +212,13 @@ class Interpreter(Machine):
             return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
         return format_term(subject, self.bindings)
 
-    def _commit(self, event, new_state):
-        """Log an executed action or observation. It raises the barrier:
-        no choicepoint created before it can be resumed."""
+    def _commit(self, event, new_state, goals=None):
+        """Log an executed action or observation, which no backtracking
+        may cross, and drop what that leaves unreachable: every
+        choicepoint becomes DEAD and the trail is emptied. A store that
+        has doubled since its last compaction keeps only the bindings
+        that `goals`, the goal list still to run, and the query's
+        variables reach."""
         if self.debug_checks and prime_closure(tuple(new_state)) != new_state:
             after = "update" if event[0] == "act" else "sensing"
             raise EngineError(f"internal: belief state lost primeness after {after}")
@@ -213,7 +227,36 @@ class Interpreter(Machine):
         agent.events.append(event)
         if len(new_state) > agent.max_belief:
             agent.max_belief = len(new_state)
-        self.barrier += 1
+        cps = self.cps
+        depth = len(cps)
+        while depth and cps[depth - 1] is not DEAD:
+            depth -= 1
+            cps[depth] = DEAD
+        self.trail.clear()
+        if len(self.bindings) >= self._compact_at:
+            self._compact(goals)
+            self._compact_at = max(COMPACT_FLOOR, 2 * len(self.bindings))
+
+    def _compact(self, goals):
+        """Keep the bindings of the names `goals` and the query's
+        variables reach through the store, in a fresh dict: a dict does
+        not shrink when names are deleted from it."""
+        bindings = self.bindings
+        names = set(self.query_names)
+        while goals is not None:
+            goal, goals = goals
+            if goal.__class__ is ExitNote:
+                variables(goal.atom, names)
+            else:
+                goal_variables(goal, names)
+        live = set()
+        while names:
+            name = names.pop()
+            if name not in live:
+                live.add(name)
+                if name in bindings:
+                    variables(bindings[name], names)
+        self.bindings = {n: v for n, v in bindings.items() if n in live}
 
     def _environment(self, method, arg):
         """`env.method(arg)`. A fault of the environment's own becomes an
@@ -283,11 +326,12 @@ class Interpreter(Machine):
             if effects is not None:
                 break
             self._note("warn", act)
-        # The barrier keeps any commit from coming between the push and a
-        # resume, so the belief is the state the executions started on.
+        # A commit kills every choicepoint, so none comes between the
+        # push and a resume: the belief is the state the executions
+        # started on.
         self._environment("execute", act)
         new_state = update(self.agent.belief, effects)
-        self._commit(("act", act, effects), new_state)
+        self._commit(("act", act, effects), new_state, cp.rest)
         unify_track(cp.subject.action, act, self.bindings, self.trail)
         self._note("exec", act, effects, new_state)
         return cp.rest
@@ -312,7 +356,7 @@ class Interpreter(Machine):
         new_state, sol = integrate_sensing(
             self.agent.belief, axiom, observed, self.aux
         )
-        self._commit(("sense", goal.functor, observed, sol), new_state)
+        self._commit(("sense", goal.functor, observed, sol), new_state, rest)
         self.bindings[arg.name] = observed
         self.trail.append(arg.name)
         self._note("sense", goal.functor, observed, new_state)

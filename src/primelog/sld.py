@@ -4,7 +4,7 @@ One iterative machine resolves definite clauses in Prolog clause order,
 leftmost goal first, with cut and the built-ins: a binding store undone
 through a trail, a stack of choicepoints, and the goal list as a linked
 list of (goal, rest) pairs. `Interpreter` extends it with the
-agent goals and the execution barrier; `AuxDB.solve` drives a machine of
+agent goals and their commits; `AuxDB.solve` drives a machine of
 its own to derive aux atoms inside belief queries. Derivation depth is
 bounded by the step budget, never by Python's stack.
 """
@@ -25,6 +25,11 @@ from .terms import (
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
 FAILED = object()
+
+# What a commit leaves in place of every choicepoint older than it: it
+# keeps the stack's depths for cuts, holds nothing, and backtracking
+# into it raises BarrierError.
+DEAD = object()
 
 
 class CutGoal:
@@ -51,19 +56,17 @@ class ChoicePoint:
     answers of a `?` or the executions of a `do`. `advance(machine, cp)`
     takes the next alternative from `it` and returns the goal list to
     continue with, or FAILED when none is left. `subject` names it in the
-    trace; `rest` is the goal list after it; `mark`, `barrier` and
-    `depth` are the trail length, barrier and choicepoint-stack depth at
-    the time it was pushed."""
+    trace; `rest` is the goal list after it; `mark` and `depth` are the
+    trail length and choicepoint-stack depth at the time it was pushed."""
 
-    __slots__ = ("advance", "it", "subject", "rest", "mark", "barrier", "depth")
+    __slots__ = ("advance", "it", "subject", "rest", "mark", "depth")
 
-    def __init__(self, advance, it, subject, rest, mark, barrier, depth):
+    def __init__(self, advance, it, subject, rest, mark, depth):
         self.advance = advance
         self.it = it
         self.subject = subject
         self.rest = rest
         self.mark = mark
-        self.barrier = barrier
         self.depth = depth
 
 
@@ -72,10 +75,10 @@ class Machine:
 
     `fresh` yields the suffixes that rename clause variables apart, so
     every machine sharing one name space must share one iterator. Every
-    resolution step costs one unit of `budget`. `barrier` counts the
-    irrevocable steps taken so far: resuming a choicepoint created before
-    the latest one raises BarrierError. A plain machine never takes one,
-    has no observer and reports no events.
+    resolution step costs one unit of `budget`. A choicepoint that an
+    irrevocable step has made unreachable is replaced by DEAD, and
+    backtracking into it raises BarrierError. A plain machine never takes
+    such a step, has no observer and reports no events.
     """
 
     observer = None
@@ -85,7 +88,6 @@ class Machine:
         self.program = program
         self.aux = aux
         self.steps = budget
-        self.barrier = 0
         self.bindings = {}
         self.trail = []
         self.cps = []
@@ -123,7 +125,7 @@ class Machine:
         cps = self.cps
         while cps:
             cp = cps[-1]
-            if self.barrier > cp.barrier:
+            if cp is DEAD:
                 raise BarrierError("backtracked across executed action")
             undo(self.bindings, self.trail, cp.mark)
             self._tick()
@@ -136,7 +138,7 @@ class Machine:
     def _push(self, advance, it, subject, rest):
         """Push a choicepoint and take its first alternative."""
         cps = self.cps
-        cp = ChoicePoint(advance, it, subject, rest, len(self.trail), self.barrier, len(cps))
+        cp = ChoicePoint(advance, it, subject, rest, len(self.trail), len(cps))
         cps.append(cp)
         return self._resume(cp)
 

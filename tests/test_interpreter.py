@@ -9,7 +9,7 @@ from primelog.errors import (
     NondeterministicActionError,
     SensingError,
 )
-from primelog.interpreter import Interpreter, replay, solve
+from primelog.interpreter import COMPACT_FLOOR, Interpreter, replay, solve
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.terms import FALSE, TRUE, Literal, Term, format_term
 
@@ -341,6 +341,61 @@ sensor_axiom(feel(_), [
     env = AckEnv({"feel": TRUE})
     with pytest.raises(BarrierError):
         run("bad :- ?(feel(R)), fail.\n", "bad", domain_text=dom, env=env)
+
+
+# ---------------------------------------------------------------- commits
+
+PACE = """\
+pace(0) :- !.
+pace(J) :- pred(J, I), do(go(2)), do(go(1)), !, pace(I).
+keep(Q) :- W = g(U), U = h(Q, V), pace(800), V = c, W = g(h(b, c)).
+outer :- tag(Y).
+tag(X) :- X = f(Z), Z = 5, pace(800).
+"""
+
+
+def pacing_machine(actions, query, observer=None):
+    """An interpreter that has run `query` over PACE, with `pred/2`
+    counting down from actions / 2; it asserts the run succeeded."""
+    facts = " ".join(f"pred({i + 1},{i})." for i in range(actions // 2))
+    dom = parse_domain(PLAIN + facts + "\n", "d.alpd")
+    prog = parse_program(PACE, dom, "p.alp")
+    machine = Interpreter(dom, prog, AckEnv(), observer=observer)
+    out = machine.run(parse_query(query, dom))
+    assert out.succeeded and len(out.state.history) == actions
+    return machine, out
+
+
+def test_a_pacing_agents_store_does_not_grow_with_its_run():
+    """Each pace binds two names and leaves no choicepoint, and every
+    action commits. What the commits leave is the same bounded size
+    after 400 actions as after 3,200; kept, the store and the trail would
+    hold one entry per action."""
+    kept = {}
+    for n in (400, 3200):
+        machine, _ = pacing_machine(n, f"pace({n // 2})")
+        kept[n] = (len(machine.bindings), len(machine.trail), len(machine.cps))
+    assert max(bindings for bindings, _, _ in kept.values()) <= COMPACT_FLOOR
+    assert kept[400][1:] == kept[3200][1:] == (0, 0)
+
+
+def test_compaction_keeps_what_the_goals_and_the_query_reach():
+    # W is reached from a goal left after pace/1, U only through W's
+    # binding, and X only from the query; 1,600 actions compact the store
+    # on the way.
+    machine, out = pacing_machine(1600, "X = [Q], keep(Q)")
+    assert len(machine.bindings) < 1600
+    assert answers(out) == {"Q": "b", "X": "[b]"}
+
+
+def test_compaction_keeps_what_the_trace_labels_reach():
+    # Y is reached only from tag/1's exit marker, which an observer puts
+    # on the goal list, and f(5) only through Y's binding.
+    events = []
+    machine, _ = pacing_machine(1600, "outer", observer=events.append)
+    assert len(machine.bindings) < 1600
+    exits = [e for e in events if e[0] == "exit" and e[1].startswith("tag")]
+    assert exits == [("exit", "tag(f(5))")]
 
 
 # ---------------------------------------------------------------- sensing

@@ -691,3 +691,14 @@ def test_corridor_backtracks_over_ground_lists():
     assert counts["unsettled_cells"] <= 25_000
     assert counts["aux_solves"] == 5994
     assert counts["aux_machines"] == 0
+
+
+def test_corridor_commits_drop_what_no_backtrack_can_reach():
+    """One corridor-backtrack solve made 24,303 bindings and as many
+    trail entries, and kept them all until it ended. Its 108 actions
+    each empty the trail, and those that find the store doubled compact
+    it to what the goals still to run and the query reach, so at most a
+    tenth of either is left."""
+    counts = work_counts.count_work("corridor-backtrack")
+    assert counts["bindings_kept"] <= 2430
+    assert counts["trail_kept"] <= 2430

@@ -12,7 +12,11 @@ prints a Markdown table of, per workload:
 - `belief_entries_copied`: the belief table entries written per belief
   step (an `update` or a sensing with its closure), counted at
   `pi._write`, one for the clause, one per literal and one for a unit's
-  bucket. The store writes only what a step changes, and copies nothing.
+  bucket. The store writes only what a step changes, and copies nothing;
+- `bindings_kept` and `trail_kept`: the resolution machine's binding
+  store and trail when the solve ends. A commit (an executed action or a
+  sensing) empties the trail and compacts a store that has doubled, so
+  both follow what the agent still needs, not the length of the run.
 
 The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
 beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
@@ -39,6 +43,8 @@ COLUMNS = (
     "aux_solves",
     "aux_machines",
     "belief_entries_copied",
+    "bindings_kept",
+    "trail_kept",
 )
 
 
@@ -165,12 +171,13 @@ def count_work(workload):
         _patched(interpreter, "integrate_sensing", step),
         _patched(pi, "_write", write),
     ):
-        outcome = interpreter.solve(
-            inputs.query, inputs.program, inputs.domain, spec.make_env(inputs)
-        )
+        machine = interpreter.Interpreter(inputs.domain, inputs.program, spec.make_env(inputs))
+        outcome = machine.run(inputs.query)
     if not outcome.succeeded:
         raise RuntimeError(f"{spec.name}: the solve ended with status {outcome.status}")
     counts["belief_entries_copied"] /= max(steps[0], 1)
+    counts["bindings_kept"] = len(machine.bindings)
+    counts["trail_kept"] = len(machine.trail)
     return counts
 
 
