@@ -10,12 +10,14 @@ by `AuxDB.solve` on a machine of its own.
 
 Execution is online: once an action has been sent to the environment it
 cannot be taken back. Each executed action and sensing event commits:
-every choicepoint that exists then becomes `sld.DEAD`, and backtracking
-into one raises BarrierError instead of silently recomputing a world
-that no longer exists. The commit empties the trail, which only those
-choicepoints could undo, and a store that has doubled keeps only the
-bindings the goals still to run and the query reach, so a run's memory
-follows what the agent still needs, not how long it has run.
+every choicepoint that exists then is dropped and counted in
+`Machine.dead`, and backtracking into one raises BarrierError instead of
+silently recomputing a world that no longer exists. The commit empties
+the trail, which only those choicepoints could undo, and a store that
+has doubled keeps only the bindings the goals still to run and the
+query reach, each bound straight to the end of its chain of variables,
+so a run's memory follows what the agent still needs, not how long it
+has run.
 
 An attached observer receives every event. Without one, no event text
 is ever built, so observation costs nothing when it is off.
@@ -42,7 +44,7 @@ from .pi import (
     prime_closure,
     update,
 )
-from .sld import DEAD, FAILED, CutGoal, ExitNote, Machine
+from .sld import FAILED, CutGoal, ExitNote, Machine
 from .terms import (
     Term,
     Var,
@@ -215,7 +217,8 @@ class Interpreter(Machine):
     def _commit(self, event, new_state, goals=None):
         """Log an executed action or observation, which no backtracking
         may cross, and drop what that leaves unreachable: every
-        choicepoint becomes DEAD and the trail is emptied. A store that
+        choicepoint is dropped and counted dead, and the trail is
+        emptied. A store that
         has doubled since its last compaction keeps only the bindings
         that `goals`, the goal list still to run, and the query's
         variables reach."""
@@ -227,11 +230,8 @@ class Interpreter(Machine):
         agent.events.append(event)
         if len(new_state) > agent.max_belief:
             agent.max_belief = len(new_state)
-        cps = self.cps
-        depth = len(cps)
-        while depth and cps[depth - 1] is not DEAD:
-            depth -= 1
-            cps[depth] = DEAD
+        self.dead += len(self.cps)
+        self.cps.clear()
         self.trail.clear()
         if len(self.bindings) >= self._compact_at:
             self._compact(goals)
@@ -240,7 +240,9 @@ class Interpreter(Machine):
     def _compact(self, goals):
         """Keep the bindings of the names `goals` and the query's
         variables reach through the store, in a fresh dict: a dict does
-        not shrink when names are deleted from it."""
+        not shrink when names are deleted from it. Each kept name is bound
+        straight to the end of its chain of variable-to-variable bindings
+        (variable shunting), so a link that nothing names is dropped."""
         bindings = self.bindings
         names = set(self.query_names)
         while goals is not None:
@@ -249,14 +251,16 @@ class Interpreter(Machine):
                 variables(goal.atom, names)
             else:
                 goal_variables(goal, names)
-        live = set()
+        live = {}
         while names:
             name = names.pop()
-            if name not in live:
-                live.add(name)
-                if name in bindings:
-                    variables(bindings[name], names)
-        self.bindings = {n: v for n, v in bindings.items() if n in live}
+            value = bindings.get(name)
+            if value is None or name in live:
+                continue
+            value = live[name] = walk(value, bindings)
+            if value.__class__ is not Var and not value.ground:
+                variables(value, names)
+        self.bindings = {n: live[n] for n in bindings if n in live}
 
     def _environment(self, method, arg):
         """`env.method(arg)`. A fault of the environment's own becomes an
@@ -307,11 +311,15 @@ class Interpreter(Machine):
             raise EngineError(f"action {functor}/{arity} has no specification")
         subject = DoGoal(apply_subst(action, self.bindings))
         self._note("call", subject)
-        # The spec is used as parsed; the action's open variables are
-        # renamed apart from the spec's instead.
-        mapping = _mapping_for(variables(subject.action), "d" + next(self._fresh))
-        theta0 = unify(spec.head, apply_subst(subject.action, mapping))
-        if theta0 is None:
+        # The spec is used as parsed; an open action's variables are
+        # renamed apart from the spec's instead. Everything reads the
+        # bindings through the store, so they need not be idempotent.
+        action = subject.action
+        suffix = "d" + next(self._fresh)
+        if not action.ground:
+            action = apply_subst(action, _mapping_for(variables(action), suffix))
+        theta0 = {}
+        if not unify_track(spec.head, action, theta0, [], left_first=True):
             self._note("fail", subject)
             return FAILED
         stream = executions(self.agent.belief, spec, self.aux, theta0)

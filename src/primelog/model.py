@@ -7,7 +7,15 @@ parts differently.
 """
 
 from .errors import EngineError
-from .terms import Var, apply_literal, apply_subst, format_literal, format_term, variables
+from .terms import (
+    Var,
+    apply_literal,
+    apply_subst,
+    compile_head,
+    format_literal,
+    format_term,
+    variables,
+)
 
 
 class PropClause:
@@ -214,13 +222,17 @@ class ProgramClause:
         self._plan = None
 
     def plan(self):
-        """How to rename the clause apart, worked out on first use: its
-        variable names, sorted."""
+        """How to resolve with the clause, worked out on first use: its
+        variable names, sorted, which a try renames apart, and its head
+        compiled for `unify_head`, head variables by their place among
+        those names."""
         if self._plan is None:
             names = variables(self.head, set())
             for g in self.body:
                 goal_variables(g, names)
-            self._plan = tuple(sorted(names))
+            names = tuple(sorted(names))
+            index = {n: i for i, n in enumerate(names)}
+            self._plan = names, compile_head(self.head, index)
         return self._plan
 
 

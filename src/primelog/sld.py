@@ -3,10 +3,13 @@
 One iterative machine resolves definite clauses in Prolog clause order,
 leftmost goal first, with cut and the built-ins: a binding store undone
 through a trail, a stack of choicepoints, and the goal list as a linked
-list of (goal, rest) pairs. `Interpreter` extends it with the
-agent goals and their commits; `AuxDB.solve` drives a machine of
-its own to derive aux atoms inside belief queries. Derivation depth is
-bounded by the step budget, never by Python's stack.
+list of (goal, rest) pairs. A call is unified with each clause head as
+compiled once by `ProgramClause.plan`, its variables renamed apart by
+name only, so no renamed copy of a head is built; a body is renamed
+when its head unifies. `Interpreter` extends the machine with the agent
+goals and their commits; `AuxDB.solve` drives a machine of its own to
+derive aux atoms inside belief queries. Derivation depth is bounded by
+the step budget, never by Python's stack.
 """
 
 from .errors import BarrierError, BudgetExceeded, EngineError
@@ -18,6 +21,7 @@ from .terms import (
     format_term,
     list_parts,
     undo,
+    unify_head,
     unify_track,
     walk,
 )
@@ -25,11 +29,6 @@ from .terms import (
 BUILTINS = {("true", 0), ("fail", 0), ("=", 2), ("neq", 2), ("memberchk", 2), ("nonmember", 2)}
 
 FAILED = object()
-
-# What a commit leaves in place of every choicepoint older than it: it
-# keeps the stack's depths for cuts, holds nothing, and backtracking
-# into it raises BarrierError.
-DEAD = object()
 
 
 class CutGoal:
@@ -57,7 +56,8 @@ class ChoicePoint:
     takes the next alternative from `it` and returns the goal list to
     continue with, or FAILED when none is left. `subject` names it in the
     trace; `rest` is the goal list after it; `mark` and `depth` are the
-    trail length and choicepoint-stack depth at the time it was pushed."""
+    trail length and the machine's choicepoint depth, dead ones included,
+    at the time it was pushed."""
 
     __slots__ = ("advance", "it", "subject", "rest", "mark", "depth")
 
@@ -75,10 +75,11 @@ class Machine:
 
     `fresh` yields the suffixes that rename clause variables apart, so
     every machine sharing one name space must share one iterator. Every
-    resolution step costs one unit of `budget`. A choicepoint that an
-    irrevocable step has made unreachable is replaced by DEAD, and
-    backtracking into it raises BarrierError. A plain machine never takes
-    such a step, has no observer and reports no events.
+    resolution step costs one unit of `budget`. `cps` holds the live
+    choicepoints; `dead` counts those below them that an irrevocable
+    step has dropped, which keep their depths for cuts, and backtracking
+    past the live ones into them raises BarrierError. A plain machine
+    never takes such a step, has no observer and reports no events.
     """
 
     observer = None
@@ -91,6 +92,7 @@ class Machine:
         self.bindings = {}
         self.trail = []
         self.cps = []
+        self.dead = 0
         self._fresh = fresh
 
     def _note(self, kind, *args):
@@ -125,20 +127,20 @@ class Machine:
         cps = self.cps
         while cps:
             cp = cps[-1]
-            if cp is DEAD:
-                raise BarrierError("backtracked across executed action")
             undo(self.bindings, self.trail, cp.mark)
             self._tick()
             self._note("redo", cp.subject)
             goals = self._resume(cp)
             if goals is not FAILED:
                 return goals
+        if self.dead:
+            raise BarrierError("backtracked across executed action")
         return FAILED
 
     def _push(self, advance, it, subject, rest):
         """Push a choicepoint and take its first alternative."""
         cps = self.cps
-        cp = ChoicePoint(advance, it, subject, rest, len(self.trail), len(cps))
+        cp = ChoicePoint(advance, it, subject, rest, len(self.trail), self.dead + len(cps))
         cps.append(cp)
         return self._resume(cp)
 
@@ -216,18 +218,19 @@ class Machine:
         return name == "nonmember"
 
     def _advance_clauses(self, cp):
-        """Try the call's remaining clauses in order. Each is renamed apart
-        by its plan; the body of the first whose head unifies is renamed
-        too, its cuts bound to this choicepoint's depth."""
+        """Try the call's remaining clauses in order. Each try renames the
+        clause apart by its plan and unifies the call with the compiled
+        head, with no renamed copy of it; the body of the first that
+        unifies is renamed, its cuts bound to this choicepoint's depth."""
         bindings = self.bindings
         trail = self.trail
         for clause in cp.it:
-            names = clause.plan()
-            head, mapping = clause.head, None
+            names, code = clause.plan()
+            mapping = regs = None
             if names:
                 mapping = _mapping_for(names, next(self._fresh))
-                head = apply_subst(head, mapping)
-            if not unify_track(cp.subject, head, bindings, trail):
+                regs = tuple(mapping.values())
+            if not unify_head(cp.subject, code, regs, bindings, trail):
                 undo(bindings, trail, cp.mark)
                 continue
             goals = cp.rest
@@ -243,7 +246,9 @@ class Machine:
         return FAILED
 
     def _cut(self, goal, rest):
-        del self.cps[goal.depth :]
+        if goal.depth < self.dead:
+            self.dead = goal.depth
+        del self.cps[goal.depth - self.dead :]
         return rest
 
     def _exit(self, goal, rest):

@@ -11,6 +11,7 @@ from primelog.errors import (
 )
 from primelog.interpreter import COMPACT_FLOOR, Interpreter, replay, solve
 from primelog.parser import parse_domain, parse_program, parse_query
+from primelog.sld import FAILED
 from primelog.terms import FALSE, TRUE, Literal, Term, format_term
 
 MAZE = emit_maze_domain(5)
@@ -377,6 +378,26 @@ def test_a_pacing_agents_store_does_not_grow_with_its_run():
         kept[n] = (len(machine.bindings), len(machine.trail), len(machine.cps))
     assert max(bindings for bindings, _, _ in kept.values()) <= COMPACT_FLOOR
     assert kept[400][1:] == kept[3200][1:] == (0, 0)
+
+
+def test_choicepoints_an_uncut_agent_leaves_behind_do_not_accumulate():
+    """Without the cut after its two `do`s, each pace leaves its
+    choicepoints behind an action, which no backtrack may enter. A
+    commit counts them in `Machine.dead` and drops them, so none is kept
+    after 400 actions or 3,200 (a slot each kept 800 and 6,400), and a
+    backtrack past them is still a barrier violation."""
+    uncut = PACE.replace("do(go(1)), !, pace(I)", "do(go(1)), pace(I)")
+    kept = {}
+    for n in (400, 3200):
+        facts = " ".join(f"pred({i + 1},{i})." for i in range(n // 2))
+        dom = parse_domain(PLAIN + facts + "\n", "d.alpd")
+        machine = Interpreter(dom, parse_program(uncut, dom, "p.alp"), AckEnv())
+        out = machine.run(parse_query(f"pace({n // 2})", dom))
+        assert out.succeeded and len(out.state.history) == n
+        kept[n] = len(machine.cps)
+        with pytest.raises(BarrierError):
+            machine.resolve(FAILED)
+    assert kept[400] == kept[3200] == 0
 
 
 def test_compaction_keeps_what_the_goals_and_the_query_reach():

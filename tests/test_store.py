@@ -671,26 +671,56 @@ def test_a_belief_step_writes_the_same_few_entries_at_any_board_size():
 
 def test_the_occurs_check_stops_at_the_agents_settled_lists():
     """The cautious agent's Closed and Sensed lists are ground one cell at
-    a time, so the binding walks of a 16x16 ground3 solve that do not
-    settle pop a few cells each (49,937 cells in all when they walked the
-    lists' chains of bindings)."""
+    a time, and a goal variable that meets a clause head's structure over
+    head variables that are unbound or bound ground is bound with no
+    walk, so every binding walk of a 16x16 ground3 solve settles a ground
+    term. Renamed heads made 105 walks that did not settle, over 315
+    cells, and 49,937 cells when the walks went down the lists' chains of
+    bindings."""
     counts = work_counts.count_work("wumpus-g3")
-    assert 0 < counts["unsettled_cells"] <= 2000
+    assert counts["unsettled_cells"] == 0
+    assert counts["walks"] == counts["settled"] == 662
 
 
 def test_corridor_backtracks_over_ground_lists():
     """corridor-backtrack's `select/3` retries run over lists settled to
     ground terms: the explorer's Choicepoints is ground from the head of
-    `explore/2` on. One solve makes 430 binding walks that settle and
-    5,886 that do not, which walk 17,658 cells (443,304 when the chain of
-    open cells stayed open), and each failing `go(Y)` precondition looks
-    its ground `adj/2` goal up by key, with no machine."""
+    `explore/2` on. One solve makes 430 binding walks, and every one
+    settles: the output list `[Y|Ys]` of `select/3`'s second clause holds
+    only fresh head variables, so the goal variable it meets is bound
+    with no walk. A renamed head made 5,886 more walks there, over
+    17,658 cells (443,304 when the chain of open cells stayed open). Each
+    failing `go(Y)` precondition looks its ground `adj/2` goal up by key,
+    with no machine."""
     counts = work_counts.count_work("corridor-backtrack")
     assert counts["settled"] == 430
-    assert counts["walks"] - counts["settled"] == 5886
-    assert counts["unsettled_cells"] <= 25_000
+    assert counts["walks"] - counts["settled"] == 0
+    assert counts["unsettled_cells"] == 0
     assert counts["aux_solves"] == 5994
     assert counts["aux_machines"] == 0
+
+
+def test_clause_heads_are_tried_with_no_renamed_copy():
+    """A call unifies with each clause head as compiled, and a ground
+    action with the specification's head as parsed, so the only copy
+    either makes is the `do` subject, the action read through the store:
+    one per `do`, 5,994 in a corridor-backtrack solve. Renamed heads and
+    renamed actions made 24,085."""
+    counts = work_counts.count_work("corridor-backtrack")
+    assert counts["head_copies"] == counts["aux_solves"] == 5994
+
+
+def test_compaction_shunts_chains_of_variables():
+    """A wumpus-g2 agent's store is almost all variable-to-variable links,
+    one per recursion level. A compaction binds each name it keeps
+    straight to the end of its chain, so it keeps 6 names where the links
+    kept 178, 345 and 462 over three compactions. With so little kept the
+    store refills to the floor once less, and what is left when the solve
+    ends is what two compactions, not three, leave growing: 631
+    bindings against 574."""
+    counts = work_counts.count_work("wumpus-g2")
+    assert counts["compacted_kept"] == 6
+    assert counts["bindings_kept"] == 631
 
 
 def test_corridor_commits_drop_what_no_backtrack_can_reach():

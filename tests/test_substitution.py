@@ -24,7 +24,7 @@ from primelog.auxdb import empty_aux
 from primelog.envs import ReplayEnv, emit_maze_domain
 from primelog.errors import EngineError
 from primelog.interpreter import solve
-from primelog.model import CallGoal, Program
+from primelog.model import CallGoal, Program, ProgramClause, _mapping_for
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import Machine
 from copying_reference import unify
@@ -39,6 +39,7 @@ from primelog.terms import (
     format_term,
     list_parts,
     mk_list,
+    unify_head,
     unify_track,
     variables,
 )
@@ -425,6 +426,170 @@ def test_apply_subst_resolves_a_long_chain_of_list_cells():
     items, tail = list_parts(apply_subst(Var("L0"), store))
     assert [int(i.functor) for i in items] == list(range(5000))
     assert tail == NIL
+
+
+# ---------------------------------------------------------------- compiled heads
+
+HEAD_NAMES = ("X", "Y", "Z")
+HEAD_NUMERALS = (Term("1"), Term("01"), Term("2"))
+
+
+def _renamed_head_reference(goal, head, store, suffix):
+    """The try that compiled heads replaced: rename the head apart with
+    `apply_subst`, then unify the goal with the copy. Returns (unifies,
+    store, trail) on a copy of `store`."""
+    mapping = _mapping_for(sorted(variables(head)), suffix)
+    store, trail = dict(store), []
+    return unify_track(goal, apply_subst(head, mapping), store, trail), store, trail
+
+
+def _compiled_head(goal, head, store, suffix):
+    """The same try through the head as compiled by `ProgramClause.plan`."""
+    names, code = ProgramClause(head, ()).plan()
+    regs = tuple(_mapping_for(names, suffix).values())
+    store, trail = dict(store), []
+    return unify_head(goal, code, regs, store, trail), store, trail
+
+
+def _head_terms():
+    leaves = st.sampled_from(ATOMS + HEAD_NUMERALS + tuple(Var(n) for n in HEAD_NAMES))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(("f", "g")), st.lists(inner, min_size=1, max_size=3)).map(
+                lambda p: Term(p[0], tuple(p[1]))
+            ),
+            st.tuples(
+                st.lists(inner, max_size=3),
+                st.sampled_from((NIL, NIL) + tuple(Var(n) for n in HEAD_NAMES)),
+            ).map(lambda p: mk_list(p[0], p[1])),
+        ),
+        max_leaves=8,
+    )
+
+
+def _goal_for(term, draw):
+    """A goal argument shaped like the head argument `term`: head
+    variables become goal variables, atoms, numerals or small terms, and
+    some subterms are redrawn, so both sides meet compound against
+    compound, variable against structure and numeral against numeral."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_terms(NAMES))
+    if isinstance(term, Var):
+        return draw(
+            st.one_of(
+                st.sampled_from(ATOMS + HEAD_NUMERALS + tuple(Var(n) for n in NAMES)),
+                _terms(NAMES),
+            )
+        )
+    if not term.args:
+        return draw(st.sampled_from((term, term) + HEAD_NUMERALS + (Var(draw(st.sampled_from(NAMES))),)))
+    return Term(term.functor, tuple(_goal_for(a, draw) for a in term.args))
+
+
+@st.composite
+def _head_cases(draw):
+    args = draw(st.lists(_head_terms(), min_size=1, max_size=3))
+    head = Term("p", tuple(args))
+    goal = Term("p", tuple(_goal_for(a, draw) for a in args))
+    return goal, head
+
+
+def _read(store, trail):
+    return [(n, format_term(Var(n), store)) for n in trail]
+
+
+def _assert_same_try(goal, head, store):
+    want, want_store, want_trail = _renamed_head_reference(goal, head, store, "7")
+    got, got_store, got_trail = _compiled_head(goal, head, store, "7")
+    assert got == want
+    if want:
+        assert got_trail == want_trail
+        assert _read(got_store, got_trail) == _read(want_store, want_trail)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_head_cases(), _stores())
+def test_compiled_heads_bind_as_the_renamed_head_did(case, store):
+    goal, head = case
+    _assert_same_try(goal, head, store)
+
+
+A, B = Var("A"), Var("B")
+X, Y = Var("X"), Var("Y")
+
+
+def f(*args):
+    return Term("f", args)
+
+
+@pytest.mark.parametrize(
+    "goal, head, store",
+    [
+        # a head variable met twice, the second time by a structure over it
+        (Term("p", (A, A)), Term("p", (X, f(X))), {}),
+        (Term("p", (A, A)), Term("p", (f(X), X)), {}),
+        (Term("p", (A, B)), Term("p", (X, f(X))), {"B": A}),
+        # a goal variable meets a structure whose variable is bound ground
+        (Term("p", (A, Term("1"))), Term("p", (f(X, Y), X)), {}),
+        (Term("p", (A, B)), Term("p", (mk_list([X, Y]), X)), {"B": f(Term("a"))}),
+        # numerals are equal by value at every depth
+        (Term("p", (Term("01"), f(Term("1")))), Term("p", (X, f(X))), {}),
+        (Term("p", (A, Term("01"))), Term("p", (f(X), Term("1"))), {}),
+        # the goal is partly bound in the store, as a list built through it
+        (Term("p", (A,)), Term("p", (mk_list([X], Y),)), {"A": mk_list([B]), "B": Term("a")}),
+        (Term("p", (A, B)), Term("p", (X, X)), {"A": mk_list([B]), "B": NIL}),
+    ],
+)
+def test_compiled_head_cases(goal, head, store):
+    _assert_same_try(goal, head, store)
+
+
+def test_a_deep_clause_head_compiles_and_unifies():
+    """Compiling a head, building a head structure for a goal variable
+    and matching one against a goal all run on explicit stacks, so a
+    3000-deep head costs no Python recursion."""
+    domain = parse_domain(emit_maze_domain(3), "maze.alpd")
+    items = ",".join(str(i) for i in range(3000))
+    deep = "f(" * 3000 + "X" + ")" * 3000
+    program = parse_program(f"p([{items}|T], T).\nq({deep}, X).\n", domain, "deep.alp")
+    cases = [("p(L, a)", "L", "[0,1,2,"), ("p([0,1|R], b)", "R", "[2,3,"), ("q(Y, z)", "Y", "f(f(")]
+    for text, name, start in cases:
+        out = solve(parse_query(text, domain), program, domain, _Ack())
+        assert out.succeeded, text
+        assert format_term(out.answer[name]).startswith(start)
+    out = solve(parse_query("q(f(f(W)), z)", domain), program, domain, _Ack())
+    assert format_term(out.answer["W"]) == "f(" * 2998 + "z" + ")" * 2998
+
+
+class _Ack:
+    """An environment that acknowledges every action."""
+
+    def execute(self, action):
+        pass
+
+
+def test_do_binds_an_open_actions_variables_as_before():
+    """An open action is renamed apart from the specification, matched
+    against the head as parsed, and bound to the executed action; with a
+    structured head, the open argument takes the whole structure."""
+    domain = FEEL_DOMAIN.replace("adj(1,2).", "adj(1,2).\nadj(2,c(2,3)).")
+    domain = domain.replace(
+        "actions([go/1]).", "actions([go/1, jump/2]).\n"
+        "action(jump(c(I,J), I), [at(agent,I), adj(I,c(I,J))], [case([], [mark(J)])])."
+    )
+    cases = [
+        ("do(go(X))", {"X": "2"}, ["go(2)"]),
+        ("do(go(Y)), do(jump(P, Q))", {"Y": "2", "P": "c(2,3)", "Q": "2"}, ["go(2)", "jump(c(2,3),2)"]),
+        ("do(go(2)), do(jump(c(I, J), K))", {"I": "2", "J": "3", "K": "2"}, ["go(2)", "jump(c(2,3),2)"]),
+    ]
+    dom = parse_domain(domain, "feel.alpd")
+    program = parse_program("", dom, "empty.alp")
+    for text, answers, history in cases:
+        out = solve(parse_query(text, dom), program, dom, _Ack())
+        assert out.succeeded, text
+        assert {n: format_term(t) for n, t in out.answer.items()} == answers
+        assert [format_term(a) for a in out.state.history] == history
 
 
 # ---------------------------------------------------------------- sensing

@@ -13,10 +13,15 @@ prints a Markdown table of, per workload:
   step (an `update` or a sensing with its closure), counted at
   `pi._write`, one for the clause, one per literal and one for a unit's
   bucket. The store writes only what a step changes, and copies nothing;
+- `head_copies`: the `apply_subst` calls `Machine._advance_clauses`
+  and `Interpreter._dispatch_do` make themselves, which is what
+  renamed clause heads and copies of actions cost (the renaming of
+  clause bodies, through `model.rename_goal`, is not counted);
 - `bindings_kept` and `trail_kept`: the resolution machine's binding
   store and trail when the solve ends. A commit (an executed action or a
   sensing) empties the trail and compacts a store that has doubled, so
-  both follow what the agent still needs, not the length of the run.
+  both follow what the agent still needs, not the length of the run;
+- `compacted_kept`: the most bindings one of those compactions kept.
 
 The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
 beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
@@ -32,7 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
-from primelog import auxdb, envs, interpreter, parser, pi, terms
+from primelog import auxdb, envs, interpreter, parser, pi, sld, terms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,8 +48,10 @@ COLUMNS = (
     "aux_solves",
     "aux_machines",
     "belief_entries_copied",
+    "head_copies",
     "bindings_kept",
     "trail_kept",
+    "compacted_kept",
 )
 
 
@@ -154,6 +161,21 @@ def count_work(workload):
 
         return counted
 
+    def copy(plain):
+        def counted(term, bindings):
+            if sys._getframe(1).f_code.co_name in ("_advance_clauses", "_dispatch_do"):
+                counts["head_copies"] += 1
+            return plain(term, bindings)
+
+        return counted
+
+    def compact(plain):
+        def counted(self, goals):
+            plain(self, goals)
+            counts["compacted_kept"] = max(counts["compacted_kept"], len(self.bindings))
+
+        return counted
+
     def write(plain):
         def counted(root, clause, present):
             n = len(clause.literals)
@@ -170,6 +192,9 @@ def count_work(workload):
         _patched(interpreter, "update", step),
         _patched(interpreter, "integrate_sensing", step),
         _patched(pi, "_write", write),
+        _patched(sld, "apply_subst", copy),
+        _patched(interpreter, "apply_subst", copy),
+        _patched(interpreter.Interpreter, "_compact", compact),
     ):
         machine = interpreter.Interpreter(inputs.domain, inputs.program, spec.make_env(inputs))
         outcome = machine.run(inputs.query)
