@@ -230,19 +230,15 @@ def _cmd_run(args):
     query = parse_query(args.query, domain, "<query>")
     env = _make_env(args)
     observer = _trace_observer(sys.stderr) if args.trace else None
-    try:
-        outcome = solve(
-            query,
-            program,
-            domain,
-            env,
-            budget=args.steps,
-            observer=observer,
-            debug_checks=args.debug_checks,
-        )
-    except EngineError as error:
-        print(f"runtime error: {error}", file=sys.stderr)
-        return 2
+    outcome = solve(
+        query,
+        program,
+        domain,
+        env,
+        budget=args.steps,
+        observer=observer,
+        debug_checks=args.debug_checks,
+    )
     report = _format_report(outcome)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -387,6 +383,9 @@ def main(argv=None):
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 3
+    except EngineError as error:
+        print(f"runtime error: {error}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 3

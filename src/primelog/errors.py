@@ -64,4 +64,4 @@ class EnvironmentRejected(EngineError):
 
 
 class BudgetExceeded(EngineError):
-    """The resolution step budget ran out."""
+    """The resolution step budget or the prime closure budget ran out."""

@@ -26,7 +26,8 @@ Sensing looks sensor cases up by their index literal
 The public operations:
 
 - `prime_closure`: clause set -> PIList (worklist resolution saturation
-  with forward/backward subsumption; detects inconsistency).
+  with forward/backward subsumption; detects inconsistency; raises
+  BudgetExceeded past `CLOSURE_BUDGET` resolvents).
 - `entails_clause` / `entails_property`: enumerate answer substitutions
   for possibly non-ground query clauses with embedded aux atoms, bound
   on one store and undone through a trail, as resolution does, with
@@ -41,7 +42,7 @@ from collections import deque
 from itertools import chain
 from operator import attrgetter
 
-from .errors import EngineError, NonGroundError, SensingError
+from .errors import BudgetExceeded, EngineError, NonGroundError, SensingError
 from .model import StateProperty
 from .terms import (
     EMPTY_CLAUSE,
@@ -59,6 +60,14 @@ from .terms import (
 )
 
 _clause_key = attrgetter("key")
+
+# The most resolvents one `prime_closure` may form. A clause set can have
+# exponentially many prime implicates, so the saturation has no bound of
+# its own. The wumpus worlds form at most 3 resolvents per closure while
+# the agent runs, and none when their initial states (up to 48x48) are
+# closed; a chain of 60 implications p(i) -> p(i+1) forms 70,269 and
+# closes in under half a second.
+CLOSURE_BUDGET = 100_000
 
 
 def _pred_sign(lit):
@@ -286,6 +295,7 @@ class _Saturator:
         self.draft = draft
         self.work = deque()
         self.inconsistent = False
+        self.budget = CLOSURE_BUDGET
 
     def add(self, clause):
         if len(clause) == 0:
@@ -330,6 +340,9 @@ class _Saturator:
                     partner = by_key.get(pk)
                     if partner is None:
                         continue  # subsumed by a clause still to be given
+                    self.budget -= 1
+                    if self.budget < 0:
+                        return
                     resolvent = normalize_clause(
                         [l for l in given.literals if l.key != lit.key]
                         + [m for m in partner.literals if m.key != comp]
@@ -348,8 +361,9 @@ def prime_closure(clauses, base=None):
     mutually resolved, so only the new clauses (and whatever they spawn)
     get processed, against the base clauses they share a literal with.
     Without one the closure starts a version tree of its own. Returns
-    INCONSISTENT when the empty clause derives, and then leaves `base`
-    as it was.
+    INCONSISTENT when the empty clause derives, and raises BudgetExceeded
+    when the saturation forms more than CLOSURE_BUDGET resolvents; either
+    way `base` is left as it was.
     """
     if base is None:
         base = PIList()
@@ -366,6 +380,9 @@ def prime_closure(clauses, base=None):
             break
     else:
         sat.run()
+    if sat.budget < 0:
+        draft.discard()
+        raise BudgetExceeded("prime closure budget exceeded")
     if sat.inconsistent:
         draft.discard()
         return INCONSISTENT

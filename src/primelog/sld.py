@@ -19,6 +19,7 @@ from .terms import (
     Var,
     apply_subst,
     format_term,
+    ground_member,
     list_parts,
     undo,
     unify_head,
@@ -179,8 +180,8 @@ class Machine:
         `nonmember` succeeds when no element unifies. Both list builtins
         check that the whole spine is a proper list before trying any
         element. Two ground terms unify iff their keys are equal, so a
-        ground element over a ground list is decided by key, with no
-        unification and nothing on the trail."""
+        ground element over a ground list is decided by key by
+        `ground_member`, with no unification and nothing on the trail."""
         name = goal.functor
         if name == "true":
             return True
@@ -199,15 +200,18 @@ class Machine:
             unifies = unify_track(left, right, bindings, trail, left_first=True)
             undo(bindings, trail, mark)
             return not unifies
+        element = walk(left, bindings)
+        if element.__class__ is not Var and element.ground:
+            cell = walk(right, bindings)
+            if cell.__class__ is not Var and cell.ground:
+                found = ground_member(cell, element.key)
+                if found is not None:
+                    return found == (name == "memberchk")
         items, tail = list_parts(right, bindings)
         if tail.__class__ is Var or tail != NIL:
             raise EngineError(
                 f"{format_term(goal, bindings)}: second argument is not a proper list"
             )
-        element = walk(left, bindings)
-        if element.__class__ is not Var and element.ground and walk(right, bindings).ground:
-            key = element.key
-            return any(item.key == key for item in items) == (name == "memberchk")
         for item in items:
             if unify_track(left, item, bindings, trail, left_first=True):
                 if name == "memberchk":

@@ -231,6 +231,43 @@ def test_run_budget_exhaustion_exits_two(tmp_path, capsys):
     assert "budget" in err
 
 
+# A chain of 80 implications p(i) -> p(i+1): its closure would form
+# 167,559 resolvents, past the closure budget.
+_CHAIN = "[" + ", ".join(f"[-p({i}), p({i + 1})]" for i in range(80)) + "]"
+
+
+@pytest.mark.parametrize(
+    "initial, meaning",
+    [(_CHAIN, "[p(0)]"), ("[]", _CHAIN)],
+    ids=["initial-state", "sensing"],
+)
+def test_run_closure_past_its_budget_exits_two(tmp_path, capsys, initial, meaning):
+    domain = tmp_path / "chain.alpd"
+    domain.write_text(
+        "fluents([p/1]).\n"
+        "actions([]).\n"
+        "sensors([s]).\n"
+        f"initial_state({initial}).\n"
+        f"sensor_axiom(s(_), [case(true, [], {meaning}), case(false, [], [])]).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "empty.alp"
+    program.write_text("", encoding="utf-8")
+    script = tmp_path / "run.script"
+    script.write_text("saw(s, true).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "?(s(V))",
+            "--env", f"replay:{script}",
+        ],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "runtime error: prime closure budget exceeded\n")
+
+
 def test_run_parse_error_exits_three(tmp_path, capsys):
     domain = tmp_path / "broken.alpd"
     domain.write_text("fluents([at/2)\n", encoding="utf-8")

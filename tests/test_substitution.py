@@ -30,6 +30,7 @@ from primelog.sld import Machine
 from copying_reference import unify
 from primelog.terms import (
     FALSE,
+    MEMBER_STRIDE,
     NIL,
     TRUE,
     Num,
@@ -39,9 +40,11 @@ from primelog.terms import (
     format_term,
     list_parts,
     mk_list,
+    undo,
     unify_head,
     unify_track,
     variables,
+    walk,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -332,6 +335,121 @@ def test_list_builtins_compare_deep_ground_items_built_apart():
             goal = Term(name, (element, Var("L")))
             assert bool(machine.resolve((CallGoal(goal), None))) is (found == (name == "memberchk"))
             assert machine.trail == ["L"]
+
+
+# ---------------------------------------------------------------- cached member keys
+
+
+def _full_scan(goal, bindings, trail):
+    """A list builtin as it ran before ground lists cached their member
+    keys, on the store in place: the whole spine is read and checked to be
+    proper, a ground element over a ground list is compared by key with
+    every item, and any other element is unified with each item in turn.
+    Kept as the reference the cached path must agree with."""
+    name = goal.functor
+    left, right = goal.args
+    mark = len(trail)
+    items, tail = list_parts(right, bindings)
+    if tail.__class__ is Var or tail != NIL:
+        raise EngineError(f"{format_term(goal, bindings)}: second argument is not a proper list")
+    element = walk(left, bindings)
+    if element.__class__ is not Var and element.ground and walk(right, bindings).ground:
+        key = element.key
+        return any(item.key == key for item in items) == (name == "memberchk")
+    for item in items:
+        if unify_track(left, item, bindings, trail, left_first=True):
+            if name == "memberchk":
+                return True
+            undo(bindings, trail, mark)
+            return False
+        undo(bindings, trail, mark)
+    return name == "nonmember"
+
+
+ITEMS = GROUND + (Term("f", (Term("01"), Term("b"))),) + tuple(Num(i) for i in range(2, 40))
+_query_elements = st.one_of(
+    st.sampled_from(ITEMS + (Term("zz"), Num(99))),
+    st.sampled_from((Var("A"), Term("f", (Var("A"),)), Term("f", (Var("A"), Var("B"))))),
+)
+
+
+@st.composite
+def _list_families(draw):
+    """Ground lists that share their tails, and queries on their cells.
+
+    Each list conses up to three strides of items onto `[]`, onto an
+    improper ground tail or onto a cell of a list built before, so cells
+    are asked before and after their tails, and improper tails lie
+    beyond cells whose lists are proper. A query asks `memberchk` or
+    `nonmember` of a cell held in the store, with a ground element
+    (numerals "01" and "1" among them) or an open one, and A bound to a
+    ground term or not at all."""
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        below = (NIL, Term("c"), Term("f", (Num(1),)))
+        acc = draw(st.sampled_from(below + tuple(cells)))
+        for item in draw(st.lists(st.sampled_from(ITEMS), max_size=3 * MEMBER_STRIDE)):
+            acc = Term(".", (item, acc))
+            cells.append(acc)
+    if not cells:
+        cells.append(NIL)
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        cell = draw(st.sampled_from(cells))
+        name = draw(st.sampled_from(("memberchk", "nonmember")))
+        bound = draw(st.sampled_from((None, Num(3), Term("01"), Term("zz"))))
+        queries.append((Term(name, (draw(_query_elements), Var("L"))), cell, bound))
+    return queries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_list_families())
+def test_cached_member_keys_decide_as_the_full_scan(queries):
+    """A ground `memberchk`/`nonmember` is decided from the member keys the
+    list's cells cache, which earlier queries on the same cells, on their
+    tails or on lists built over them have left behind. Every answer,
+    error, binding and trail entry is the full scan's, and a ground
+    decision puts nothing on the trail."""
+    for goal, cell, bound in queries:
+        store = {"L": cell} if bound is None else {"L": cell, "A": bound}
+        bindings, trail = dict(store), list(store)
+        try:
+            expected = ("ok", _full_scan(goal, bindings, trail))
+        except EngineError as e:
+            expected = ("error", str(e))
+        machine = _machine(store)
+        try:
+            found = ("ok", machine.resolve((CallGoal(goal), None)))
+        except EngineError as e:
+            found = ("error", str(e))
+        assert found == expected
+        if expected[0] == "ok":
+            assert machine.bindings == bindings
+            assert machine.trail == trail
+        if walk(goal.args[0], store).__class__ is not Var and apply_subst(goal, store).ground:
+            assert machine.trail == list(store)
+
+
+def test_a_list_grown_at_its_head_is_asked_in_a_stride_of_cells_or_less():
+    """Asking each new head of a list that grows one cell at a time walks
+    at most MEMBER_STRIDE cells, down to a cell that keeps its members'
+    keys, whatever the list's length."""
+    walked = []
+
+    def cells_to_a_set(cell):
+        n = 0
+        while getattr(cell, "_members", None) is None and cell.functor == ".":
+            cell, n = cell.args[1], n + 1
+        return n
+
+    cell = NIL
+    for i in range(10 * MEMBER_STRIDE):
+        cell = Term(".", (Num(i), cell))
+        walked.append(cells_to_a_set(cell))
+        machine = _machine({"L": cell})
+        assert machine.resolve((CallGoal(Term("memberchk", (Num(i // 2), Var("L")))), None))
+        assert not machine.resolve((CallGoal(Term("memberchk", (Num(i + 1), Var("L")))), None))
+    assert max(walked) == MEMBER_STRIDE
 
 
 NUMERALS = """\

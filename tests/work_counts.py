@@ -21,7 +21,10 @@ prints a Markdown table of, per workload:
   store and trail when the solve ends. A commit (an executed action or a
   sensing) empties the trail and compacts a store that has doubled, so
   both follow what the agent still needs, not the length of the run;
-- `compacted_kept`: the most bindings one of those compactions kept.
+- `compacted_kept`: the most bindings one of those compactions kept;
+- `member_cells`: the list cells the list built-ins (`memberchk`,
+  `nonmember`) walk: down to the first cell that keeps its members' keys
+  in `terms.ground_member`, the whole spine in `list_parts` otherwise.
 
 The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
 beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
@@ -52,6 +55,7 @@ COLUMNS = (
     "bindings_kept",
     "trail_kept",
     "compacted_kept",
+    "member_cells",
 )
 
 
@@ -176,6 +180,24 @@ def count_work(workload):
 
         return counted
 
+    def member(plain):
+        def counted(cell, key):
+            t = cell
+            while getattr(t, "_members", None) is None and t.functor == "." and len(t.args) == 2:
+                counts["member_cells"] += 1
+                t = t.args[1]
+            return plain(cell, key)
+
+        return counted
+
+    def spine(plain):
+        def counted(term, bindings=None):
+            items, tail = plain(term, bindings)
+            counts["member_cells"] += len(items)
+            return items, tail
+
+        return counted
+
     def write(plain):
         def counted(root, clause, present):
             n = len(clause.literals)
@@ -195,6 +217,8 @@ def count_work(workload):
         _patched(sld, "apply_subst", copy),
         _patched(interpreter, "apply_subst", copy),
         _patched(interpreter.Interpreter, "_compact", compact),
+        _patched(sld, "ground_member", member),
+        _patched(sld, "list_parts", spine),
     ):
         machine = interpreter.Interpreter(inputs.domain, inputs.program, spec.make_env(inputs))
         outcome = machine.run(inputs.query)
