@@ -10,9 +10,11 @@ and `?` queries.
 Predicates defined entirely by ground facts are indexed on their first
 argument, which is what makes adjacency lookups on large grids cheap;
 any other predicate keeps plain textual clause order. A ground goal over
-such a fact table is answered by looking its key up in the index, with
-no machine: one answer per equal fact, in the order the machine would
-give them.
+such a fact table is answered with no machine: the keys of its
+arguments, which the terms it was built from already carry, are
+compared with those of each fact filed under its first argument's key,
+so no key of the goal itself is built. It has one answer per equal
+fact, in the order the machine would give them.
 """
 
 import itertools
@@ -61,13 +63,15 @@ class AuxDB:
         own, renaming clause variables apart as `X~aN`; it raises
         BudgetExceeded after `budget` resolution steps. A ground atom over
         an indexed fact table needs no machine and takes no step: it has
-        one answer, a copy of `bindings`, per fact equal to it.
+        one answer, a copy of `bindings`, per fact whose argument keys
+        equal its own.
         """
         base = {} if bindings is None else bindings
         goal = apply_subst(goal, base)
         if goal.ground and (goal.functor, len(goal.args)) in self._fact_index:
+            keys = [a.key for a in goal.args]
             for fact in self.candidates(goal):
-                if fact.head == goal:
+                if [a.key for a in fact.head.args] == keys:
                     yield dict(base)
             return
         names = variables(goal)

@@ -445,48 +445,61 @@ def _cover(state_lits, query_lits, store, trail):
             stack.append((iter(query_lits), len(trail)))
 
 
+class _Seen:
+    """The answers a query clause has given, each as the flat key of its
+    open variables under the store: what is bound below the clause's
+    trail mark is the same in every answer, so answers differ where those
+    variables do. Made at the clause's first answer, so a clause that
+    fails never collects its variables."""
+
+    __slots__ = ("opened", "sigs")
+
+    def __init__(self, fluents, goals):
+        self.opened = [Var(n) for n in variables([l.fluent for l in fluents], variables(goals))]
+        self.sigs = set()
+
+    def fresh(self, store):
+        """Whether the answer bound in `store` is new, which records it."""
+        sig = flat_key(self.opened, store)
+        if sig in self.sigs:
+            return False
+        self.sigs.add(sig)
+        return True
+
+
 def _clause_answers(state, pclause, aux, store, trail):
     """Bind each answer to one query clause (fluent literals and/or
     positive aux atoms) in `store`, on `trail`, and suspend there;
     resuming undoes it. A single fluent literal must unify with a unit
     prime implicate; a multi-literal fluent part must instantiate to a
     superset of some prime implicate; failing those, each aux atom is
-    tried in order. Answers that bind the clause alike are given once."""
-    if state.inconsistent:
-        raise EngineError("cannot query an inconsistent belief state")
+    tried in order. Answers that bind the clause alike are given once;
+    distinct units bind one literal differently, so with no aux atom to
+    come they need no check. The caller has checked that `state` is
+    consistent."""
     mark = len(trail)
-    fluents = [apply_literal(l, store) for l in pclause.fluents]
-    goals = [apply_subst(atom, store) for atom in pclause.aux]
-    seen = set()
-    # What is bound below `mark` is the same in every answer, so answers
-    # differ where the clause's open variables do. Distinct units bind one
-    # literal differently: with no aux atom to come, they need no check.
-    opened = None
-    if goals or len(fluents) > 1:
-        opened = [Var(n) for n in variables([l.fluent for l in fluents], variables(goals))]
-
-    def fresh():
-        sig = flat_key(opened, store)
-        if sig in seen:
-            return False
-        seen.add(sig)
-        return True
-
+    fluents = [l if l.fluent.ground else apply_literal(l, store) for l in pclause.fluents]
+    goals = [a if a.ground else apply_subst(a, store) for a in pclause.aux]
+    seen = None
     if len(fluents) == 1:
         lit = fluents[0]
         f = lit.fluent
         for unit in state.units_matching(f, lit.positive):
-            if unify_track(f, unit.literals[0].fluent, store, trail, left_first=True) and (
-                opened is None or fresh()
-            ):
-                yield
+            if unify_track(f, unit.literals[0].fluent, store, trail, left_first=True):
+                if not goals:
+                    yield
+                else:
+                    seen = seen or _Seen(fluents, goals)
+                    if seen.fresh(store):
+                        yield
             undo(store, trail, mark)
     elif fluents:
         for cand in state.clauses:
             if len(cand) > len(fluents):
                 break
             for _ in _cover(cand.literals, fluents, store, trail):
-                if fresh():
+                seen = seen or _Seen(fluents, goals)
+                if seen.fresh(store):
                     yield
     for atom, goal in zip(pclause.aux, goals):
         shared = None
@@ -502,7 +515,8 @@ def _clause_answers(state, pclause, aux, store, trail):
                         f"non-ground aux answer for {format_term(atom)} "
                         f"on variable {name} shared with fluent literals"
                     )
-            if fresh():
+            seen = seen or _Seen(fluents, goals)
+            if seen.fresh(store):
                 yield
             undo(store, trail, mark)
 
@@ -535,6 +549,8 @@ def entails_property(state, prop, aux, bindings=None):
     if not prop.clauses:
         yield {} if bindings is None else bindings
         return
+    if state.inconsistent:
+        raise EngineError("cannot query an inconsistent belief state")
     store = {} if bindings is None else dict(bindings)
     yield from _conjunction(state, prop.clauses, aux, store, [])
 

@@ -51,7 +51,7 @@ class Term:
     built on first use and cached, so a term that is never compared
     costs no key and a deep one costs no Python recursion. A ground list
     cell may keep its items' keys in `_members` (see `ground_member`),
-    a slot left unset until then, so building a term costs nothing for it.
+    None until then.
     """
 
     __slots__ = ("functor", "args", "ground", "_key", "_hash", "_members")
@@ -59,14 +59,13 @@ class Term:
     def __init__(self, functor, args=()):
         self.functor = functor
         self.args = args
+        self._key = self._hash = self._members = None
         ground = True
         for a in args:
-            if isinstance(a, Var) or not a.ground:
+            if a.__class__ is Var or not a.ground:
                 ground = False
                 break
         self.ground = ground
-        self._key = None
-        self._hash = None
 
     @property
     def key(self):
@@ -143,11 +142,34 @@ def walk(term, bindings):
 def apply_subst(term, bindings):
     """Substitute through a term, resolving chains of bindings. With a
     name -> fresh Var mapping for `bindings` it renames a term apart.
-    Nested arguments go on an explicit stack, so a long list costs no
-    Python recursion, and an open subterm met twice is rebuilt once."""
+    A term whose arguments all walk to variables or ground terms is
+    rebuilt in one pass over them; any other goes to `_apply_nested`.
+    Either way the term itself comes back when nothing changed."""
     term = walk(term, bindings)
     if term.__class__ is Var or term.ground or not bindings:
         return term
+    get = bindings.get
+    args = []
+    changed = False
+    for orig in term.args:
+        a = orig
+        while a.__class__ is Var:
+            nxt = get(a.name)
+            if nxt is None:
+                break
+            a = nxt
+        if a.__class__ is not Var and not a.ground:
+            return _apply_nested(term, bindings)
+        if a is not orig:
+            changed = True
+        args.append(a)
+    return Term(term.functor, tuple(args)) if changed else term
+
+
+def _apply_nested(term, bindings):
+    """`apply_subst` of an open compound with an open compound below it.
+    Nested arguments go on an explicit stack, so a long list costs no
+    Python recursion, and an open subterm met twice is rebuilt once."""
     built = {}  # id of an open subterm -> what it became
     # One frame per compound being rebuilt:
     # [term, new args so far, changed, iterator over its args, original arg].
@@ -584,7 +606,7 @@ def ground_member(cell, key):
     keys = []
     t = cell
     while True:
-        members = getattr(t, "_members", None)
+        members = t._members
         if members is not None:
             break
         if t.functor != "." or len(t.args) != 2:

@@ -23,9 +23,14 @@ fast paths with an independent slow path:
   clause's variable names are computed here, where `PropClause` used to
   cache them, and an aux answer that binds a shared variable to a
   variable is reported as a non-ground aux answer, where the original
-  failed with an AttributeError.
+  failed with an AttributeError;
+- `general_apply_subst`: `terms.apply_subst` as it was before flat terms
+  got a path of their own, one frame per open compound on an explicit
+  stack for every term: the reference for that path, and for what
+  `apply_subst` shares with its input.
 
-All of them recurse on nested terms, so they only serve shallow inputs.
+All of them but `general_apply_subst` recurse on nested terms, so they
+only serve shallow inputs.
 """
 
 from primelog.errors import EngineError
@@ -33,6 +38,7 @@ from primelog.terms import (
     _NUM,
     _SYM,
     _VAR,
+    Term,
     Var,
     apply_literal,
     apply_subst,
@@ -191,3 +197,48 @@ def entails_property(state, prop, aux, bindings=None):
             yield from rec(i + 1, b2)
 
     yield from rec(0, base)
+
+
+def general_apply_subst(term, bindings):
+    """Substitute through a term, resolving chains of bindings, with no
+    Python recursion: every open compound gets a frame on an explicit
+    stack, an open subterm met twice is rebuilt once, and a compound none
+    of whose arguments changed comes back as itself."""
+    term = walk(term, bindings)
+    if term.__class__ is Var or term.ground or not bindings:
+        return term
+    built = {}  # id of an open subterm -> what it became
+    # One frame per compound being rebuilt:
+    # [term, new args so far, changed, iterator over its args, original arg].
+    frame = [term, [], False, iter(term.args), term]
+    stack = []
+    while True:
+        args = frame[1]
+        for orig in frame[3]:
+            a = orig
+            while a.__class__ is Var:
+                nxt = bindings.get(a.name)
+                if nxt is None:
+                    break
+                a = nxt
+            if a.__class__ is not Var and not a.ground:
+                done = built.get(id(a))
+                if done is None:
+                    stack.append(frame)
+                    frame = [a, [], False, iter(a.args), orig]
+                    break
+                a = done
+            if a is not orig:
+                frame[2] = True
+            args.append(a)
+        else:
+            t = frame[0]
+            new = Term(t.functor, tuple(args)) if frame[2] else t
+            if not stack:
+                return new
+            built[id(t)] = new
+            parent = stack.pop()
+            if new is not frame[4]:
+                parent[2] = True
+            parent[1].append(new)
+            frame = parent

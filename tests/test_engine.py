@@ -7,19 +7,22 @@ answer lists below were recorded from `AuxDB.solve` the same way: same
 answers, same order, same multiplicity.
 """
 
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from primelog import cli
-from primelog.auxdb import AuxDB
+from primelog.auxdb import AuxDB, empty_aux
 from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
 from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, replay, solve
-from primelog.model import Program, ProgramClause
+from primelog.model import CallGoal, Program, ProgramClause
 from primelog.parser import parse_domain, parse_program, parse_query
-from primelog.terms import Term, Var, apply_subst, format_term, variables
+from primelog.sld import FAILED, Machine
+from primelog.terms import Term, Var, apply_subst, format_term, mk_list, variables
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -282,6 +285,63 @@ def test_ground_fact_lookups_answer_as_the_machine_does(facts, functor, args, ba
         ]
 
     assert answers(indexed) == answers(machine)
+
+
+_GROUND_ARGS = (
+    Term("a"),
+    Term("1"),
+    Term("01"),
+    Term("2"),
+    Term("f", (Term("01"),)),
+    Term("f", (Term("1"),)),
+    mk_list([Term("1"), Term("g", (Term("a"),))]),
+    mk_list([Term("01"), Term("g", (Term("a"),))]),
+    Term("h", (mk_list([Term("001"), Term("f", (Term("2"),))]),)),
+)
+
+
+def _derived(program, goal):
+    """How many times a resolution machine over `program`, its clauses in
+    textual order and no index, derives the ground `goal`."""
+    machine = Machine(program, empty_aux(), 10_000, map(str, itertools.count(1)))
+    found = machine.resolve((CallGoal(goal), None))
+    count = 0
+    while found:
+        count += 1
+        found = machine.resolve(FAILED)
+    return count
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ground_goals_over_fact_tables_answer_as_often_as_derived(seed):
+    """A ground goal over a table of ground facts is decided by the keys
+    of its arguments against the facts filed under its first argument's
+    key: as many answers as a machine derivation of the same goal finds,
+    duplicate facts counted, numerals equal by value (`01` = `1` =
+    `001`) at any depth, nested ground arguments compared whole, and no
+    key of the goal itself built. Seeded random tables and goals."""
+    rng = random.Random(seed)
+    answered = 0
+    for _ in range(40):
+        arity = rng.randint(1, 3)
+        facts = [
+            Term("p", tuple(rng.choice(_GROUND_ARGS) for _ in range(arity)))
+            for _ in range(rng.randint(1, 10))
+        ]
+        facts += rng.sample(facts, rng.randint(0, len(facts)))
+        rng.shuffle(facts)
+        program = Program([ProgramClause(f, ()) for f in facts])
+        db = AuxDB(program)
+        for _ in range(8):
+            goal = Term("p", tuple(rng.choice(_GROUND_ARGS) for _ in range(arity)))
+            answers = list(db.solve(goal))
+            assert goal._key is None
+            assert answers == [{}] * _derived(program, goal)
+            answered += bool(answers)
+            base = {"X": goal.args[-1]}
+            opened = Term("p", goal.args[:-1] + (Var("X"),))
+            assert list(db.solve(opened, base)) == [base] * len(answers)
+    assert answered > 20
 
 
 # ---------------------------------------------------------------- deep aux

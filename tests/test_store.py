@@ -720,6 +720,17 @@ def test_clause_heads_are_tried_with_no_renamed_copy():
     assert counts["head_copies"] == counts["aux_solves"] == 5994
 
 
+def test_failed_preconditions_build_no_goal_keys():
+    """A corridor-backtrack solve runs 5,994 `do(go(Y))`s and executes
+    108. Each failing precondition looks its ground `adj/2` goal up by
+    the keys of its arguments, which the terms it was built from already
+    carry, so one solve builds 870 flat keys. Comparing each goal whole
+    with the facts in its bucket (`fact.head == goal`) built one key per
+    goal: 7,077."""
+    counts = work_counts.count_work("corridor-backtrack")
+    assert counts["key_builds"] == 870
+
+
 def test_compaction_shunts_chains_of_variables():
     """A wumpus-g2 agent's store is almost all variable-to-variable links,
     one per recursion level. A compaction binds each name it keeps

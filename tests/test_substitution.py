@@ -10,10 +10,13 @@ the store and the trail as it found them.
 The other tests pin what the single walk makes possible: an iterative
 `apply_subst` (a 3000-cell answer list through the CLI) and sensor cases
 entailed under their own variable names, so two identical runs log
-identical sense events.
+identical sense events. `apply_subst`'s one-pass path for flat terms is
+checked against the general version it bypasses, kept in
+`copying_reference`.
 """
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from primelog.interpreter import solve
 from primelog.model import CallGoal, Program, ProgramClause, _mapping_for
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import Machine
-from copying_reference import unify
+from copying_reference import general_apply_subst, unify
 from primelog.terms import (
     FALSE,
     MEMBER_STRIDE,
@@ -438,7 +441,7 @@ def test_a_list_grown_at_its_head_is_asked_in_a_stride_of_cells_or_less():
 
     def cells_to_a_set(cell):
         n = 0
-        while getattr(cell, "_members", None) is None and cell.functor == ".":
+        while cell._members is None and cell.functor == ".":
             cell, n = cell.args[1], n + 1
         return n
 
@@ -544,6 +547,84 @@ def test_apply_subst_resolves_a_long_chain_of_list_cells():
     items, tail = list_parts(apply_subst(Var("L0"), store))
     assert [int(i.functor) for i in items] == list(range(5000))
     assert tail == NIL
+
+
+# ---------------------------------------------------------------- flat substitution
+
+SUBST_NAMES = ("A", "B", "C", "D", "E")
+_GROUND_TERMS = (
+    Term("a"),
+    Term("1"),
+    Term("01"),
+    NIL,
+    Term("g", (Term("01"),)),
+    mk_list([Term("a"), Term("1")]),
+    Term("g", (mk_list([Term("01")]), Term("a"))),
+)
+
+
+def _random_term(rng, names, depth):
+    """A flat term (every argument a variable over `names` or a ground
+    term) or, with `depth` left, often a nested one: an open compound or
+    list with further terms below it."""
+    def argument():
+        if names and rng.random() < 0.5:
+            return Var(rng.choice(names))
+        return rng.choice(_GROUND_TERMS)
+
+    if depth and rng.random() < 0.4:
+        items = [_random_term(rng, names, depth - 1) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            return Term(rng.choice(("f", "g")), tuple(items))
+        return mk_list(items, rng.choice((NIL,) + tuple(Var(n) for n in names)))
+    return Term(rng.choice(("p", "adj")), tuple(argument() for _ in range(rng.randint(0, 4))))
+
+
+def _random_store(rng):
+    """A store without cycles: a variable may only be bound to a variable
+    or a term over the names after it, so chains of variables, ground
+    values and open compounds all occur; or a renaming of every name
+    apart."""
+    if rng.random() < 0.2:
+        return _mapping_for(SUBST_NAMES, "9")
+    store = {}
+    for i, name in enumerate(SUBST_NAMES):
+        later = SUBST_NAMES[i + 1 :]
+        choice = rng.random()
+        if choice < 0.2 and later:
+            store[name] = Var(rng.choice(later))
+        elif choice < 0.6:
+            store[name] = _random_term(rng, later, 2)
+    return store
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_subst_builds_what_the_general_version_builds(seed):
+    """On seeded random flat and nested terms, open and ground, under
+    seeded random stores: the same text, numerals as written, and the
+    same sharing, so the result is the input itself exactly when the
+    general version returns it, and so is each argument that walked to
+    itself."""
+    rng = random.Random(seed)
+    unchanged = 0
+    for _ in range(1000):
+        term = _random_term(rng, SUBST_NAMES, 3)
+        if rng.random() < 0.2:
+            term = Var(rng.choice(SUBST_NAMES))
+        store = _random_store(rng)
+        want = general_apply_subst(term, store)
+        got = apply_subst(term, store)
+        assert format_term(got) == format_term(want)
+        assert (got is term) == (want is term)
+        unchanged += want is term
+        assert (got.__class__ is Var) == (want.__class__ is Var)
+        if got.__class__ is not Var:
+            assert got.ground == want.ground
+            original = walk(term, store)
+            if original.__class__ is not Var:
+                for g, w, o in zip(got.args, want.args, original.args):
+                    assert (g is o) == (w is o)
+    assert 0 < unchanged < 1000
 
 
 # ---------------------------------------------------------------- compiled heads

@@ -24,7 +24,10 @@ prints a Markdown table of, per workload:
 - `compacted_kept`: the most bindings one of those compactions kept;
 - `member_cells`: the list cells the list built-ins (`memberchk`,
   `nonmember`) walk: down to the first cell that keeps its members' keys
-  in `terms.ground_member`, the whole spine in `list_parts` otherwise.
+  in `terms.ground_member`, the whole spine in `list_parts` otherwise;
+- `key_builds`: the `terms.flat_key` calls, as `terms` (a term's cached
+  `key`) and `pi` (an answer's signature) make them: each builds one flat
+  key in full.
 
 The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
 beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
@@ -56,6 +59,7 @@ COLUMNS = (
     "trail_kept",
     "compacted_kept",
     "member_cells",
+    "key_builds",
 )
 
 
@@ -183,7 +187,7 @@ def count_work(workload):
     def member(plain):
         def counted(cell, key):
             t = cell
-            while getattr(t, "_members", None) is None and t.functor == "." and len(t.args) == 2:
+            while t._members is None and t.functor == "." and len(t.args) == 2:
                 counts["member_cells"] += 1
                 t = t.args[1]
             return plain(cell, key)
@@ -195,6 +199,13 @@ def count_work(workload):
             items, tail = plain(term, bindings)
             counts["member_cells"] += len(items)
             return items, tail
+
+        return counted
+
+    def key(plain):
+        def counted(terms_, bindings):
+            counts["key_builds"] += 1
+            return plain(terms_, bindings)
 
         return counted
 
@@ -219,6 +230,8 @@ def count_work(workload):
         _patched(interpreter.Interpreter, "_compact", compact),
         _patched(sld, "ground_member", member),
         _patched(sld, "list_parts", spine),
+        _patched(terms, "flat_key", key),
+        _patched(pi, "flat_key", key),
     ):
         machine = interpreter.Interpreter(inputs.domain, inputs.program, spec.make_env(inputs))
         outcome = machine.run(inputs.query)
