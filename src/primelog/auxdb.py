@@ -84,11 +84,3 @@ class AuxDB:
             answer.update(new)
             yield answer
             found = machine.resolve(FAILED)
-
-
-_EMPTY_AUX = AuxDB(_NO_PROGRAM)
-
-
-def empty_aux():
-    """An AuxDB with no clauses (for domains without aux predicates)."""
-    return _EMPTY_AUX

@@ -35,16 +35,16 @@ class ParseError(PrimelogError):
         return f"{prefix}: {self.message}" if prefix else self.message
 
 
-class NonGroundError(PrimelogError):
-    """A ground term was required (comparison, execution, update)."""
-
-
 class EngineError(PrimelogError):
     """Runtime fault while reasoning or executing (exit code 2)."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+
+
+class NonGroundError(EngineError):
+    """A ground term was required (belief clauses, effects, sensing)."""
 
 
 class BarrierError(EngineError):

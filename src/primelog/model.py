@@ -261,7 +261,6 @@ class DomainFile:
         actions,
         sensors,
         aux,
-        objects,
         initial,
         action_specs,
         sensor_axioms,
@@ -272,7 +271,6 @@ class DomainFile:
         self.actions = dict(actions)          # functor -> arity
         self.sensors = tuple(sensors)         # functor names (all unary)
         self.aux = dict(aux)                  # functor -> arity
-        self.objects = dict(objects)          # sort -> tuple of ground terms
         self.initial = initial                # PIList
         self.action_specs = dict(action_specs)      # (functor, arity) -> ActionSpec
         self.sensor_axioms = dict(sensor_axioms)    # functor -> SensorAxiom

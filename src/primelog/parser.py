@@ -1,4 +1,4 @@
-"""Reader and printer for domain (.alpd) and agent program (.alp) files.
+"""Reader for domain (.alpd) and agent program (.alp) files.
 
 The syntax is Prolog-like: clauses end with a period, `%` starts a line
 comment, lowercase names are atoms, capitalized names are variables, and
@@ -54,9 +54,6 @@ from .terms import (
     Literal,
     Term,
     Var,
-    format_clause,
-    format_literal,
-    format_term,
     list_parts,
     normalize_clause,
     variables,
@@ -395,9 +392,9 @@ def _case_args(rd, tok, term, arity, where):
 def _declarations(rd, directives):
     """The names the `fluents`, `actions`, `sensors` and `aux` directives
     declare, a table by kind (sensors are bare names, the others
-    name/arity), and the `objects` tables."""
+    name/arity). `objects` directives are validated and not kept."""
     decls = {"fluents": {}, "actions": {}, "sensors": {}, "aux": {}}
-    objects = {}
+    sorts = set()
     for raw in directives:
         kind, args = raw.head.functor, raw.head.args
         if kind in decls:
@@ -430,10 +427,10 @@ def _declarations(rd, directives):
             for item in items:
                 if isinstance(item, Var) or not item.ground:
                     rd.err("object terms must be ground", raw.tok)
-            if sort.functor in objects:
+            if sort.functor in sorts:
                 rd.err(f"objects({sort.functor}, ...) appears twice", raw.tok)
-            objects[sort.functor] = tuple(items)
-    return decls, objects
+            sorts.add(sort.functor)
+    return decls
 
 
 def parse_domain(text, filename="<domain>"):
@@ -456,7 +453,7 @@ def parse_domain(text, filename="<domain>"):
         else:
             aux_raws.append(raw)
 
-    decls, objects = _declarations(rd, directives)
+    decls = _declarations(rd, directives)
     fluents, actions, sensors = decls["fluents"], decls["actions"], decls["sensors"]
 
     # Aux predicates may also be declared implicitly, by defining clauses.
@@ -616,7 +613,6 @@ def parse_domain(text, filename="<domain>"):
         actions=actions,
         sensors=sensors,
         aux=aux_arity,
-        objects=objects,
         initial=initial,
         action_specs=action_specs,
         sensor_axioms=sensor_axioms,
@@ -709,81 +705,3 @@ def parse_ground_terms(text, filename="<terms>"):
         rd.expect(".", "term list")
         out.append(term)
     return out
-
-
-# ---------------------------------------------------------------- printing
-
-
-def format_program_clause(clause):
-    head = format_term(clause.head)
-    if not clause.body:
-        return f"{head}."
-    return f"{head} :- " + ", ".join(map(repr, clause.body)) + "."
-
-
-def format_program(program):
-    return "\n".join(format_program_clause(c) for c in program.clauses) + "\n"
-
-
-def _fmt_decl_list(table):
-    return "[" + ",".join(f"{n}/{a}" for n, a in table.items()) + "]"
-
-
-def format_action_spec(spec):
-    cases = ",\n    ".join(
-        f"case({c.cond!r}, "
-        f"[{','.join(format_literal(l) for l in c.effects)}])"
-        for c in spec.cases
-    )
-    return (
-        f"action({format_term(spec.head)},\n"
-        f"  {spec.precond!r},\n"
-        f"  [{cases}])."
-    )
-
-
-def format_sensor_axiom(axiom):
-    cases = ",\n    ".join(
-        f"case({format_term(c.result)}, {c.index!r}, "
-        f"[{','.join(format_clause(cl) for cl in c.meaning)}])"
-        for c in axiom.cases
-    )
-    return f"sensor_axiom({axiom.functor}(_), [\n    {cases}])."
-
-
-def format_domain(domain):
-    """Canonical text of a domain file; parsing it back yields an equal
-    DomainFile (the initial state prints in prime implicate form)."""
-    out = []
-    if domain.fluents:
-        out.append(f"fluents({_fmt_decl_list(domain.fluents)}).")
-    if domain.actions:
-        out.append(f"actions({_fmt_decl_list(domain.actions)}).")
-    if domain.sensors:
-        out.append(f"sensors([{','.join(domain.sensors)}]).")
-    declared_aux = {
-        n: a
-        for n, a in domain.aux.items()
-        if not domain.aux_program.defines(n, a)
-    }
-    if declared_aux:
-        out.append(f"aux({_fmt_decl_list(declared_aux)}).")
-    for sort, items in domain.objects.items():
-        out.append(f"objects({sort}, [{','.join(format_term(t) for t in items)}]).")
-    out.append("")
-    out.append(
-        "initial_state([\n  "
-        + ",\n  ".join(format_clause(c) for c in domain.initial)
-        + "\n])."
-    )
-    for spec in domain.action_specs.values():
-        out.append("")
-        out.append(format_action_spec(spec))
-    for axiom in domain.sensor_axioms.values():
-        out.append("")
-        out.append(format_sensor_axiom(axiom))
-    if domain.aux_program.clauses:
-        out.append("")
-        for clause in domain.aux_program.clauses:
-            out.append(format_program_clause(clause))
-    return "\n".join(out) + "\n"

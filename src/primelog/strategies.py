@@ -25,12 +25,6 @@ select(X,[Y|Xs],[Y|Ys]) :- select(X,Xs,Ys).
 """
 
 
-def maze_query(length):
-    """The standard corridor query: try every cell beyond the first."""
-    cells = ",".join(str(i) for i in range(2, length + 1))
-    return f"explore([{cells}],[])"
-
-
 _WUMPUS_CORE = """\
 % Cautious sweep: visit every cell provably free of threats, smelling at
 % each new cell, and grab the gold on arrival. When a sweep finds a new

@@ -19,8 +19,6 @@ returns an idempotent result.
 
 from operator import attrgetter
 
-from .errors import NonGroundError
-
 _NUM = 0
 _SYM = 1
 _VAR = 2
@@ -96,18 +94,6 @@ FALSE = Term("false")
 def Num(value):
     """An integer as an atom with a numeric name."""
     return Term(str(int(value)), ())
-
-
-def compare(t1, t2):
-    """Three-way compare of two ground terms in the canonical order."""
-    for t in (t1, t2):
-        if isinstance(t, Var) or not t.ground:
-            raise NonGroundError(f"cannot compare non-ground term {format_term(t)}")
-    if t1.key < t2.key:
-        return -1
-    if t1.key > t2.key:
-        return 1
-    return 0
 
 
 def variables(term, acc=None):

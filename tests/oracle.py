@@ -11,7 +11,7 @@ OracleBoundExceeded instead of silently grinding.
 
 import itertools
 
-from primelog.auxdb import empty_aux
+from helpers import EMPTY_AUX
 from primelog.errors import PrimelogError
 from primelog.pi import PIList
 from primelog.terms import Clause, Literal, apply_subst, format_term, unify
@@ -269,7 +269,7 @@ def progress_beliefs(beliefs, spec, action, aux=None):
     Condition and precondition atoms must already be in the universe;
     effect atoms may be new and extend it.
     """
-    aux = aux or empty_aux()
+    aux = aux or EMPTY_AUX
     theta0 = unify(spec.head, action)
     if theta0 is None:
         raise ValueError(f"action {format_term(action)} does not match the spec head")
@@ -323,7 +323,7 @@ def progress_beliefs(beliefs, spec, action, aux=None):
 def filter_by_sensing(beliefs, axiom, observed, aux=None):
     """Keep the worlds consistent with an observed sensing result: some
     case for that result has both its index and its meaning true there."""
-    aux = aux or empty_aux()
+    aux = aux or EMPTY_AUX
     by_pred = beliefs.by_pred()
     cases = [c for c in axiom.cases if c.result == observed]
     new_atoms = []

@@ -6,6 +6,7 @@ catching order-of-magnitude regressions, not micro-benchmarks."""
 import random
 import time
 
+from helpers import maze_query
 from oracle import (
     initial_beliefs,
     progress_beliefs,
@@ -30,7 +31,6 @@ from primelog.pi import entails_property, prime_closure, update
 from primelog.strategies import (
     MAZE_EXPLORER,
     WUMPUS_QUERY,
-    maze_query,
     wumpus_agent,
 )
 from primelog.terms import Literal, Term, Var, apply_subst, format_term, normalize_clause

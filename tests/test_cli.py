@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from helpers import maze_query
 from primelog import cli
 from primelog.envs import emit_maze_domain, format_replay_script
 from primelog.interpreter import solve
 from primelog.envs import MazeEnv
 from primelog.parser import parse_domain, parse_program, parse_query
-from primelog.strategies import MAZE_EXPLORER, maze_query
+from primelog.strategies import MAZE_EXPLORER
 
 
 @pytest.fixture
@@ -266,6 +267,33 @@ def test_run_closure_past_its_budget_exits_two(tmp_path, capsys, initial, meanin
         capsys,
     )
     assert (code, out, err) == (2, "", "runtime error: prime closure budget exceeded\n")
+
+
+def test_run_sensing_meaning_left_open_exits_two(tmp_path, capsys):
+    # `X` in the meaning is bound by neither the index nor the result
+    domain = tmp_path / "open.alpd"
+    domain.write_text(
+        "fluents([p/1]). actions([go/1]). sensors([s]). initial_state([-p(a)]).\n"
+        "action(go(Y),[],[case([],[])]).\n"
+        "sensor_axiom(s(_),[case(true,[],[p(X)]),case(false,[],[-p(a)])]).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "main.alp"
+    program.write_text("main :- ?(s(R)).\n", encoding="utf-8")
+    script = tmp_path / "run.script"
+    script.write_text("saw(s, true).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", "main",
+            "--env", f"replay:{script}",
+        ],
+        capsys,
+    )
+    message = "runtime error: sensing meaning for s not ground after index match\n"
+    assert (code, out, err) == (2, "", message)  # and so no traceback
 
 
 def test_run_parse_error_exits_three(tmp_path, capsys):

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import EMPTY_AUX
 from primelog import cli
-from primelog.auxdb import AuxDB, empty_aux
+from primelog.auxdb import AuxDB
 from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
 from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, replay, solve
@@ -303,7 +304,7 @@ _GROUND_ARGS = (
 def _derived(program, goal):
     """How many times a resolution machine over `program`, its clauses in
     textual order and no index, derives the ground `goal`."""
-    machine = Machine(program, empty_aux(), 10_000, map(str, itertools.count(1)))
+    machine = Machine(program, EMPTY_AUX, 10_000, map(str, itertools.count(1)))
     found = machine.resolve((CallGoal(goal), None))
     count = 0
     while found:

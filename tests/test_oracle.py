@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import EMPTY_AUX
 from oracle import (
     BeliefSet,
     OracleBoundExceeded,
@@ -11,7 +12,6 @@ from oracle import (
     property_holds,
     reference_prime_implicates,
 )
-from primelog.auxdb import empty_aux
 from primelog.model import (
     ActionCase,
     ActionSpec,
@@ -99,7 +99,7 @@ def test_property_holds_with_variables():
     beliefs = initial_beliefs(prime_closure([cl(lit(at(1)))]))
     prop = StateProperty([PropClause((Literal(Term("at", (Var("X"),))),), ())])
     (world,) = beliefs.worlds
-    assert property_holds(prop, world, beliefs.by_pred(), empty_aux())
+    assert property_holds(prop, world, beliefs.by_pred(), EMPTY_AUX)
 
 
 def _move_spec():

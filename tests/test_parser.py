@@ -3,8 +3,6 @@ import pytest
 from primelog.errors import ParseError
 from primelog.model import CallGoal, DoGoal, QueryGoal, SenseGoal, CUT
 from primelog.parser import (
-    format_domain,
-    format_program,
     parse_domain,
     parse_ground_terms,
     parse_program,
@@ -46,25 +44,6 @@ def test_domain_declarations():
 def test_initial_state_is_prime():
     dom = parse_domain(MAZE, "m.alpd")
     assert sorted(str(c) for c in dom.initial) == ["at(agent,1)", "at(gold,4)"]
-
-
-def test_domain_roundtrip_is_stable():
-    dom = parse_domain(MAZE, "m.alpd")
-    printed = format_domain(dom)
-    again = format_domain(parse_domain(printed, "m2.alpd"))
-    assert printed == again
-
-
-def test_program_roundtrip_is_stable():
-    dom = parse_domain(MAZE, "m.alpd")
-    text = """\
-explore(C,B) :- ?(at(agent,X)), select(Y,C,N), do(go(Y)), !, explore(N,[X|B]).
-select(X,[X|Xs],Xs).
-"""
-    prog = parse_program(text, dom, "p.alp")
-    printed = format_program(prog)
-    again = format_program(parse_program(printed, dom, "p2.alp"))
-    assert printed == again
 
 
 def test_query_goal_prints_canonical_text():

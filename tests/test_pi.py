@@ -6,8 +6,9 @@ random inputs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import EMPTY_AUX
 from oracle import reference_prime_implicates
-from primelog.auxdb import AuxDB, empty_aux
+from primelog.auxdb import AuxDB
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
 from primelog.envs import MazeEnv, emit_maze_domain
 from primelog.interpreter import Interpreter, action_effects
@@ -186,7 +187,7 @@ def test_a_3000_deep_fluent_enters_and_leaves_the_belief():
     out = update(state, [lit("p", _deep(), pos=False)])
     assert [format_term(c.literals[0].fluent)[:4] for c in out] == ["p(f(", "q"]
     assert not out.clauses[0].literals[0].positive
-    assert list(entails_clause(out, PropClause((lit("p", _deep(), pos=False),), ()), empty_aux()))
+    assert list(entails_clause(out, PropClause((lit("p", _deep(), pos=False),), ()), EMPTY_AUX))
 
 
 # ---------------------------------------------------------------- entailment
@@ -199,7 +200,7 @@ def _query(clause_lits):
 
 
 def test_definite_position_is_not_entailed():
-    sols = list(entails_clause(GOLD, _query([lit("at", Term("gold"), Var("X"))]), empty_aux()))
+    sols = list(entails_clause(GOLD, _query([lit("at", Term("gold"), Var("X"))]), EMPTY_AUX))
     assert sols == []
 
 
@@ -210,7 +211,7 @@ def test_disjunctive_query_covers_the_implicate():
             Literal(Term("at", (Term("gold"), Var("Y")))),
         ]
     )
-    sols = list(entails_clause(GOLD, q, empty_aux()))
+    sols = list(entails_clause(GOLD, q, EMPTY_AUX))
     pairs = [
         (format_term(s["X"]), format_term(s["Y"])) for s in sols
     ]
@@ -220,7 +221,7 @@ def test_disjunctive_query_covers_the_implicate():
 def test_unit_entailment_binds():
     state = prime_closure([cl(lit("at", Term("agent"), Num(1)))])
     sols = list(
-        entails_clause(state, _query([lit("at", Term("agent"), Var("X"))]), empty_aux())
+        entails_clause(state, _query([lit("at", Term("agent"), Var("X"))]), EMPTY_AUX)
     )
     assert [format_term(s["X"]) for s in sols] == ["1"]
 
@@ -228,7 +229,7 @@ def test_unit_entailment_binds():
 def test_negative_unit_entailment():
     state = prime_closure([cl(lit("wet", Num(1), pos=False))])
     sols = list(
-        entails_clause(state, _query([lit("wet", Num(1), pos=False)]), empty_aux())
+        entails_clause(state, _query([lit("wet", Num(1), pos=False)]), EMPTY_AUX)
     )
     assert len(sols) == 1
 
@@ -256,7 +257,7 @@ def test_querying_inconsistent_state_is_a_fault():
     with pytest.raises(EngineError, match="inconsistent"):
         list(
             entails_clause(
-                INCONSISTENT, _query([lit("at", Term("x"), Num(9))]), empty_aux()
+                INCONSISTENT, _query([lit("at", Term("x"), Num(9))]), EMPTY_AUX
             )
         )
 
@@ -283,8 +284,8 @@ def _go_spec():
 def test_applicable_cases_unique():
     state = prime_closure([cl(lit("at", Term("agent"), Num(1)))])
     spec, act = _go_spec(), Term("go", (Num(2),))
-    theta = first_entailment(state, spec.precond, empty_aux(), unify(spec.head, act))
-    effects = action_effects(state, spec, empty_aux(), theta, act)
+    theta = first_entailment(state, spec.precond, EMPTY_AUX, unify(spec.head, act))
+    effects = action_effects(state, spec, EMPTY_AUX, theta, act)
     assert [str(l) for l in effects] == ["at(agent,2)", "-at(agent,1)"]
 
 
@@ -296,7 +297,7 @@ def test_two_firing_cases_raise():
         (ActionCase(EMPTY_PROPERTY, (lit("p"),)), ActionCase(EMPTY_PROPERTY, (lit("q"),))),
     )
     with pytest.raises(NondeterministicActionError, match="a has 2 applicable effect cases"):
-        action_effects(PIList([]), spec, empty_aux(), {}, head)
+        action_effects(PIList([]), spec, EMPTY_AUX, {}, head)
 
 
 # ---------------------------------------------------------------- sensing
@@ -315,7 +316,7 @@ def _axiom():
 
 def test_sensing_adjoins_meaning():
     state = prime_closure([cl(lit("at", Num(1)))])
-    new, sol = integrate_sensing(state, _axiom(), TRUE, empty_aux())
+    new, sol = integrate_sensing(state, _axiom(), TRUE, EMPTY_AUX)
     assert "wet(1)" in shape(new)
     assert isinstance(sol, dict)
 
@@ -323,19 +324,19 @@ def test_sensing_adjoins_meaning():
 def test_sensing_unknown_result_rejected():
     state = prime_closure([cl(lit("at", Num(1)))])
     with pytest.raises(SensingError):
-        integrate_sensing(state, _axiom(), Term("maybe"), empty_aux())
+        integrate_sensing(state, _axiom(), Term("maybe"), EMPTY_AUX)
 
 
 def test_sensing_without_entailed_index_rejected():
     state = prime_closure([cl(lit("at", Num(2)))])
     with pytest.raises(SensingError):
-        integrate_sensing(state, _axiom(), TRUE, empty_aux())
+        integrate_sensing(state, _axiom(), TRUE, EMPTY_AUX)
 
 
 def test_sensing_contradicting_state_rejected():
     state = prime_closure([cl(lit("at", Num(1))), cl(lit("wet", Num(1), pos=False))])
     with pytest.raises(SensingError):
-        integrate_sensing(state, _axiom(), TRUE, empty_aux())
+        integrate_sensing(state, _axiom(), TRUE, EMPTY_AUX)
 
 
 # ---------------------------------------------------------------- properties

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import maze_query
 from primelog.envs import (
     MazeEnv,
     WumpusConfig,
@@ -15,7 +16,7 @@ from primelog.envs import (
 )
 from primelog.interpreter import solve
 from primelog.parser import parse_domain, parse_program, parse_query
-from primelog.strategies import MAZE_EXPLORER, maze_query, wumpus_agent
+from primelog.strategies import MAZE_EXPLORER, wumpus_agent
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 

@@ -17,13 +17,14 @@ checked against the general version it bypasses, kept in
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import EMPTY_AUX
 from primelog import cli
-from primelog.auxdb import empty_aux
 from primelog.envs import ReplayEnv, emit_maze_domain
 from primelog.errors import EngineError
 from primelog.interpreter import solve
@@ -98,75 +99,84 @@ def _reference(goal, store):
     return ("ok",), after
 
 
-# ---------------------------------------------------------------- strategies
+# ---------------------------------------------------------------- random cases
 
 NAMES = ("A", "B", "C", "D")
 ATOMS = (Term("a"), Term("b"), NIL)
 
 
-def _terms(names):
-    leaves = st.sampled_from(ATOMS + tuple(Var(n) for n in names))
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.tuples(st.sampled_from(("f", "g")), st.lists(inner, min_size=1, max_size=2)).map(
-                lambda p: Term(p[0], tuple(p[1]))
-            ),
-            st.tuples(
-                st.lists(inner, max_size=3),
-                st.sampled_from((NIL, NIL, Term("a")) + tuple(Var(n) for n in names)),
-            ).map(lambda p: mk_list(p[0], p[1])),
-        ),
-        max_leaves=6,
-    )
+def _random_tree(rng, leaves, tails, most, budget):
+    """A random term: a leaf from `leaves`, f/g of 1 to `most` terms, or a
+    list of up to three terms ending in one of `tails`, with about
+    `budget` leaves at most."""
+    left = [budget]
+
+    def term():
+        if left[0] <= 1 or rng.random() < 0.5:
+            left[0] -= 1
+            return rng.choice(leaves)
+        if rng.random() < 0.5:
+            return Term(rng.choice("fg"), tuple(term() for _ in range(rng.randint(1, most))))
+        return mk_list([term() for _ in range(rng.randint(0, 3))], rng.choice(tails))
+
+    return term()
 
 
-@st.composite
-def _stores(draw):
+def _random_goal_term(rng, names):
+    """A term over the atoms and the variables `names`."""
+    variables = tuple(Var(n) for n in names)
+    tails = (NIL, NIL, Term("a")) + variables
+    return _random_tree(rng, ATOMS + variables, tails, 2, rng.randint(1, 6))
+
+
+def _random_goal_store(rng):
     """A partly bound store without cycles: a variable may only be bound
     to a term over the variables after it."""
-    store = {}
-    for i, name in enumerate(NAMES):
-        if draw(st.booleans()):
-            store[name] = draw(_terms(NAMES[i + 1 :]))
-    return store
+    return {
+        name: _random_goal_term(rng, NAMES[i + 1 :])
+        for i, name in enumerate(NAMES)
+        if rng.random() < 0.5
+    }
 
 
-def _variant(term, draw):
+def _variant(term, rng):
     """A term of the same shape, its variables permuted and some leaves
     redrawn, so that the two sides of a goal meet compound against
     compound: variable pairs bound one way or the other, a binding
     followed by a clash, occurs-check failures."""
-    perm = dict(zip(NAMES, draw(st.permutations(NAMES))))
+    perm = dict(zip(NAMES, rng.sample(NAMES, len(NAMES))))
 
     def walk(t):
         if isinstance(t, Var) or not t.args:
-            if draw(st.integers(0, 3)) == 0:
-                return draw(st.sampled_from(ATOMS + tuple(Var(n) for n in NAMES)))
+            if rng.randint(0, 3) == 0:
+                return rng.choice(ATOMS + tuple(Var(n) for n in NAMES))
             return Var(perm[t.name]) if isinstance(t, Var) else t
         return Term(t.functor, tuple(walk(a) for a in t.args))
 
     return walk(term)
 
 
-@st.composite
-def _goals(draw):
-    name = draw(st.sampled_from(("=", "neq", "memberchk", "nonmember", "true", "fail")))
+def _random_builtin_goal(rng):
+    name = rng.choice(("=", "neq", "memberchk", "nonmember", "true", "fail"))
     if name in ("true", "fail"):
         return Term(name, ())
-    pair = st.tuples(_terms(NAMES), _terms(NAMES)).map(lambda p: Term("f", p))
-    left = draw(st.one_of(_terms(NAMES), pair, pair))
+    if rng.randint(0, 2) == 0:
+        left = _random_goal_term(rng, NAMES)
+    else:
+        left = Term("f", (_random_goal_term(rng, NAMES), _random_goal_term(rng, NAMES)))
     if name in ("=", "neq"):
-        right = draw(_terms(NAMES)) if draw(st.integers(0, 3)) == 0 else _variant(left, draw)
+        right = _random_goal_term(rng, NAMES) if rng.randint(0, 3) == 0 else _variant(left, rng)
         return Term(name, (left, right))
-    items = draw(st.lists(st.one_of(_terms(NAMES), st.just(None)), max_size=3))
-    items = [_variant(left, draw) if i is None else i for i in items]
-    tail = draw(st.sampled_from((NIL, NIL, NIL, Term("a")) + tuple(Var(n) for n in NAMES)))
+    items = [
+        _random_goal_term(rng, NAMES) if rng.random() < 0.5 else _variant(left, rng)
+        for _ in range(rng.randint(0, 3))
+    ]
+    tail = rng.choice((NIL, NIL, NIL, Term("a")) + tuple(Var(n) for n in NAMES))
     return Term(name, (left, mk_list(items, tail)))
 
 
 def _machine(store):
-    machine = Machine(Program(()), empty_aux(), 10_000, map(str, itertools.count(1)))
+    machine = Machine(Program(()), EMPTY_AUX, 10_000, map(str, itertools.count(1)))
     machine.bindings = dict(store)
     machine.trail = list(store)
     return machine
@@ -177,23 +187,36 @@ def _resolved(goal, store):
     return {n: format_term(apply_subst(Var(n), store)) for n in sorted(names)}
 
 
-@settings(max_examples=400, deadline=None)
-@given(_goals(), _stores())
-def test_builtins_on_the_store_match_the_copying_builtins(goal, store):
+def _same_builtin_outcome(goal, store):
+    """The outcome kind, after asserting the machine's built-in agrees with
+    the copying one on it."""
     expected, after = _reference(goal, store)
     machine = _machine(store)
     try:
         found = machine.resolve((CallGoal(goal), None))
     except EngineError as e:
         assert expected == ("error", str(e))
-        return
+        return "error"
     if not found:
         assert expected == ("fail",)
         assert machine.bindings == store
         assert machine.trail == list(store)
-        return
+        return "fail"
     assert expected == ("ok",)
     assert _resolved(goal, machine.bindings) == _resolved(goal, after)
+    return "ok"
+
+
+def test_builtins_on_the_store_match_the_copying_builtins():
+    """On 1,000 seeded random built-in goals, each against a seeded random
+    store: the same success, resolved variables and error text, and a
+    failure leaves the store and the trail as they were."""
+    rng = random.Random(0)
+    outcomes = Counter(
+        _same_builtin_outcome(_random_builtin_goal(rng), _random_goal_store(rng))
+        for _ in range(1000)
+    )
+    assert set(outcomes) == {"ok", "fail", "error"}
 
 
 @pytest.mark.parametrize(
@@ -630,7 +653,7 @@ def test_apply_subst_builds_what_the_general_version_builds(seed):
 # ---------------------------------------------------------------- compiled heads
 
 HEAD_NAMES = ("X", "Y", "Z")
-HEAD_NUMERALS = (Term("1"), Term("01"), Term("2"))
+HEAD_NUMERALS = (Term("1"), Term("01"), Term("001"), Term("2"))
 
 
 def _renamed_head_reference(goal, head, store, suffix):
@@ -650,48 +673,36 @@ def _compiled_head(goal, head, store, suffix):
     return unify_head(goal, code, regs, store, trail), store, trail
 
 
-def _head_terms():
-    leaves = st.sampled_from(ATOMS + HEAD_NUMERALS + tuple(Var(n) for n in HEAD_NAMES))
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.tuples(st.sampled_from(("f", "g")), st.lists(inner, min_size=1, max_size=3)).map(
-                lambda p: Term(p[0], tuple(p[1]))
-            ),
-            st.tuples(
-                st.lists(inner, max_size=3),
-                st.sampled_from((NIL, NIL) + tuple(Var(n) for n in HEAD_NAMES)),
-            ).map(lambda p: mk_list(p[0], p[1])),
-        ),
-        max_leaves=8,
-    )
+def _random_head_case(rng):
+    """(goal, head): a head `p` of one to three terms over atoms, numerals
+    and the variables X, Y, Z, variables repeated across and within
+    arguments, nested and open lists among them; and a goal shaped like
+    it, so both sides meet compound against compound, variable against
+    structure and numeral against numeral."""
+    variables = tuple(Var(n) for n in HEAD_NAMES)
+    leaves = ATOMS + HEAD_NUMERALS + variables
+    tails = (NIL, NIL) + variables
+    args = [_random_tree(rng, leaves, tails, 3, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+    return Term("p", tuple(_goal_for(a, rng) for a in args)), Term("p", tuple(args))
 
 
-def _goal_for(term, draw):
+def _goal_for(term, rng):
     """A goal argument shaped like the head argument `term`: head
-    variables become goal variables, atoms, numerals or small terms, and
-    some subterms are redrawn, so both sides meet compound against
-    compound, variable against structure and numeral against numeral."""
-    if draw(st.integers(0, 5)) == 0:
-        return draw(_terms(NAMES))
+    variables become goal variables, atoms, numerals or small terms, some
+    subterms are redrawn, and some compounds take another arity."""
+    goal_variables = tuple(Var(n) for n in NAMES)
+    if rng.randint(0, 5) == 0:
+        return _random_goal_term(rng, NAMES)
     if isinstance(term, Var):
-        return draw(
-            st.one_of(
-                st.sampled_from(ATOMS + HEAD_NUMERALS + tuple(Var(n) for n in NAMES)),
-                _terms(NAMES),
-            )
-        )
+        if rng.random() < 0.5:
+            return rng.choice(ATOMS + HEAD_NUMERALS + goal_variables)
+        return _random_goal_term(rng, NAMES)
     if not term.args:
-        return draw(st.sampled_from((term, term) + HEAD_NUMERALS + (Var(draw(st.sampled_from(NAMES))),)))
-    return Term(term.functor, tuple(_goal_for(a, draw) for a in term.args))
-
-
-@st.composite
-def _head_cases(draw):
-    args = draw(st.lists(_head_terms(), min_size=1, max_size=3))
-    head = Term("p", tuple(args))
-    goal = Term("p", tuple(_goal_for(a, draw) for a in args))
-    return goal, head
+        return rng.choice((term, term) + HEAD_NUMERALS + (rng.choice(goal_variables),))
+    args = tuple(_goal_for(a, rng) for a in term.args)
+    if rng.randint(0, 7) == 0:  # the head's functor at another arity
+        args = args[:-1] if len(args) > 1 else args + args
+    return Term(term.functor, args)
 
 
 def _read(store, trail):
@@ -705,13 +716,17 @@ def _assert_same_try(goal, head, store):
     if want:
         assert got_trail == want_trail
         assert _read(got_store, got_trail) == _read(want_store, want_trail)
+    return want
 
 
-@settings(max_examples=600, deadline=None)
-@given(_head_cases(), _stores())
-def test_compiled_heads_bind_as_the_renamed_head_did(case, store):
-    goal, head = case
-    _assert_same_try(goal, head, store)
+def test_compiled_heads_bind_as_the_renamed_head_did():
+    """On 1,000 seeded random head and goal pairs, each against a seeded
+    random store: the same answer, trail and bindings."""
+    rng = random.Random(0)
+    unified = Counter(
+        _assert_same_try(*_random_head_case(rng), _random_goal_store(rng)) for _ in range(1000)
+    )
+    assert unified[True] and unified[False]
 
 
 A, B = Var("A"), Var("B")

@@ -14,7 +14,6 @@ from primelog.terms import (
     Term,
     Var,
     apply_subst,
-    compare,
     flat_key,
     format_clause,
     format_literal,
@@ -41,14 +40,9 @@ def test_ground_flag():
 
 
 def test_numeric_atoms_compare_numerically():
-    assert compare(Num(9), Num(10)) < 0
-    assert compare(Num(10), Num(9)) > 0
-    assert compare(t("b"), Num(10)) > 0  # numbers order before symbols
-
-
-def test_compare_rejects_variables():
-    with pytest.raises(NonGroundError):
-        compare(Var("X"), t("a"))
+    assert Num(9).key < Num(10).key
+    assert Num(10).key > Num(9).key
+    assert t("b").key > Num(10).key  # numbers order before symbols
 
 
 def test_unify_basic():
@@ -640,7 +634,7 @@ def test_long_ground_lists_built_apart_unify_and_compare():
     second = mk_list([Term(str(i)) for i in range(3000)])
     third = mk_list([Num(i) for i in range(2999)] + [Term("x")])
     assert first == second and hash(first) == hash(second) and first != third
-    assert compare(first, third) < 0 and compare(third, second) > 0
+    assert first.key < third.key and third.key > second.key
     assert unify_track(first, second, {}, [])
     assert not unify_track(first, third, {}, [])
     bindings, trail = {}, []
