@@ -29,9 +29,8 @@ _NO_PROGRAM = Program(())
 
 
 class AuxDB:
-    def __init__(self, program, budget=DEFAULT_AUX_BUDGET):
+    def __init__(self, program):
         self.program = program
-        self.budget = budget
         self._fresh = map("a{}".format, itertools.count(1))
         self._fact_index = {}
         for (functor, arity), clauses in program.index.items():
@@ -55,32 +54,26 @@ class AuxDB:
                 return index.get(first.key, ())
         return self.program.clauses_for(*pred)
 
-    def solve(self, goal, bindings=None):
+    def solve(self, goal):
         """Enumerate the answers to one aux atom (or builtin) in SLD order.
 
-        Each answer is an idempotent substitution extending `bindings` by
-        the atom's own variables. The derivation runs on a machine of its
-        own, renaming clause variables apart as `X~aN`; it raises
-        BudgetExceeded after `budget` resolution steps. A ground atom over
-        an indexed fact table needs no machine and takes no step: it has
-        one answer, a copy of `bindings`, per fact whose argument keys
-        equal its own.
+        Each answer is an idempotent substitution of the atom's own
+        variables. The derivation runs on a machine of its own, renaming
+        clause variables apart as `X~aN`; it raises BudgetExceeded after
+        `DEFAULT_AUX_BUDGET` resolution steps. A ground atom over an
+        indexed fact table needs no machine and takes no step: it has one
+        empty answer per fact whose argument keys equal its own.
         """
-        base = {} if bindings is None else bindings
-        goal = apply_subst(goal, base)
         if goal.ground and (goal.functor, len(goal.args)) in self._fact_index:
             keys = [a.key for a in goal.args]
             for fact in self.candidates(goal):
                 if [a.key for a in fact.head.args] == keys:
-                    yield dict(base)
+                    yield {}
             return
         names = variables(goal)
-        machine = Machine(_NO_PROGRAM, self, self.budget, self._fresh)
+        machine = Machine(_NO_PROGRAM, self, DEFAULT_AUX_BUDGET, self._fresh)
         found = machine.resolve((CallGoal(goal), None))
         while found:
             store = machine.bindings
-            new = {n: apply_subst(store[n], store) for n in names if n in store}
-            answer = {n: apply_subst(t, new) for n, t in base.items()}
-            answer.update(new)
-            yield answer
+            yield {n: apply_subst(store[n], store) for n in names if n in store}
             found = machine.resolve(FAILED)

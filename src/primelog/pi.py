@@ -305,20 +305,17 @@ class _Saturator:
         if clause.key in by_key:
             return
         by_lit = self.draft.by_lit
-        candidates = set()
-        for l in clause.literals:
-            bucket = by_lit.get(l.key)
-            if bucket:
-                candidates.update(bucket)
-        others = [by_key[k] for k in candidates]
+        keys = clause.key[1]
+        buckets = [by_lit.get(k) for k in keys]
         # forward subsumption: is the newcomer already implied?
-        for other in others:
-            if other.subsumes(clause):
+        own = set(keys)
+        for k in set().union(*filter(None, buckets)):
+            if own.issuperset(k[1]):
                 return
-        # backward subsumption: the newcomer may simplify the set
-        for other in others:
-            if clause.subsumes(other):
-                self.draft.write(other, False)
+        # backward subsumption: a clause in every bucket holds the newcomer
+        if all(buckets):
+            for k in set.intersection(*sorted(buckets, key=len)):
+                self.draft.write(by_key[k], False)
         self.draft.write(clause, True)
         self.work.append(clause)
 

@@ -505,14 +505,12 @@ class Clause:
     one from raw literals; it returns None for tautologies.
     """
 
-    __slots__ = ("literals", "ground", "key", "keyset", "_hash")
+    __slots__ = ("literals", "ground", "key", "_hash")
 
     def __init__(self, literals):
         self.literals = literals
         self.ground = all(l.ground for l in literals)
-        keys = tuple(l.key for l in literals)
-        self.key = (len(literals), keys)
-        self.keyset = frozenset(keys)
+        self.key = (len(literals), tuple(l.key for l in literals))
         self._hash = None
 
     def __len__(self):
@@ -521,12 +519,6 @@ class Clause:
     @property
     def is_unit(self):
         return len(self.literals) == 1
-
-    def subsumes(self, other):
-        """True when every literal of this clause occurs in `other` (ground only)."""
-        if len(self.literals) > len(other.literals):
-            return False
-        return self.keyset <= other.keyset
 
     def __eq__(self, other):
         return isinstance(other, Clause) and other.key == self.key

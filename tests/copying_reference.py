@@ -33,6 +33,7 @@ All of them but `general_apply_subst` recurse on nested terms, so they
 only serve shallow inputs.
 """
 
+from helpers import solve_under
 from primelog.errors import EngineError
 from primelog.terms import (
     _NUM,
@@ -170,7 +171,7 @@ def entails_clause(state, pclause, aux, bindings=None):
                     yield u
     for atom in pclause.aux:
         shared = None
-        for sol in aux.solve(apply_subst(atom, base), base):
+        for sol in solve_under(aux, atom, base):
             if shared is None:
                 shared = variables(atom) & variables([l.fluent for l in pclause.fluents])
             for name in shared:

@@ -11,7 +11,7 @@ OracleBoundExceeded instead of silently grinding.
 
 import itertools
 
-from helpers import EMPTY_AUX
+from helpers import EMPTY_AUX, solve_under
 from primelog.errors import PrimelogError
 from primelog.pi import PIList
 from primelog.terms import Clause, Literal, apply_subst, format_term, unify
@@ -227,7 +227,7 @@ def _clause_solutions(pclause, world, by_pred, aux, bindings):
             if u is not None:
                 yield u
     for atom in pclause.aux:
-        yield from aux.solve(apply_subst(atom, bindings), bindings)
+        yield from solve_under(aux, atom, bindings)
 
 
 def _property_solutions(prop, world, by_pred, aux, bindings=None):

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import EMPTY_AUX
-from primelog import cli
+from helpers import EMPTY_AUX, solve_under
+from primelog import auxdb, cli
 from primelog.auxdb import AuxDB
 from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
@@ -242,7 +242,7 @@ def test_aux_answers_extend_bindings_idempotently(goal):
     atom = _aux_goal(goal, domain)
     base = {"Q": Term("z"), "R0": Term("f", (Var("Q"),))}
     base["R0"] = apply_subst(base["R0"], base)
-    answers = list(AuxDB(domain.aux_program).solve(atom, base))
+    answers = list(solve_under(AuxDB(domain.aux_program), atom, base))
     assert len(answers) == len(AUX_ANSWERS[goal])
     for sol in answers:
         for name, value in base.items():
@@ -282,7 +282,7 @@ def test_ground_fact_lookups_answer_as_the_machine_does(facts, functor, args, ba
     def answers(db):
         return [
             {n: format_term(v) for n, v in sol.items() if n in names}
-            for sol in db.solve(goal, base)
+            for sol in solve_under(db, goal, base)
         ]
 
     assert answers(indexed) == answers(machine)
@@ -341,7 +341,7 @@ def test_ground_goals_over_fact_tables_answer_as_often_as_derived(seed):
             answered += bool(answers)
             base = {"X": goal.args[-1]}
             opened = Term("p", goal.args[:-1] + (Var("X"),))
-            assert list(db.solve(opened, base)) == [base] * len(answers)
+            assert list(solve_under(db, opened, base)) == [base] * len(answers)
     assert answered > 20
 
 
@@ -391,14 +391,15 @@ def test_deep_aux_recursion_through_the_cli(tmp_path, capsys):
     assert captured.out.startswith("status: success\n")
 
 
-def test_runaway_aux_recursion_exhausts_its_budget():
+def test_runaway_aux_recursion_exhausts_its_budget(monkeypatch):
     domain = parse_domain(
         "fluents([at/2]).\nactions([go/1]).\ninitial_state([at(agent,a)]).\n"
         "action(go(Y), [at(agent,X), loop(Y)], [case([], [at(agent,Y)])]).\n"
         "loop(X) :- loop(X).\n",
         "loop.alpd",
     )
-    aux = AuxDB(domain.aux_program, budget=1000)
+    monkeypatch.setattr(auxdb, "DEFAULT_AUX_BUDGET", 1000)
+    aux = AuxDB(domain.aux_program)
     with pytest.raises(EngineError, match="budget"):
         list(aux.solve(_aux_goal("loop(a)", domain)))
 

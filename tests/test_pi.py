@@ -3,6 +3,8 @@ cases were computed with the truth-table reference in tests/oracle.py and
 are frozen here; the hypothesis block keeps engine and reference equal on
 random inputs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -381,4 +383,34 @@ def test_closure_entails_inputs_and_is_prime(case):
     assert is_prime(out)
     if not out.inconsistent:
         for c in clauses:
-            assert any(pi.subsumes(c) for pi in out), str(c)
+            keys = set(c.key[1])
+            assert any(keys.issuperset(pi.key[1]) for pi in out), str(c)
+
+
+def _long_cnf(rng, atoms):
+    """Up to 4 clauses, each of 1 to 8 distinct atoms with random signs."""
+    clauses = []
+    for _ in range(rng.randint(0, 4)):
+        picked = rng.sample(atoms, rng.randint(1, min(8, len(atoms))))
+        clauses.append(normalize_clause([Literal(a, rng.random() < 0.5) for a in picked]))
+    return clauses
+
+
+def test_closure_onto_a_base_equals_reference_on_long_clauses():
+    """Seeded differential of the saturator's forward and backward
+    subsumption: closing `new` onto the closure of `old`, and closing
+    both at once, each give the reference prime implicates. Clauses hold
+    up to 8 literals over at most 10 atoms. Eight cases take 8 to 10
+    atoms, where the truth-table reference alone costs 10-170 ms; the
+    others take at most 7."""
+    rng = random.Random(22)
+    atoms = [Term(f"a{i}") for i in range(10)]
+    longest = 0
+    for case in range(1000):
+        n = 8 + case // 125 % 3 if case % 125 == 0 else rng.randint(1, 7)
+        old, new = _long_cnf(rng, atoms[:n]), _long_cnf(rng, atoms[:n])
+        expected = reference_prime_implicates(old + new, atoms[:n])
+        assert shape(prime_closure(new, base=prime_closure(old))) == shape(expected), (old, new)
+        assert shape(prime_closure(old + new)) == shape(expected), (old, new)
+        longest = max([longest] + [len(c) for c in expected])
+    assert longest >= 6

@@ -196,13 +196,6 @@ def test_normalize_clause_tautology_is_none():
     assert normalize_clause([Literal(t("p")), Literal(t("p"), False)]) is None
 
 
-def test_clause_subsumes():
-    small = normalize_clause([Literal(t("p"))])
-    big = normalize_clause([Literal(t("p")), Literal(t("q"))])
-    assert small.subsumes(big)
-    assert not big.subsumes(small)
-
-
 def test_anonymous_variables_print_underscore():
     assert format_term(Var("_#3")) == "_"
     assert format_term(Var("Xs")) == "Xs"

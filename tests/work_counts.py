@@ -149,9 +149,9 @@ def count_work(workload):
         return counted
 
     def solve(plain):
-        def counted(self, goal, bindings=None):
+        def counted(self, goal):
             counts["aux_solves"] += 1
-            return plain(self, goal, bindings)
+            return plain(self, goal)
 
         return counted
 
