@@ -11,11 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import EngineError, EnvironmentRejected
-from .terms import FALSE, TRUE, Num, Term, format_term
-
-
-def cell(row, col):
-    return Term("c", (Num(row), Num(col)))
+from .terms import FALSE, TRUE, Term, format_term
 
 
 def cell_coords(term):
@@ -285,10 +281,10 @@ def _smell_cases(size):
     out = []
     for r in range(1, size + 1):
         for c in range(1, size + 1):
-            nbs = [cell(*nb) for nb in _grid_neighbours(r, c, size)]
-            here = f"[at(agent,{format_term(cell(r, c))})]"
-            disj = ", ".join(f"threatAt({format_term(n)})" for n in nbs)
-            units = ", ".join(f"-threatAt({format_term(n)})" for n in nbs)
+            nbs = [f"c({a},{b})" for a, b in _grid_neighbours(r, c, size)]
+            here = f"[at(agent,c({r},{c}))]"
+            disj = ", ".join(f"threatAt({n})" for n in nbs)
+            units = ", ".join(f"-threatAt({n})" for n in nbs)
             out.append(f"  case(true,  {here}, [[{disj}]]),")
             out.append(f"  case(false, {here}, [{units}]),")
     out[-1] = out[-1].rstrip(",")
@@ -305,23 +301,23 @@ def emit_wumpus_domain(world, variant):
     if variant not in ("ground2", "ground3"):
         raise ValueError(f"unknown wumpus domain variant {variant!r}")
     size = world.size
-    gold = cell(*world.gold)
-    start = cell(*world.start)
+    gold = "c({},{})".format(*world.gold)
+    start = "c({},{})".format(*world.start)
 
     fluents = ["at/2", "threatAt/1", "carrying/0"]
     if variant == "ground3":
         fluents.append("conn/2")
     initial = [
-        f"at(agent,{format_term(start)})",
-        f"at(gold,{format_term(gold)})",
-        f"-threatAt({format_term(start)})",
+        f"at(agent,{start})",
+        f"at(gold,{gold})",
+        f"-threatAt({start})",
     ]
     wiring = []
     for r in range(1, size + 1):
         for c in range(1, size + 1):
-            here = format_term(cell(r, c))
-            for nb in _grid_neighbours(r, c, size):
-                there = format_term(cell(*nb))
+            here = f"c({r},{c})"
+            for a, b in _grid_neighbours(r, c, size):
+                there = f"c({a},{b})"
                 if variant == "ground3":
                     initial.append(f"conn({here},{there})")
                 else:

@@ -24,7 +24,9 @@ and `?(s(X))` for a declared sensor s triggers sensing instead.
 
 The reader tokenizes a text in one regular-expression pass, interns
 ground subterms (a repeated `c(3,4)` is built once per read), and keeps
-open terms on an explicit stack, so nesting depth is not limited.
+open terms on an explicit stack, so nesting depth is not limited. A flat
+ground compound written without spaces, such as `c(3,4)` or `do(grab)`,
+is one token, found by its text after its first occurrence.
 """
 
 import re
@@ -62,8 +64,11 @@ from .terms import (
 # One match per token, so `findall` reads a whole text in one C-level pass.
 # Whitespace and `%` comments are skipped inside the pattern, a character
 # that starts no token is captured on its own (`_Reader.err` reports the
-# first one), and `\Z` yields "", the end of input.
-_TOKEN = r":-|\d+|[a-z][A-Za-z0-9_]*|[A-Z_][A-Za-z0-9_]*|[()\[\],.|!?=/-]|\Z"
+# first one), and `\Z` yields "", the end of input. A flat ground compound
+# (a functor applied to atoms and numerals, no spaces) is one token.
+_NAME = r"[a-z][A-Za-z0-9_]*"
+_FLAT = rf"{_NAME}\((?:{_NAME}|\d+)(?:,(?:{_NAME}|\d+))*\)"
+_TOKEN = rf":-|\d+|{_FLAT}|{_NAME}|[A-Z_][A-Za-z0-9_]*|[()\[\],.|!?=/-]|\Z"
 _TOKEN_RE = re.compile(rf"(?:\s|%[^\n]*)*({_TOKEN}|.)")
 _GOOD_TOKEN_RE = re.compile(_TOKEN)
 
@@ -95,7 +100,8 @@ _ARGS, _ITEMS, _TAIL, _NEG, _SLASH, _EQ = range(6)
 
 
 def _describe(tok):
-    return "end of input" if tok == "" else repr(tok)
+    """A token as error texts show it: a flat compound by its functor."""
+    return "end of input" if tok == "" else repr(tok.partition("(")[0] or tok)
 
 
 # A clause as read: head, body items (None for a fact), its first token.
@@ -104,7 +110,8 @@ _RawClause = namedtuple("_RawClause", "head body tok")
 
 class _Reader:
     """Reads a text's tokens, plain strings addressed by index. Ground
-    terms are interned by functor and the identities of their arguments."""
+    terms are interned by functor and the identities of their arguments,
+    and atoms and flat compound tokens also by their text."""
 
     def __init__(self, text, filename):
         self.text = text
@@ -150,6 +157,15 @@ class _Reader:
         key = (functor, *map(id, args))
         return self.ground.get(key) or self.ground.setdefault(key, Term(functor, args))
 
+    def _intern(self, tok):
+        """The term of an atom, numeral or flat compound token, built at its
+        first occurrence; later ones find it by the token's text."""
+        functor, _, args = tok.partition("(")
+        if args:
+            args = tuple(self.ground.get(a) or self._intern(a) for a in args[:-1].split(","))
+        t = self.ground[tok] = self._make(functor, args) if args else Term(tok)
+        return t
+
     def term(self):
         """Read one term. Open constructs wait on an explicit stack of
         frames, so nesting depth costs no Python recursion."""
@@ -163,7 +179,7 @@ class _Reader:
                 tok = toks[i]
                 i += 1
                 c = tok[:1]
-                if "a" <= c <= "z" and toks[i] == "(":
+                if "a" <= c <= "z" and toks[i] == "(" and tok[-1] != ")":
                     top = _ARGS
                     stack.append([top, [], tok])
                     i += 1
@@ -181,7 +197,7 @@ class _Reader:
                     i += 1
                     t = NIL
                 elif "a" <= c <= "z" or tok.isdecimal():
-                    t = ground.get(tok) or ground.setdefault(tok, Term(tok))
+                    t = ground.get(tok) or self._intern(tok)
                 else:
                     self.err(f"unexpected {_describe(tok)} in term", i - 1)
             # `t` is a complete primary: sign it, then close a `/` or open `/` or `=`.

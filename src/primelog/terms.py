@@ -91,11 +91,6 @@ TRUE = Term("true")
 FALSE = Term("false")
 
 
-def Num(value):
-    """An integer as an atom with a numeric name."""
-    return Term(str(int(value)), ())
-
-
 def variables(term, acc=None):
     """The set of variable names occurring in a term (or iterable of
     terms). Uses an explicit stack, so deep terms cost no Python

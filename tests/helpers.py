@@ -2,10 +2,15 @@
 
 from primelog.auxdb import AuxDB
 from primelog.model import Program
-from primelog.terms import apply_subst
+from primelog.terms import Term, apply_subst
 
 # An aux database with no clauses, for domains without aux predicates.
 EMPTY_AUX = AuxDB(Program(()))
+
+
+def Num(value):
+    """An integer as an atom with a numeric name."""
+    return Term(str(int(value)), ())
 
 
 def solve_under(aux, goal, base):

@@ -12,11 +12,12 @@ iterative answer signature makes possible: 3000-deep aux answers.
 import random
 
 import copying_reference
+from helpers import Num
 from primelog import pi
 from primelog.auxdb import AuxDB
 from primelog.errors import EngineError
 from primelog.model import CallGoal, Program, ProgramClause, PropClause, StateProperty
-from primelog.terms import Literal, Num, Term, Var, format_term, normalize_clause
+from primelog.terms import Literal, Term, Var, format_term, normalize_clause
 
 A, B = Var("A"), Var("B")
 AUX_PROGRAM = Program(

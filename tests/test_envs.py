@@ -8,7 +8,6 @@ from primelog.envs import (
     ReplayEnv,
     WumpusConfig,
     WumpusEnv,
-    cell,
     cell_coords,
     emit_maze_domain,
     emit_wumpus_domain,
@@ -24,6 +23,10 @@ from primelog.terms import FALSE, TRUE, Term, format_term
 
 def go(n):
     return Term("go", (Term(str(n)),))
+
+
+def cell(r, c):
+    return Term("c", (Term(str(r)), Term(str(c))))
 
 
 def go_cell(r, c):
@@ -307,6 +310,49 @@ def test_smell_axiom_covers_every_cell():
 def test_variant_must_be_known():
     with pytest.raises(ValueError):
         emit_wumpus_domain(world3(), "ground4")
+
+
+# sha256 of every emitted text, as the generators wrote them when they
+# still built and printed terms: wumpus domains by (variant, size, seed),
+# maze domains by ("maze", length).
+EMITTED_DIGESTS = {
+    ('ground2', 4, 0): "a934067e9d8165033ad1d8aa566a7476fd35bf5d682e6b1c7ac3354a6ed5f1f2",
+    ('ground2', 4, 1): "25f8e81b8ad373d6c84e7cbc3370fcfe564e8575c4834f9f96897cacf73a0f9c",
+    ('ground2', 4, 2): "436e3757eedd0bc408f49a84778308c8de5c9cf127279382502ba57e3c6fad06",
+    ('ground2', 8, 0): "b87e62f1833905d93fad93078448df2f1858e5a5b430814ce6b19faeed95e5c6",
+    ('ground2', 8, 1): "08977cab708f80aab9adaf70f3df6c7be0360ba55ad200d158c7332fb011ec40",
+    ('ground2', 8, 2): "84e73aa4ed68ab73f31a0d0cc96ea642444cba133765ab12ea5545316a641378",
+    ('ground2', 16, 0): "fe55fdfef9fd783bf23b6aebd4fd5c33297e4d51d3b96a783558462736fa3e86",
+    ('ground2', 16, 1): "5bd4162ec116694279c5bb8d7b016e85c78df61fcde70c02b0cef4c55a71768c",
+    ('ground2', 16, 2): "65c233784042d0b3aa0fdfbb144a17e85e5a87fc9d11c8eb4532899bad819e66",
+    ('ground2', 24, 0): "63dcf47f719ad9663bc490d7f45be2c4071cf1e190ea05a169418d81043ab87a",
+    ('ground2', 24, 1): "ea2fc6cf32c57d3b2ca86813a4ac7bd169475ac8610190acf5a954c41023b23b",
+    ('ground2', 24, 2): "0093f253eddd020de433dbb042d9e9d91a66fee1ad9e492bede1f1df5518aa60",
+    ('ground3', 4, 0): "5b80c0bf565c43784510d99ad95bde06e30c41dbaac98d8ac3e934d8ec5c8c54",
+    ('ground3', 4, 1): "5cca3cf42a82493fe88223de02399f1cd50817677a93810029277af714005b46",
+    ('ground3', 4, 2): "ce386771674bb764e7bd5e91d349a706cb7c83fd688cdaa2f83191d7e943fcd2",
+    ('ground3', 8, 0): "39bdb54651d3dfc44d81d83cb1151498e0a3c69070dd7415bf1680b3a0ec941d",
+    ('ground3', 8, 1): "d8c8d8239882498b74c86f3c8596058331810106b6414b4345d555f16457905c",
+    ('ground3', 8, 2): "ae5ff25431bf64c19bafa8f981d530c2964e91b182e9b36e814c5cc35e48901b",
+    ('ground3', 16, 0): "6eae8ecb21bf90ec4ab341ef2e170f6e139768c4f93c6f1aac85bbf089ff59b5",
+    ('ground3', 16, 1): "adc3e471ee9c91e43072f034120324a344d5baf8e90569df260f0d7cd187f036",
+    ('ground3', 16, 2): "0417dc0a2f391ef4498f1f8ef4ef5efa7d56eb08f6abc13d9c3eaf0590910ef7",
+    ('ground3', 24, 0): "4293cb9afe2c01eb4a5a1792f643955f4c57869c415dbedb8b15320d402c3e1c",
+    ('ground3', 24, 1): "dc742006320f73f7584be2418d2e89035077ecce793849f0adcc2f4625d84f2c",
+    ('ground3', 24, 2): "808f075a89caa494179af41aae3effebd86ec12147743d41e8d7f5cb86a700f1",
+    ('maze', 5): "43fa730e1f9b507695c7fc4fb29f85c80201fad230af5011b0eadbc3583c125a",
+    ('maze', 110): "be7d4b250f3eb494fd4433ea64eeee8825568b4fe561d5356765e428c16f510d",
+}
+
+
+@pytest.mark.parametrize("key", list(EMITTED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_emitted_domain_texts_are_pinned(key):
+    if key[0] == "maze":
+        text = emit_maze_domain(key[1])
+    else:
+        variant, size, seed = key
+        text = emit_wumpus_domain(generate_wumpus(WumpusConfig(size=size, seed=seed)), variant)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_DIGESTS[key]
 
 
 # ---------------------------------------------------------------- replay env

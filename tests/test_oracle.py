@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import EMPTY_AUX
+from helpers import EMPTY_AUX, Num
 from oracle import (
     BeliefSet,
     OracleBoundExceeded,
@@ -26,7 +26,6 @@ from primelog.terms import (
     FALSE,
     TRUE,
     Literal,
-    Num,
     Term,
     Var,
     normalize_clause,

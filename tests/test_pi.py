@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import EMPTY_AUX
+from helpers import EMPTY_AUX, Num
 from oracle import reference_prime_implicates
 from primelog.auxdb import AuxDB
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
@@ -42,7 +42,6 @@ from primelog.terms import (
     TRUE,
     Clause,
     Literal,
-    Num,
     Term,
     Var,
     format_term,

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reader_reference
 from primelog import parser
+from primelog.envs import WumpusConfig, emit_maze_domain, emit_wumpus_domain, generate_wumpus
 from primelog.errors import ParseError
 from primelog.parser import (
     parse_domain,
@@ -69,6 +70,17 @@ READER_ERRORS = [
         "d.alpd:1:6: expected '.' or ':-' after clause head, found 'q'",
     ),
     ("terms", "p(,).", "t.txt:1:3: unexpected ',' in term"),
+    # a flat ground compound is one token, shown by its functor
+    ("terms", "p(a)(b).", "t.txt:1:5: expected '.' in term list, found '('"),
+    ("terms", "p(a)x.", "t.txt:1:5: expected '.' in term list, found 'x'"),
+    ("terms", "p(a q(b)).", "t.txt:1:5: expected ')' in argument list, found 'q'"),
+    ("terms", "p(c(1,2)é).", "t.txt:1:9: unexpected character 'é'"),
+    ("domain", "p(a)(b).", "d.alpd:1:5: expected '.' or ':-' after clause head, found '('"),
+    ("domain", "p(a)x.", "d.alpd:1:5: expected '.' or ':-' after clause head, found 'x'"),
+    ("program", "p(a) q(b).", "p.alp:1:6: expected '.' or ':-' after clause head, found 'q'"),
+    ("program", "p :- q(1,b) r(c).", "p.alp:1:13: expected '.' in clause, found 'r'"),
+    ("program", "p :- ?q(b).", "p.alp:1:7: expected '(' in query, found 'q'"),
+    ("query", "p(a) q(b).", "<query>:1:6: trailing input after query: 'q'"),
     # a clause that ends at end of input
     ("terms", "p(a)", "t.txt:1:5: expected '.' in term list, found end of input"),
     (
@@ -139,10 +151,20 @@ PIECES = SEPARATORS + [
 ]
 
 
+# The arguments of a flat ground compound, which the reader scans as one
+# token: atoms and numerals, Unicode digits among them.
+_FLAT_ARGS = st.lists(
+    st.sampled_from(["a", "b_2", "aB", "0", "01", "12", "\u0663", "\u0663\u0664"]),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
 def _compound(children):
     args = st.lists(children, min_size=1, max_size=3).map(",".join)
     return st.one_of(
         st.tuples(st.sampled_from(["f", "g", "c"]), args).map(lambda fa: f"{fa[0]}({fa[1]})"),
+        st.tuples(st.sampled_from(["f", "c", "do"]), _FLAT_ARGS).map(lambda fa: f"{fa[0]}({fa[1]})"),
         st.tuples(st.lists(children, max_size=3), st.none() | children).map(
             lambda it: f"[{','.join(it[0])}{'' if it[1] is None or not it[0] else '|' + it[1]}]"
         ),
@@ -276,6 +298,68 @@ def test_a_sample_reads_as_the_reference_reads_it_and_shares_ground_terms():
             cells += [t] if format_term(t) == "c(1,1)" else []
     assert len(cells) >= 12
     assert len({id(t) for t in cells}) == 1
+
+
+def test_a_repeated_flat_compound_is_one_object():
+    terms = parse_ground_terms("p(c(3,4)). q(c(3,4), [c(3,4)|c(3, 4)]). c(3,4).")
+    cells = [
+        terms[0].args[0],
+        terms[1].args[0],
+        terms[1].args[1].args[0],
+        terms[1].args[1].args[1],
+        terms[2],
+    ]
+    assert format_term(cells[0]) == "c(3,4)"
+    assert len({id(t) for t in cells}) == 1
+
+
+def _property_keys(prop):
+    return [([l.key for l in c.fluents], [a.key for a in c.aux]) for c in prop.clauses]
+
+
+def _domain_keys(domain):
+    """The keys of what a domain read yields: initial clauses, action
+    specs, sensor cases and aux facts; and its warnings."""
+    return (
+        sorted(c.key for c in domain.initial),
+        {
+            name: (
+                spec.head.key,
+                _property_keys(spec.precond),
+                [(_property_keys(c.cond), [l.key for l in c.effects]) for c in spec.cases],
+            )
+            for name, spec in domain.action_specs.items()
+        },
+        {
+            name: [
+                (c.result.key, _property_keys(c.index), [m.key for m in c.meaning])
+                for c in axiom.cases
+            ]
+            for name, axiom in domain.sensor_axioms.items()
+        },
+        [(c.head.key, [g.atom.key for g in c.body]) for c in domain.aux_program.clauses],
+        domain.warnings,
+    )
+
+
+def _generated_domains():
+    for size in (4, 8):
+        for seed in (0, 1):
+            world = generate_wumpus(WumpusConfig(size=size, seed=seed))
+            for variant in ("ground2", "ground3"):
+                yield f"wumpus-{size}-{seed}-{variant}", emit_wumpus_domain(world, variant)
+    for length in (5, 110):
+        yield f"maze-{length}", emit_maze_domain(length)
+    warned = MAZE.replace("at(gold,4)])", "[at(gold,4),-at(gold,4)]]).\nactions([stay/0])")
+    yield "warnings", warned + "action(stay, [], []).\n"
+
+
+@pytest.mark.parametrize("text", [pytest.param(t, id=name) for name, t in _generated_domains()])
+def test_flat_tokens_read_as_the_general_path_reads_them(text):
+    spaced = text.replace("(", "( ")
+    assert len(parser._Reader(spaced, "d").toks) > len(parser._Reader(text, "d").toks)
+    flat, general = parse_domain(text, "d.alpd"), parse_domain(spaced, "d.alpd")
+    assert _domain_keys(flat) == _domain_keys(general)
 
 
 # ---------------------------------------------------------------- deep input

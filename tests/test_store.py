@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import work_counts
 from copying_reference import syntactic_key, unify
+from helpers import Num
 from oracle import reference_prime_implicates
 from primelog import interpreter, pi
 from primelog.auxdb import AuxDB
@@ -48,7 +49,6 @@ from primelog.terms import (
     TRUE,
     Clause,
     Literal,
-    Num,
     Term,
     Var,
     apply_literal,

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import EMPTY_AUX
+from helpers import EMPTY_AUX, Num
 from primelog import cli
 from primelog.envs import ReplayEnv, emit_maze_domain
 from primelog.errors import EngineError
@@ -37,7 +37,6 @@ from primelog.terms import (
     MEMBER_STRIDE,
     NIL,
     TRUE,
-    Num,
     Term,
     Var,
     apply_subst,

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import copying_reference
 from copying_reference import syntactic_key
+from helpers import Num
 from primelog.errors import NonGroundError
 from primelog.pi import prime_closure
 from primelog.terms import (
@@ -10,7 +11,6 @@ from primelog.terms import (
     Clause,
     Literal,
     NIL,
-    Num,
     Term,
     Var,
     apply_subst,

@@ -27,7 +27,11 @@ prints a Markdown table of, per workload:
   in `terms.ground_member`, the whole spine in `list_parts` otherwise;
 - `key_builds`: the `terms.flat_key` calls, as `terms` (a term's cached
   `key`) and `pi` (an answer's signature) make them: each builds one flat
-  key in full.
+  key in full;
+- `setup_tokens`: the tokens the reader scans while the workload is set
+  up, before the solve (the domain, program and query texts, each end of
+  input counted as one token). A flat ground compound such as `c(3,4)` is
+  one token.
 
 The workloads are perfbench's three, `wumpus-g3-48`, the 48x48 world
 beside perfbench's 16x16 `wumpus-g3`, and `open-list`, `mko(0,500,L),
@@ -60,6 +64,7 @@ COLUMNS = (
     "compacted_kept",
     "member_cells",
     "key_builds",
+    "setup_tokens",
 )
 
 
@@ -119,8 +124,17 @@ def count_work(workload):
     """The counts of one solve of the named workload, or of a workload
     object such as `ground3(size)` gives."""
     spec = _workloads()[workload] if isinstance(workload, str) else workload
-    inputs = spec.setup()
     counts = dict.fromkeys(COLUMNS, 0)
+
+    def reader(plain):
+        def counted(self, text, filename):
+            plain(self, text, filename)
+            counts["setup_tokens"] += len(self.toks)
+
+        return counted
+
+    with _patched(parser._Reader, "__init__", reader):
+        inputs = spec.setup()
     steps = [0]
     cells = [None]  # the walk count of the `_value` call under way
 
