@@ -167,7 +167,7 @@ def _make_env(args):
     selector = args.env
     if selector.startswith("maze:"):
         rest = selector[len("maze:") :]
-        if not rest.isdigit() or int(rest) < 2:
+        if not rest.isdecimal() or int(rest) < 2:
             raise ValueError(f"maze selector needs a cell count >= 2, got {selector!r}")
         return MazeEnv(int(rest))
     match = re.fullmatch(r"wumpus:(\d+)x(\d+)", selector)

@@ -136,11 +136,16 @@ class WumpusConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
-                mapping[key.strip()] = value.strip()
+                mapping[key.strip()] = value.strip(), lineno
         kwargs = {}
-        for key, raw in mapping.items():
+        for key, (raw, lineno) in mapping.items():
             if key in ("size", "threats", "seed"):
-                kwargs[key] = int(raw)
+                try:
+                    kwargs[key] = int(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be an integer, not {raw!r}"
+                    ) from None
             elif key == "solvable":
                 if raw.lower() not in ("true", "false"):
                     raise ValueError(f"solvable must be true or false, not {raw!r}")

@@ -11,7 +11,6 @@ from .terms import (
     Var,
     apply_literal,
     apply_subst,
-    compile_head,
     format_literal,
     format_term,
     variables,
@@ -222,17 +221,13 @@ class ProgramClause:
         self._plan = None
 
     def plan(self):
-        """How to resolve with the clause, worked out on first use: its
-        variable names, sorted, which a try renames apart, and its head
-        compiled for `unify_head`, head variables by their place among
-        those names."""
+        """The clause's variable names, which a try renames apart,
+        collected on first use."""
         if self._plan is None:
             names = variables(self.head, set())
             for g in self.body:
                 goal_variables(g, names)
-            names = tuple(sorted(names))
-            index = {n: i for i, n in enumerate(names)}
-            self._plan = names, compile_head(self.head, index)
+            self._plan = tuple(names)
         return self._plan
 
 

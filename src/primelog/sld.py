@@ -4,12 +4,13 @@ One iterative machine resolves definite clauses in Prolog clause order,
 leftmost goal first, with cut and the built-ins: a binding store undone
 through a trail, a stack of choicepoints, and the goal list as a linked
 list of (goal, rest) pairs. A call is unified with each clause head as
-compiled once by `ProgramClause.plan`, its variables renamed apart by
-name only, so no renamed copy of a head is built; a body is renamed
-when its head unifies. `Interpreter` extends the machine with the agent
-goals and their commits; `AuxDB.solve` drives a machine of its own to
-derive aux atoms inside belief queries. Derivation depth is bounded by
-the step budget, never by Python's stack.
+parsed, its variables renamed apart through one mapping of names to
+fresh variables, so no renamed copy of a head is built; a body is
+renamed through the same mapping when its head unifies. `Interpreter`
+extends the machine with the agent goals and their commits;
+`AuxDB.solve` drives a machine of its own to derive aux atoms inside
+belief queries. Derivation depth is bounded by the step budget, never
+by Python's stack.
 """
 
 from .errors import BarrierError, BudgetExceeded, EngineError
@@ -223,18 +224,16 @@ class Machine:
 
     def _advance_clauses(self, cp):
         """Try the call's remaining clauses in order. Each try renames the
-        clause apart by its plan and unifies the call with the compiled
-        head, with no renamed copy of it; the body of the first that
-        unifies is renamed, its cuts bound to this choicepoint's depth."""
+        clause apart by one mapping of its variable names and unifies the
+        call with the head as parsed, with no renamed copy of it; the body
+        of the first that unifies is renamed through the same mapping, its
+        cuts bound to this choicepoint's depth."""
         bindings = self.bindings
         trail = self.trail
         for clause in cp.it:
-            names, code = clause.plan()
-            mapping = regs = None
-            if names:
-                mapping = _mapping_for(names, next(self._fresh))
-                regs = tuple(mapping.values())
-            if not unify_head(cp.subject, code, regs, bindings, trail):
+            names = clause.plan()
+            mapping = _mapping_for(names, next(self._fresh)) if names else None
+            if not unify_head(cp.subject, clause.head, mapping, bindings, trail):
                 undo(bindings, trail, cp.mark)
                 continue
             goals = cp.rest

@@ -11,10 +11,10 @@ Substitutions are plain dicts mapping variable names to terms. The one
 unifier, `unify_track`, binds in place and records the names on a trail
 to undo, by one rule: a variable that meets an open compound is bound to
 the ground term the compound stands for when it has one. `unify_head`
-runs the same unification against a clause head compiled once by
-`compile_head`, whose variables it renames by name only, so it builds no
-renamed copy of the head. `unify` runs `unify_track` on a copy and
-returns an idempotent result.
+runs the same unification against a clause head as parsed, renaming its
+variables through a name -> fresh variable mapping as it meets them, so
+it builds no renamed copy of the head. `unify` runs `unify_track` on a
+copy and returns an idempotent result.
 """
 
 from operator import attrgetter
@@ -266,52 +266,20 @@ def unify_track(t1, t2, bindings, trail, left_first=False):
     return True
 
 
-def compile_head(head, index):
-    """A clause head as instructions for `unify_head`, one per argument:
-    a variable is its position in `index` (name -> position), a ground
-    subterm is itself, and an open compound is (functor, arity,
-    instructions for its arguments), so a ground head's instructions are
-    its arguments. Built on an explicit stack, so a deep head costs no
-    Python recursion."""
-    if head.ground:
-        return head.args
-    frame = [head, [], iter(head.args)]
-    stack = []
-    while True:
-        code = frame[1]
-        for a in frame[2]:
-            if a.__class__ is Var:
-                code.append(index[a.name])
-            elif a.ground:
-                code.append(a)
-            else:
-                stack.append(frame)
-                frame = [a, [], iter(a.args)]
-                break
-        else:
-            args = tuple(code)
-            if not stack:
-                return args
-            functor = frame[0].functor
-            frame = stack.pop()
-            frame[1].append((functor, len(args), args))
-
-
-def _build(code, name, regs, get):
-    """The open compound `code` stands for, as a goal variable `name`
-    meets it: each head variable is `regs[i]`, or the ground term it is
-    bound to. Returns (term, settled): settled when every head variable
-    in it was unbound or bound ground, so the term needs no `_value` walk
-    (ground when none was unbound), or None when `name` is one of them."""
+def _build(head, name, mapping, get):
+    """The open head subterm `head` as a goal variable `name` meets it:
+    each head variable becomes its `mapping` entry, or the ground term
+    that entry is bound to. Returns (term, settled), settled when every
+    entry was unbound or bound ground, so no `_value` walk is needed; or
+    None when `name` is one of the entries."""
     settled = True
-    frame = [code, [], iter(code[2])]
+    frame = [head, [], iter(head.args)]
     stack = []
     while True:
         out = frame[1]
         for c in frame[2]:
-            cls = c.__class__
-            if cls is int:
-                var = regs[c]
+            if c.__class__ is Var:
+                var = mapping[c.name]
                 value = get(var.name)
                 if value is None:
                     if var.name == name:
@@ -322,32 +290,30 @@ def _build(code, name, regs, get):
                 else:
                     out.append(var)
                     settled = False
-            elif cls is tuple:
-                stack.append(frame)
-                frame = [c, [], iter(c[2])]
-                break
-            else:
+            elif c.ground:
                 out.append(c)
+            else:
+                stack.append(frame)
+                frame = [c, [], iter(c.args)]
+                break
         else:
-            term = Term(frame[0][0], tuple(out))
+            term = Term(frame[0].functor, tuple(out))
             if not stack:
                 return term, settled
             frame = stack.pop()
             frame[1].append(term)
 
 
-def unify_head(goal, code, regs, bindings, trail):
-    """`unify_track(goal, head)` for a clause head compiled by
-    `compile_head`, with head variable i standing for `regs[i]`, and no
-    renamed copy of the head built: the same pairs visited in the same
-    order (last argument first), the same binding rule and the same
-    bindings on the trail. A goal variable that meets a head compound
-    whose head variables are all unbound or bound ground is bound with
-    no `_value` walk: no such compound can contain it, and one whose
-    variables are all bound is built ground. `goal` has the head's
-    functor and arity."""
+def unify_head(goal, head, mapping, bindings, trail):
+    """`unify_track(goal, head)` with each head variable standing for its
+    `mapping` entry, and no renamed copy of the head built: the same
+    pairs in the same order (last argument first), the same binding rule
+    and the same trail. A goal variable that meets a head compound whose
+    variables are all unbound or bound ground is bound with no `_value`
+    walk: no such compound can contain it, and one whose variables are
+    all bound is built ground. `goal` has the head's functor and arity."""
     get = bindings.get
-    stack = list(zip(goal.args, code))
+    stack = list(zip(goal.args, head.args))
     while stack:
         a, c = stack.pop()
         while a.__class__ is Var:
@@ -355,9 +321,8 @@ def unify_head(goal, code, regs, bindings, trail):
             if nxt is None:
                 break
             a = nxt
-        cls = c.__class__
-        if cls is int:
-            b = regs[c]
+        if c.__class__ is Var:
+            b = mapping[c.name]
             nxt = get(b.name)
             if nxt is not None:
                 if not unify_track(a, nxt, bindings, trail):
@@ -375,24 +340,24 @@ def unify_head(goal, code, regs, bindings, trail):
                     return False
             bindings[b.name] = a
             trail.append(b.name)
-        elif cls is tuple:
-            if a.__class__ is Var:
-                built = _build(c, a.name, regs, get)
-                if built is None:
-                    return False
-                b, settled = built
-                if not settled:
-                    b = _value(a.name, b, bindings)
-                    if b is None:
-                        return False
-                bindings[a.name] = b
-                trail.append(a.name)
-            elif a.functor != c[0] or len(a.args) != c[1]:
+        elif c.ground:
+            if not unify_track(a, c, bindings, trail):
                 return False
-            else:
-                stack.extend(zip(a.args, c[2]))
-        elif not unify_track(a, c, bindings, trail):
+        elif a.__class__ is Var:
+            built = _build(c, a.name, mapping, get)
+            if built is None:
+                return False
+            b, settled = built
+            if not settled:
+                b = _value(a.name, b, bindings)
+                if b is None:
+                    return False
+            bindings[a.name] = b
+            trail.append(a.name)
+        elif a.functor != c.functor or len(a.args) != len(c.args):
             return False
+        else:
+            stack.extend(zip(a.args, c.args))
     return True
 
 

@@ -779,6 +779,40 @@ def test_rectangular_wumpus_selector_exits_three(maze_files, capsys):
     assert "square" in err
 
 
+def test_a_maze_count_that_is_a_digit_but_not_decimal_exits_three(maze_files, capsys):
+    domain, program = maze_files
+    code, out, err = run_cli(
+        [
+            "run",
+            "--program", str(program),
+            "--domain", str(domain),
+            "--query", maze_query(5),
+            "--env", "maze:²",
+        ],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: maze selector needs a cell count >= 2, got 'maze:²'\n"
+
+
+@pytest.mark.parametrize("command", ["gen-wumpus", "run"])
+@pytest.mark.parametrize("key", ["size", "threats", "seed"])
+def test_a_wumpus_config_number_that_is_not_an_integer_exits_three(
+    maze_files, tmp_path, capsys, command, key
+):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"solvable = true\n{key} = eight\n", encoding="utf-8")
+    if command == "run":
+        domain, program = maze_files
+        argv = ["run", "--program", str(program), "--domain", str(domain),
+                "--query", maze_query(5), "--env", "wumpus:4x4", "--wumpus-config", str(cfg)]
+    else:
+        argv = ["gen-wumpus", "--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {cfg}:2: {key} must be an integer, not 'eight'\n"
+
+
 # ---------------------------------------------------------------- bench
 
 

@@ -14,11 +14,16 @@ the fresh copy's. A state ten children back, a state read before the
 newest is extended again, and the parent of a discarded draft must read
 as they were. A single-literal query must answer, in order, what
 unifying it against every unit clause answers (`_full_scan_entails`).
-The last tests pin the work a sample run does.
+The last tests pin the work a sample run does, the whole table of
+`tests/work_counts.py` among them.
 """
 
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -711,11 +716,11 @@ def test_corridor_backtracks_over_ground_lists():
 
 
 def test_clause_heads_are_tried_with_no_renamed_copy():
-    """A call unifies with each clause head as compiled, and a ground
-    action with the specification's head as parsed, so the only copy
-    either makes is the `do` subject, the action read through the store:
-    one per `do`, 5,994 in a corridor-backtrack solve. Renamed heads and
-    renamed actions made 24,085."""
+    """A call unifies with each clause head as parsed, and so does a ground
+    action with the specification's head, so the only copy either makes
+    is the `do` subject, the action read through the store: one per `do`,
+    5,994 in a corridor-backtrack solve. Renamed heads and renamed actions
+    made 24,085."""
     counts = work_counts.count_work("corridor-backtrack")
     assert counts["head_copies"] == counts["aux_solves"] == 5994
 
@@ -764,3 +769,25 @@ def test_ground_membership_walks_a_stride_not_the_list():
     built-ins; reading every spine walked 180,242."""
     counts = work_counts.count_work(work_counts.ground3(32))
     assert 0 < counts["member_cells"] <= 18_024
+
+
+def test_every_work_count_equals_the_pinned_table():
+    """Every column of `tests/work_counts.py` for every workload equals
+    `tests/golden/work_counts.json`, so a change to any count shows here,
+    not only in the columns the tests above bound. The counts are taken
+    in a fresh process, as the script takes them: a key that a test
+    module has already built on a shared term such as `TRUE` is not built
+    again, so `key_builds` read in this process can come out lower."""
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import json, work_counts\n"
+        "print(json.dumps({n: work_counts.count_work(n) for n in work_counts._workloads()}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(tests.parent / "src"), str(tests)))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    pinned = json.loads((tests / "golden" / "work_counts.json").read_text(encoding="utf-8"))
+    assert list(got) == list(pinned)
+    for name, want in pinned.items():
+        assert got[name] == want, name

@@ -649,14 +649,14 @@ def test_apply_subst_builds_what_the_general_version_builds(seed):
     assert 0 < unchanged < 1000
 
 
-# ---------------------------------------------------------------- compiled heads
+# ---------------------------------------------------------------- heads as parsed
 
 HEAD_NAMES = ("X", "Y", "Z")
 HEAD_NUMERALS = (Term("1"), Term("01"), Term("001"), Term("2"))
 
 
 def _renamed_head_reference(goal, head, store, suffix):
-    """The try that compiled heads replaced: rename the head apart with
+    """The try that `unify_head` replaced: rename the head apart with
     `apply_subst`, then unify the goal with the copy. Returns (unifies,
     store, trail) on a copy of `store`."""
     mapping = _mapping_for(sorted(variables(head)), suffix)
@@ -664,12 +664,13 @@ def _renamed_head_reference(goal, head, store, suffix):
     return unify_track(goal, apply_subst(head, mapping), store, trail), store, trail
 
 
-def _compiled_head(goal, head, store, suffix):
-    """The same try through the head as compiled by `ProgramClause.plan`."""
-    names, code = ProgramClause(head, ()).plan()
-    regs = tuple(_mapping_for(names, suffix).values())
+def _head_as_parsed(goal, head, store, suffix):
+    """The same try as `Machine._advance_clauses` makes it: the head as
+    parsed, renamed through the mapping of the clause's variable names."""
+    clause = ProgramClause(head, ())
+    mapping = _mapping_for(clause.plan(), suffix)
     store, trail = dict(store), []
-    return unify_head(goal, code, regs, store, trail), store, trail
+    return unify_head(goal, clause.head, mapping, store, trail), store, trail
 
 
 def _random_head_case(rng):
@@ -710,7 +711,7 @@ def _read(store, trail):
 
 def _assert_same_try(goal, head, store):
     want, want_store, want_trail = _renamed_head_reference(goal, head, store, "7")
-    got, got_store, got_trail = _compiled_head(goal, head, store, "7")
+    got, got_store, got_trail = _head_as_parsed(goal, head, store, "7")
     assert got == want
     if want:
         assert got_trail == want_trail
@@ -759,9 +760,9 @@ def test_compiled_head_cases(goal, head, store):
 
 
 def test_a_deep_clause_head_compiles_and_unifies():
-    """Compiling a head, building a head structure for a goal variable
-    and matching one against a goal all run on explicit stacks, so a
-    3000-deep head costs no Python recursion."""
+    """Building a head structure for a goal variable and matching one
+    against a goal both run on explicit stacks, so a 3000-deep head costs
+    no Python recursion."""
     domain = parse_domain(emit_maze_domain(3), "maze.alpd")
     items = ",".join(str(i) for i in range(3000))
     deep = "f(" * 3000 + "X" + ")" * 3000

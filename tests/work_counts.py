@@ -39,7 +39,9 @@ tk(L,500)`: a list built with its tail left open, then taken apart, so
 every step's walk runs to the open tail and the cells grow with the
 square of the length. The counts come from wrapping those functions from
 outside the package, so they are the same on every machine and every
-run. The tests import `count_work` to pin them.
+run. The tests import `count_work` to pin them, and
+`tests/golden/work_counts.json` holds the whole table as `count_work`
+gives it in a fresh process.
 """
 
 import sys
