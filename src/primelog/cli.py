@@ -153,13 +153,26 @@ def _trace_observer(stream):
 # ---------------------------------------------------------------- run
 
 
+def _read(path):
+    """The text of a file the CLI reads, as UTF-8; a byte-order mark at
+    its start is dropped, and a byte that is not UTF-8 is a parse error
+    at its line and column."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
+    bad = re.search("[\udc80-\udcff]", text).start()
+    line, column = text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad)
+    raise ParseError(f"byte 0x{ord(text[bad]) - 0xDC00:02x} is not UTF-8", line, column, path)
+
+
 def _wumpus_config(path, **flags):
     """Wumpus parameters from an optional key = value file, overridden by
     the flags given (not None). Unless set, `threats` follows the final
     `size`."""
     given = {key: value for key, value in flags.items() if value is not None}
     if path:
-        return WumpusConfig.from_file(path, **given)
+        return WumpusConfig.from_text(_read(path), path, **given)
     return WumpusConfig(**given)
 
 
@@ -185,7 +198,7 @@ def _make_env(args):
         return WumpusEnv(generate_wumpus(config))
     if selector.startswith("replay:"):
         path = selector[len("replay:") :]
-        return ReplayEnv.from_script(Path(path).read_text(encoding="utf-8"), path)
+        return ReplayEnv.from_script(_read(path), path)
     raise ValueError(
         f"unknown environment {selector!r}; use maze:<k>, wumpus:<n>x<n>, "
         "or replay:<script>"
@@ -219,14 +232,10 @@ def _format_report(outcome):
 
 
 def _cmd_run(args):
-    domain = parse_domain(
-        Path(args.domain).read_text(encoding="utf-8"), args.domain
-    )
+    domain = parse_domain(_read(args.domain), args.domain)
     for warning in domain.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    program = parse_program(
-        Path(args.program).read_text(encoding="utf-8"), domain, args.program
-    )
+    program = parse_program(_read(args.program), domain, args.program)
     query = parse_query(args.query, domain, "<query>")
     env = _make_env(args)
     observer = _trace_observer(sys.stderr) if args.trace else None

@@ -124,19 +124,18 @@ class WumpusConfig:
             )
 
     @classmethod
-    def from_file(cls, path, **given):
-        """Read `key = value` lines; # starts a comment. `given` values
-        override the file's."""
+    def from_text(cls, text, path, **given):
+        """Read the `key = value` lines of the file `path`, whose text is
+        `text`; # starts a comment. `given` values override the file's."""
         mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                mapping[key.strip()] = value.strip(), lineno
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            mapping[key.strip()] = value.strip(), lineno
         kwargs = {}
         for key, (raw, lineno) in mapping.items():
             if key in ("size", "threats", "seed"):
@@ -148,10 +147,10 @@ class WumpusConfig:
                     ) from None
             elif key == "solvable":
                 if raw.lower() not in ("true", "false"):
-                    raise ValueError(f"solvable must be true or false, not {raw!r}")
+                    raise ValueError(f"{path}:{lineno}: solvable must be true or false, not {raw!r}")
                 kwargs[key] = raw.lower() == "true"
             else:
-                raise ValueError(f"unknown wumpus config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown wumpus config key {key!r}")
         kwargs.update(given)
         return cls(**kwargs)
 

@@ -429,6 +429,8 @@ def _declarations(rd, directives):
                         and item.args[1].functor.isdigit()
                     ):
                         rd.err(f"{kind} items must look like name/arity", raw.tok)
+                    if len(item.args[1].functor.lstrip("0")) > 9:
+                        rd.err(f"{kind} arities must be below 1,000,000,000", raw.tok)
                     name, arity = item.args[0].functor, int(item.args[1].functor)
                 if name in RESERVED_NAMES:
                     rd.err(f"{name!r} is reserved and cannot be declared", raw.tok)

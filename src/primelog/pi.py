@@ -19,7 +19,8 @@ not the size of the belief. Reading an older version first reroots the
 tree there, replaying the writes on the path; reads of the newest state,
 which is all the interpreter does, are plain lookups. A single-literal
 query whose first argument is ground unifies only with the units filed
-under that argument, as first-argument indexing does in a Prolog engine.
+under that argument, as first-argument indexing does in a Prolog engine;
+`PIList.units_for` is the one lookup of units, one bucket or all of them.
 Sensing looks sensor cases up by their index literal
 (`SensorAxiom.candidates`) instead of trying every case.
 
@@ -109,22 +110,15 @@ def _write(root, clause, present):
     ps = _pred_sign(lits[0])
     first = _first_key(lits[0].fluent)
     if present:
-        firsts, buckets = units.setdefault(ps, ([], {}))
-        bucket = buckets.get(first)
-        if bucket is None:
-            insort(firsts, first)
-            buckets[first] = [clause]
-        else:
-            insort(bucket, clause, key=_clause_key)
-    else:
-        firsts, buckets = units[ps]
-        bucket = buckets[first]
-        del bucket[bisect_left(bucket, k, key=_clause_key)]
-        if not bucket:
-            del buckets[first]
-            del firsts[bisect_left(firsts, first)]
-            if not firsts:
-                del units[ps]
+        insort(units.setdefault(ps, {}).setdefault(first, []), clause, key=_clause_key)
+        return
+    buckets = units[ps]
+    bucket = buckets[first]
+    del bucket[bisect_left(bucket, k, key=_clause_key)]
+    if not bucket:
+        del buckets[first]
+        if not buckets:
+            del units[ps]
 
 
 class PIList:
@@ -134,11 +128,9 @@ class PIList:
 
     - `_by_key`: clause key -> clause;
     - `_by_lit`: literal key -> set of the keys of the clauses containing it;
-    - `_units`: (functor, arity, positive) -> (first-argument keys in key
-      order, first-argument key -> the unit clauses on that predicate and
-      sign whose first argument has that key, as a list in key order). A
-      unit's key begins with its first argument's, so the buckets read in
-      the order of the keys are all the predicate's units in key order.
+    - `_units`: (functor, arity, positive) -> first-argument key -> the
+      unit clauses on that predicate and sign whose first argument has
+      that key, as a list in key order.
 
     Any other version has those three set to None and `_diff` set to
     (neighbour, writes): replaying the (clause, present) writes on the
@@ -218,22 +210,15 @@ class PIList:
     def __repr__(self):
         return "[" + ", ".join(format_clause(c) for c in self.clauses) + "]"
 
-    def units_for(self, functor, arity, positive):
-        """Unit clauses on a given predicate and sign, in key order: its
-        first-argument buckets one after the other."""
-        firsts, buckets = self._live()._units.get((functor, arity, positive), ((), {}))
-        return tuple(chain.from_iterable(map(buckets.__getitem__, firsts)))
-
-    def units_matching(self, fluent, positive):
-        """The unit clauses of sign `positive` that may unify with
-        `fluent`, as a tuple in key order: the one first-argument bucket
-        when the first argument is ground (a unit outside it differs from
-        it in a ground first argument), else every unit on the predicate."""
-        ps = (fluent.functor, len(fluent.args), positive)
-        first = _first_key(fluent)
-        if first is None:
-            return self.units_for(*ps)
-        return tuple(self._live()._units.get(ps, ((), {}))[1].get(first, ()))
+    def units_for(self, functor, arity, positive, first=None):
+        """Unit clauses on a given predicate and sign, in key order: those
+        whose first argument has the key `first` (see `_first_key`), or
+        all of them when `first` is None, their buckets read in the order
+        of their first keys, which a unit's key begins with."""
+        buckets = self._live()._units.get((functor, arity, positive), {})
+        if first is not None:
+            return tuple(buckets.get(first, ()))
+        return tuple(chain.from_iterable(buckets[k] for k in sorted(buckets)))
 
 
 class _Draft:
@@ -481,7 +466,7 @@ def _clause_answers(state, pclause, aux, store, trail):
     if len(fluents) == 1:
         lit = fluents[0]
         f = lit.fluent
-        for unit in state.units_matching(f, lit.positive):
+        for unit in state.units_for(f.functor, len(f.args), lit.positive, _first_key(f)):
             if unify_track(f, unit.literals[0].fluent, store, trail, left_first=True):
                 if not goals:
                     yield

@@ -19,11 +19,14 @@ fast paths with an independent slow path:
   built here from the term's structure alone: the reference for
   `terms.flat_key`, `Term.key` and the order of `Literal.key`;
 - `entails_clause` / `entails_property`: the dict-copying enumeration,
-  built on that `unify`. It differs from the original in two lines: the
-  clause's variable names are computed here, where `PropClause` used to
-  cache them, and an aux answer that binds a shared variable to a
+  built on that `unify`. It differs from the original in three lines:
+  the clause's variable names are computed here, where `PropClause` used
+  to cache them; an aux answer that binds a shared variable to a
   variable is reported as a non-ground aux answer, where the original
-  failed with an AttributeError;
+  failed with an AttributeError; and a single literal is tried against
+  every unit on its predicate and sign, where the original read only the
+  first-argument bucket of a ground first argument (a unit outside it
+  does not unify, so the answers are the same);
 - `general_apply_subst`: `terms.apply_subst` as it was before flat terms
   got a path of their own, one frame per open compound on an explicit
   stack for every term: the reference for that path, and for what
@@ -157,7 +160,7 @@ def entails_clause(state, pclause, aux, bindings=None):
     if len(fluents) == 1:
         lit = fluents[0]
         f = lit.fluent
-        for unit in state.units_matching(f, lit.positive):
+        for unit in state.units_for(f.functor, len(f.args), lit.positive):
             u = unify(f, unit.literals[0].fluent, base)
             if u is not None and emit(u):
                 yield u

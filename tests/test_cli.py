@@ -813,6 +813,62 @@ def test_a_wumpus_config_number_that_is_not_an_integer_exits_three(
     assert err == f"error: {cfg}:2: {key} must be an integer, not 'eight'\n"
 
 
+# ---------------------------------------------------------------- input files
+
+
+def _input_files(tmp_path, maze_files):
+    """A domain, a program, a replay script of their run and a wumpus
+    config, each by its kind, and the command that reads each."""
+    domain, program = maze_files
+    dom = parse_domain(domain.read_text(encoding="utf-8"), str(domain))
+    prog = parse_program(program.read_text(encoding="utf-8"), dom, str(program))
+    outcome = solve(parse_query(maze_query(5), dom), prog, dom, MazeEnv(5))
+    script = tmp_path / "run.script"
+    script.write_text(format_replay_script(outcome.state.events), encoding="utf-8")
+    config = tmp_path / "w.cfg"
+    config.write_text("size = 4\nseed = 1\n", encoding="utf-8")
+    files = {"domain": domain, "program": program, "script": script, "config": config}
+    run = ["run", "--program", str(program), "--domain", str(domain),
+           "--query", maze_query(5), "--env", f"replay:{script}"]
+    commands = {kind: run for kind in files}
+    commands["config"] = ["gen-wumpus", "--config", str(config)]
+    return files, commands
+
+
+# Each: the file that is bad, its bytes, and the message after its name.
+BAD_INPUTS = [
+    pytest.param("config", b"size = 4\nsolvable = maybe\n",
+                 "2: solvable must be true or false, not 'maybe'", id="config-solvable"),
+    pytest.param("config", b"sise = 4\n", "1: unknown wumpus config key 'sise'", id="config-key"),
+    pytest.param("domain", b"fluents([p/" + b"9" * 5000 + b"]).\n",
+                 "1:1: fluents arities must be below 1,000,000,000", id="domain-arity"),
+    pytest.param("domain", b"fluents([caf\xe9/0]).\n", "1:13: byte 0xe9 is not UTF-8", id="domain-utf8"),
+    pytest.param("program", b"\n\n  \xff\n", "3:3: byte 0xff is not UTF-8", id="program-utf8"),
+    pytest.param("script", b"did(go(2)).\n\xe2(\n", "2:1: byte 0xe2 is not UTF-8", id="script-utf8"),
+    pytest.param("config", b"size = 4\nseed = \xe2\x28\n", "2:8: byte 0xe2 is not UTF-8", id="config-utf8"),
+]
+
+
+@pytest.mark.parametrize("kind, data, message", BAD_INPUTS)
+def test_a_bad_input_file_is_named_where_it_is(maze_files, tmp_path, capsys, kind, data, message):
+    files, commands = _input_files(tmp_path, maze_files)
+    files[kind].write_bytes(data)
+    code, out, err = run_cli(commands[kind], capsys)
+    assert (code, out) == (3, "")
+    assert re.match(rf"(parse )?error: {re.escape(str(files[kind]))}:\d+(:\d+)?: ", err)
+    assert not any(python in err for python in ("codec", "int()", "sys.", "Traceback"))
+    assert err.endswith(f"{files[kind]}:{message}\n")
+
+
+@pytest.mark.parametrize("kind", ["domain", "program", "script", "config"])
+def test_a_file_with_a_byte_order_mark_reads_as_without(maze_files, tmp_path, capsys, kind):
+    files, commands = _input_files(tmp_path, maze_files)
+    plain = run_cli(commands[kind], capsys)
+    files[kind].write_bytes(b"\xef\xbb\xbf" + files[kind].read_bytes())
+    assert plain[0] == 0
+    assert run_cli(commands[kind], capsys) == plain
+
+
 # ---------------------------------------------------------------- bench
 
 

@@ -89,18 +89,14 @@ def test_wumpus_config_rejects_a_negative_threat_count():
     assert WumpusConfig(size=4, threats=0).threats == 0
 
 
-def test_wumpus_config_from_file(tmp_path):
-    p = tmp_path / "w.cfg"
-    p.write_text("# world\nsize = 4\nthreats=2\nseed = 9\nsolvable = false\n")
-    cfg = WumpusConfig.from_file(p)
+def test_wumpus_config_from_file():
+    cfg = WumpusConfig.from_text("# world\nsize = 4\nthreats=2\nseed = 9\nsolvable = false\n", "w.cfg")
     assert (cfg.size, cfg.threats, cfg.seed, cfg.solvable) == (4, 2, 9, False)
 
 
-def test_wumpus_config_rejects_unknown_key(tmp_path):
-    p = tmp_path / "w.cfg"
-    p.write_text("sise = 4\n")
-    with pytest.raises(ValueError, match="sise"):
-        WumpusConfig.from_file(p)
+def test_wumpus_config_rejects_unknown_key():
+    with pytest.raises(ValueError, match="^w.cfg:2: unknown wumpus config key 'sise'$"):
+        WumpusConfig.from_text("size = 4\nsise = 4\n", "w.cfg")
 
 
 # ---------------------------------------------------------------- worlds

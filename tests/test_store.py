@@ -9,8 +9,10 @@ the version tree they extend; after random update/sense/closure
 sequences, with old states read in a drawn order between the steps, the
 store must equal the from-scratch closure of a shadow clause set, the
 truth-table oracle, and a freshly indexed copy of itself, and no earlier
-state may have changed, and every first-argument unit bucket must equal
-the fresh copy's. A state ten children back, a state read before the
+state may have changed. States are compared through the lookups the
+product makes (`_assert_reads_as`), never through the layout of their
+tables: each must answer as the fresh copy does, and the copy as a scan
+of its clauses. A state ten children back, a state read before the
 newest is extended again, and the parent of a discarded draft must read
 as they were. A single-literal query must answer, in order, what
 unifying it against every unit clause answers (`_full_scan_entails`).
@@ -365,16 +367,7 @@ def _keyed_queries(draw):
 @settings(max_examples=400, deadline=None)
 @given(_keyed_states(), st.lists(_keyed_queries(), min_size=1, max_size=8))
 def test_single_literal_answers_equal_a_scan_of_every_unit(state, queries):
-    for name, arity in KEYED_PREDS:
-        for positive in (True, False):
-            assert state.units_for(name, arity, positive) == tuple(
-                c
-                for c in state
-                if len(c) == 1
-                and c.literals[0].positive == positive
-                and c.literals[0].fluent.functor == name
-                and len(c.literals[0].fluent.args) == arity
-            )
+    _assert_reads_as(state)
     for pclause, bindings in queries:
         got = list(pi.entails_clause(state, pclause, AUX, bindings))
         assert got == _full_scan_entails(state, pclause, bindings)
@@ -383,34 +376,76 @@ def test_single_literal_answers_equal_a_scan_of_every_unit(state, queries):
 # ---------------------------------------------------------------- store
 
 
-def _unit_buckets(state):
-    """Every first-argument unit bucket, in table order, per predicate;
-    each table's first-argument keys must be sorted."""
-    out = {}
-    for ps, (firsts, buckets) in state._live()._units.items():
-        assert firsts == sorted(buckets)
-        out[ps] = [(first, tuple(buckets[first])) for first in firsts]
-    return out
-
-
 def _literal_index(state):
     """A copy of the state's literal index: literal key -> clause keys."""
     return {k: frozenset(keys) for k, keys in state._live()._by_lit.items()}
 
 
-def _assert_same(state, fresh):
-    """`state` reads as `fresh`, a copy indexed on its own."""
+def _unit_pred(clause):
+    """(functor, arity, positive, first-argument key) of a unit clause."""
+    lit = clause.literals[0]
+    args = lit.fluent.args
+    return lit.fluent.functor, len(args), lit.positive, args[0].key if args else ()
+
+
+def _lookups(state, asks):
+    """What every lookup the product makes returns on `state`, the unit
+    lookup asked with each (functor, arity, positive, first) in `asks`."""
+    return {
+        "len": len(state),
+        "inconsistent": state.inconsistent,
+        "iter": tuple(state),
+        "clauses": state.clauses,
+        "by_lit": _literal_index(state),
+        "units": {ask: state.units_for(*ask) for ask in asks},
+    }
+
+
+def _scanned(clauses, asks):
+    """What `_lookups` must return on a state of `clauses`, found by
+    scanning them in key order."""
+    clauses = tuple(sorted(clauses, key=lambda c: c.key))
+    units = [(c, _unit_pred(c)) for c in clauses if len(c) == 1]
+    return {
+        "len": len(clauses),
+        "inconsistent": any(len(c) == 0 for c in clauses),
+        "iter": clauses,
+        "clauses": clauses,
+        "by_lit": {
+            l.key: frozenset(c.key for c in clauses if l in c.literals)
+            for c in clauses
+            for l in c.literals
+        },
+        "units": {
+            (f, a, pos, first): tuple(
+                c for c, u in units if u[:3] == (f, a, pos) and first in (None, u[3])
+            )
+            for f, a, pos, first in asks
+        },
+    }
+
+
+def _assert_reads_as(state, fresh=None):
+    """`state` answers every lookup as `fresh`, a copy indexed on its own
+    (by default one made now), and as a scan of the copy's clauses. The
+    unit lookup is asked for every predicate of a unit in either state,
+    of PREDS and of KEYED_PREDS, in both signs, under each first key
+    present in either state, one absent key and an open first argument."""
+    if fresh is None:
+        fresh = PIList(list(state))
     assert state == fresh
-    assert len(state) == len(fresh)
-    assert state.inconsistent == fresh.inconsistent
-    assert _literal_index(state) == _literal_index(fresh)
-    assert _unit_buckets(state) == _unit_buckets(fresh)
-    for pred in PREDS:
-        assert state.units_for(*pred) == fresh.units_for(*pred)
-
-
-def _assert_matches_fresh_copy(state):
-    _assert_same(state, PIList(list(state)))
+    firsts = {pred: set() for pred in KEYED_PREDS + tuple(p[:2] for p in PREDS)}
+    for c in itertools.chain(state, fresh):
+        if len(c) == 1:
+            f, a, _, first = _unit_pred(c)
+            firsts.setdefault((f, a), set()).add(first)
+    asks = [
+        (f, a, pos, k)
+        for (f, a), keys in firsts.items()
+        for pos in (True, False)
+        for k in keys | {Term("absent").key, None}
+    ]
+    assert _lookups(state, asks) == _lookups(fresh, asks) == _scanned(list(fresh), asks)
 
 
 def _effects(draw):
@@ -468,7 +503,7 @@ def test_store_after_random_steps_equals_closure_from_scratch(data):
         scratch = prime_closure(shadow)
         assert state == scratch
         assert state == reference_prime_implicates(shadow, ATOMS)
-        _assert_matches_fresh_copy(state)
+        _assert_reads_as(state)
         assert prime_closure(tuple(state)) == state
         if state.inconsistent:
             break
@@ -476,7 +511,7 @@ def test_store_after_random_steps_equals_closure_from_scratch(data):
     for old, clauses, by_lit in history:
         assert tuple(old) == clauses
         assert _literal_index(old) == by_lit
-        _assert_matches_fresh_copy(old)
+        _assert_reads_as(old)
 
 
 def test_closure_that_adds_nothing_returns_the_base():
@@ -508,20 +543,20 @@ def _chain(n):
 def test_a_state_ten_children_back_reads_as_it_was():
     states, copies = _chain(12)
     assert len({s.clauses for s in states}) > 6
-    _assert_same(states[-11], copies[-11])
+    _assert_reads_as(states[-11], copies[-11])
     # and the newest once more, after the tree was rerooted away from it
-    _assert_same(states[-1], copies[-1])
+    _assert_reads_as(states[-1], copies[-1])
 
 
 def test_reading_an_old_state_then_extending_the_newest():
     states, copies = _chain(10)
-    _assert_same(states[2], copies[2])
+    _assert_reads_as(states[2], copies[2])
     effects = [lit("w", Num(3), False), lit("at", Num(2))]
     newest = update(states[-1], effects)
     assert newest == update(copies[-1], effects)
     for state, copy in zip(states, copies):
-        _assert_same(state, copy)
-    _assert_same(newest, update(copies[-1], effects))
+        _assert_reads_as(state, copy)
+    _assert_reads_as(newest, update(copies[-1], effects))
 
 
 def test_a_discarded_draft_leaves_its_parent_as_it_was(monkeypatch):
@@ -535,13 +570,13 @@ def test_a_discarded_draft_leaves_its_parent_as_it_was(monkeypatch):
         [Clause((lit("at", Num(1), False),)), Clause((lit("at", Num(2), False),))], base=base
     )
     assert closed is pi.INCONSISTENT
-    _assert_same(base, copy)
+    _assert_reads_as(base, copy)
     contradicting = _feel(SensorCase(TRUE, EMPTY_PROPERTY, (Clause((lit("w", Num(3), False),)),)))
     with pytest.raises(SensingError, match="contradicts"):
         integrate_sensing(base, contradicting, TRUE, AUX)
-    _assert_same(base, copy)
+    _assert_reads_as(base, copy)
     assert update(base, []) is base
-    _assert_same(base, copy)
+    _assert_reads_as(base, copy)
     # a closure past its budget has written its first resolvent when the
     # second one stops it
     monkeypatch.setattr(pi, "CLOSURE_BUDGET", 1)
@@ -551,7 +586,7 @@ def test_a_discarded_draft_leaves_its_parent_as_it_was(monkeypatch):
     ]
     with pytest.raises(BudgetExceeded, match="^prime closure budget exceeded$"):
         prime_closure(implications, base=base)
-    _assert_same(base, copy)
+    _assert_reads_as(base, copy)
     # the parent, untouched, still extends
     assert update(base, [lit("w", Num(3))]) == copy
 
