@@ -152,7 +152,13 @@ class WumpusConfig:
             else:
                 raise ValueError(f"{path}:{lineno}: unknown wumpus config key {key!r}")
         kwargs.update(given)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as e:  # the size is checked first, then the threats
+            key = "size" if kwargs.get("size", cls.size) < 2 else "threats"
+            if key in given or key not in mapping:
+                raise
+            raise ValueError(f"{path}:{mapping[key][1]}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -397,34 +403,25 @@ class ReplayEnv:
                 )
         return cls(events)
 
-    def _advance(self, matches, got):
-        """The next recorded event, consumed, when `matches` accepts it;
-        otherwise reject `got` with what the script expected."""
+    def _advance(self, kind, subject, got):
+        """The next recorded event, consumed, when it is the `kind` event
+        of `subject`; otherwise reject `got` with what the script expected."""
+        want = "end of script"
         if self.cursor < len(self.events):
             expected = self.events[self.cursor]
-            if matches(expected):
+            if expected[:2] == (kind, subject):
                 self.cursor += 1
                 return expected
-            if expected[0] == "sense":
-                want = f"sense {expected[1]}"
-            else:
-                want = f"act {format_term(expected[1])}"
-        else:
-            want = "end of script"
+            shown = expected[1] if expected[0] == "sense" else format_term(expected[1])
+            want = f"{expected[0]} {shown}"
         raise EnvironmentRejected(f"replay script expected {want}, got {got}")
 
     def execute(self, action):
-        self._advance(
-            lambda e: e[0] == "act" and e[1] == action,
-            f"action {format_term(action)}",
-        )
+        self._advance("act", action, f"action {format_term(action)}")
         self.log.append(action)
 
     def sense(self, functor):
-        expected = self._advance(
-            lambda e: e[0] == "sense" and e[1] == functor, f"sense {functor}"
-        )
-        return expected[2]
+        return self._advance("sense", functor, f"sense {functor}")[2]
 
     def snapshot(self):
         return {"cursor": self.cursor, "log": tuple(self.log)}

@@ -9,15 +9,17 @@ and progresses the belief state. Aux atoms inside properties are derived
 by `AuxDB.solve` on a machine of its own.
 
 Execution is online: once an action has been sent to the environment it
-cannot be taken back. Each executed action and sensing event commits:
-every choicepoint that exists then is dropped and counted in
-`Machine.dead`, and backtracking into one raises BarrierError instead of
-silently recomputing a world that no longer exists. The commit empties
-the trail, which only those choicepoints could undo, and a store that
-has doubled keeps only the bindings the goals still to run and the
-query reach, each bound straight to the end of its chain of variables,
-so a run's memory follows what the agent still needs, not how long it
-has run.
+cannot be taken back, so a `do` tries its executions in place and pushes
+no choicepoint. Each executed action and sensing event commits: every
+choicepoint that exists then, and the action's untried executions, are
+dropped and counted in `Machine.dead`, and backtracking into one raises
+BarrierError instead of silently recomputing a world that no longer
+exists. The commit empties the trail, which only those choicepoints
+could undo, and a store that has doubled keeps only the bindings the
+goals still to run and the query reach, each bound straight to the end
+of its chain of variables, so a run's memory follows what the agent
+still needs, not how long it has run. `replay` runs a recorded log as
+the same goals.
 
 An attached observer receives every event. Without one, no event text
 is ever built, so observation costs nothing when it is off.
@@ -26,10 +28,12 @@ is ever built, so observation costs nothing when it is off.
 import itertools
 
 from .auxdb import AuxDB
-from .errors import EngineError, NondeterministicActionError, PrimelogError
+from .envs import ReplayEnv
+from .errors import BarrierError, EngineError, NondeterministicActionError, PrimelogError
 from .model import (
     CUT,
     DoGoal,
+    Program,
     QueryGoal,
     SenseGoal,
     StateProperty,
@@ -52,7 +56,6 @@ from .terms import (
     apply_subst,
     format_literal,
     format_term,
-    unify,
     unify_track,
     variables,
     walk,
@@ -105,40 +108,32 @@ class Outcome:
         return self.status == "success"
 
 
-def action_effects(state, spec, aux, theta, act):
-    """The effects of the ground action `act` under the precondition
-    solution `theta`: those of the one case whose condition `state`
-    entails, all of which must come out ground. None when no case fires;
-    more than one is a domain-authoring fault and raises."""
-    sols = applicable_case_solutions(state, spec, aux, theta)
-    if len(sols) > 1:
-        raise NondeterministicActionError(
-            f"action {format_term(act)} has {len(sols)} applicable effect cases"
-        )
-    if not sols:
-        return None
-    idx, csol = sols[0]
-    effects = []
-    for lit in spec.cases[idx].effects:
-        lit = apply_literal(lit, csol)
-        if not lit.ground:
-            raise EngineError(
-                f"effect {format_literal(lit)} of {format_term(act)} "
-                "is not ground after applying the case solution"
-            )
-        effects.append(lit)
-    return tuple(effects)
-
-
 def executions(state, spec, aux, theta0):
     """The ways to execute an action in `state`, in precondition solution
     order, starting from the head unifier `theta0`: for each solution, the
-    ground action and its effects, or None when no effect case fires."""
+    ground action and the effects, which must come out ground, of the one
+    case whose condition `state` entails, or None when no case fires; two
+    firing cases are a domain-authoring fault and raise."""
     for theta in entails_property(state, spec.precond, aux, theta0):
         act = apply_subst(spec.head, theta)
         if not act.ground:
             raise EngineError(f"unbound action argument in {format_term(act)}")
-        yield act, action_effects(state, spec, aux, theta, act)
+        cases = applicable_case_solutions(state, spec, aux, theta)
+        if len(cases) > 1:
+            raise NondeterministicActionError(
+                f"action {format_term(act)} has {len(cases)} applicable effect cases"
+            )
+        effects = None
+        if cases:
+            index, csol = cases[0]
+            effects = tuple(apply_literal(l, csol) for l in spec.cases[index].effects)
+            for lit in effects:
+                if not lit.ground:
+                    raise EngineError(
+                        f"effect {format_literal(lit)} of {format_term(act)} "
+                        "is not ground after applying the case solution"
+                    )
+        yield act, effects
 
 
 class Interpreter(Machine):
@@ -209,7 +204,7 @@ class Interpreter(Machine):
         if isinstance(subject, StateProperty):
             return f"?({subject!r})"
         if isinstance(subject, DoGoal):
-            return repr(subject)
+            return f"do({format_term(subject.action, self.bindings)})"
         if isinstance(subject, SenseGoal):
             return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
         return format_term(subject, self.bindings)
@@ -309,40 +304,39 @@ class Interpreter(Machine):
         spec = self.domain.action_specs.get((functor, arity))
         if spec is None:
             raise EngineError(f"action {functor}/{arity} has no specification")
-        subject = DoGoal(apply_subst(action, self.bindings))
-        self._note("call", subject)
-        # The spec is used as parsed; an open action's variables are
-        # renamed apart from the spec's instead. Everything reads the
-        # bindings through the store, so they need not be idempotent.
-        action = subject.action
+        self._note("call", goal)
+        # The spec is used as parsed: its head unifies with a copy of the
+        # action, whose variables, when it is open, are renamed apart
+        # from the spec's. Everything reads the bindings through the
+        # store, so they need not be idempotent.
+        action = copy = apply_subst(action, self.bindings)
         suffix = "d" + next(self._fresh)
         if not action.ground:
             action = apply_subst(action, _mapping_for(variables(action), suffix))
         theta0 = {}
         if not unify_track(spec.head, action, theta0, [], left_first=True):
-            self._note("fail", subject)
+            self._note("fail", goal)
             return FAILED
-        stream = executions(self.agent.belief, spec, self.aux, theta0)
-        return self._push(Interpreter._advance_do, stream, subject, rest)
-
-    def _advance_do(self, cp):
+        state = self.agent.belief
+        stream = executions(state, spec, self.aux, theta0)
         while True:
             self._tick()
-            act, effects = next(cp.it, (None, None))
+            act, effects = next(stream, (None, None))
             if act is None:
+                self._note("fail", goal)
                 return FAILED
             if effects is not None:
                 break
             self._note("warn", act)
-        # A commit kills every choicepoint, so none comes between the
-        # push and a resume: the belief is the state the executions
-        # started on.
         self._environment("execute", act)
-        new_state = update(self.agent.belief, effects)
-        self._commit(("act", act, effects), new_state, cp.rest)
-        unify_track(cp.subject.action, act, self.bindings, self.trail)
+        new_state = update(state, effects)
+        # The untried executions are one dead choicepoint, for the
+        # barrier and for the depths of later cuts.
+        self.dead += 1
+        self._commit(("act", act, effects), new_state, rest)
+        unify_track(copy, act, self.bindings, self.trail)
         self._note("exec", act, effects, new_state)
-        return cp.rest
+        return rest
 
     # -- sensing ------------------------------------------------------
 
@@ -391,45 +385,39 @@ def solve(query, program, domain, env, **options):
 def replay(domain, events):
     """Recompute the belief state a recorded run must have reached.
 
-    Events are the agent's log, read by position: ("act", action,
-    effects) for executed actions and ("sense", functor, result, ...) for
-    observations. Effects are recomputed from the action specification
-    and cross-checked against the recorded ones; any divergence raises
-    EngineError."""
-    state = domain.initial
-    aux = AuxDB(domain.aux_program)
-    for event in events:
+    The agent's log, ("act", action, effects) for executed actions and
+    ("sense", functor, result, ...) for observations, runs as `do` and
+    sensing goals on an interpreter over `ReplayEnv(events)`. Effects
+    that differ from the recorded ones, a step that cannot run and an
+    unknown event kind raise EngineError."""
+    events = tuple(events)
+    goals = []
+    for i, event in enumerate(events):
         if event[0] == "act":
-            act, recorded = event[1], event[2]
-            spec = domain.action_specs.get((act.functor, len(act.args)))
-            if spec is None:
-                raise EngineError(
-                    f"replay: action {format_term(act)} has no specification"
-                )
-            theta0 = unify(spec.head, act)
-            if theta0 is None:
-                raise EngineError(
-                    f"replay: {format_term(act)} does not match its specification head"
-                )
-            effects = next(
-                (e for _, e in executions(state, spec, aux, theta0) if e is not None), None
-            )
-            if effects is None:
-                raise EngineError(
-                    f"replay: precondition of {format_term(act)} is not provable"
-                )
-            if {l.key for l in effects} != {l.key for l in recorded}:
-                raise EngineError(
-                    f"replay diverged: effects of {format_term(act)} differ "
-                    "from the recorded run"
-                )
-            state = update(state, effects)
+            goals.append(DoGoal(event[1]))
         elif event[0] == "sense":
-            functor, observed = event[1], event[2]
-            axiom = domain.sensor_axioms.get(functor)
-            if axiom is None:
-                raise EngineError(f"replay: no sensor axiom for {functor}")
-            state, _ = integrate_sensing(state, axiom, observed, aux)
+            goals.append(SenseGoal(event[1], Var(f"_#{i}")))
         else:
             raise EngineError(f"replay: unknown event kind {event[0]!r}")
-    return state
+
+    recorded = iter([e[2] for e in events if e[0] == "act"])
+
+    def check(note):
+        if note[0] == "exec" and {l.key for l in note[2]} != {l.key for l in next(recorded)}:
+            raise EngineError(
+                f"replay diverged: effects of {format_term(note[1])} differ "
+                "from the recorded run"
+            )
+
+    machine = Interpreter(domain, Program(()), ReplayEnv(events), observer=check)
+    try:
+        if machine.run(goals).succeeded:
+            return machine.agent.belief
+    except BarrierError:  # a `do` failed after an earlier step committed
+        pass
+    done = len(machine.agent.events)
+    raise EngineError(
+        f"replay: event {done + 1}, {format_term(events[done][1])}, "
+        "cannot run in the replayed state",
+        machine.agent,
+    )

@@ -53,13 +53,13 @@ class ExitNote:
 
 
 class ChoicePoint:
-    """One alternative the machine can resume: the clauses of a call, the
-    answers of a `?` or the executions of a `do`. `advance(machine, cp)`
-    takes the next alternative from `it` and returns the goal list to
-    continue with, or FAILED when none is left. `subject` names it in the
-    trace; `rest` is the goal list after it; `mark` and `depth` are the
-    trail length and the machine's choicepoint depth, dead ones included,
-    at the time it was pushed."""
+    """One alternative the machine can resume: the clauses of a call or
+    the answers of a `?`. `advance(machine, cp)` takes the next
+    alternative from `it` and returns the goal list to continue with, or
+    FAILED when none is left. `subject` names it in the trace; `rest` is
+    the goal list after it; `mark` and `depth` are the trail length and
+    the machine's choicepoint depth, dead ones included, at the time it
+    was pushed."""
 
     __slots__ = ("advance", "it", "subject", "rest", "mark", "depth")
 

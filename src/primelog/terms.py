@@ -380,8 +380,10 @@ def flat_key(terms, bindings):
     """The pre-order of `terms` under `bindings` as one flat tuple of
     scalars: class, value and arity of each compound (an atom is a
     compound of arity 0), `_VAR` and the name of each unbound variable.
-    Numerals are of class `_NUM` and valued as integers, so "01" and "1"
-    key alike; everything else is of class `_SYM`, valued by name.
+    Numerals are of class `_NUM`, valued by the count and the string of
+    their digits, read as ASCII with leading zeros stripped: so they
+    order as integers of any length, and "01" and "1" key alike.
+    Everything else is of class `_SYM`, valued by name.
 
     With arities, a pre-order is a prefix-free code for the tree, so
     these keys order terms exactly as nested (class, value, arity,
@@ -406,7 +408,10 @@ def flat_key(terms, bindings):
                 continue
             functor, args = t.functor, t.args
             if functor.isdigit():
-                out += (_NUM, int(functor), len(args))
+                if not functor.isascii():
+                    functor = "".join(str(int(c)) for c in functor)
+                functor = functor.lstrip("0")
+                out += (_NUM, len(functor), functor, len(args))
             else:
                 out += (_SYM, functor, len(args))
             if args:

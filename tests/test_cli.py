@@ -152,9 +152,9 @@ FAIL fail
 runtime error: backtracked across executed action
 """,
     ),
-    # The cut drops the do's own choicepoint; later failure first exhausts
-    # pick/1, pushed after the action, and only then reaches step/1's,
-    # which is older than it.
+    # The cut drops the dead choicepoint the action's untried executions
+    # count as; later failure first exhausts pick/1, pushed after the
+    # action, and only then reaches step/1's, which is older than it.
     "backtrack-into-older-choicepoint": (
         "step(3). step(2).\n"
         "go_once(X) :- do(go(X)), !.\n"
@@ -210,6 +210,51 @@ def test_run_barrier_trace_is_pinned(case, tmp_path, capsys):
         capsys,
     )
     assert (code, err) == (2, want)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize(
+    "query, code, trace",
+    [
+        ("do(go(c(1,2))), fail", 2,
+         "CALL do(go(c(1,2)))\nEXEC go(c(1,2))\nSTATE size=4\nFAIL fail\n"
+         "runtime error: backtracked across executed action\n"),
+        ("?(perceiveSmell(R)), fail", 1,
+         "CALL ?(perceiveSmell(R))\nSENSE perceiveSmell=false\nSTATE size=5\nFAIL fail\n"),
+    ],
+    ids=["do", "sense"],
+)
+def test_failure_after_a_commit_at_the_top_level(query, code, trace, capsys):
+    """An executed action leaves its untried executions behind as a dead
+    choicepoint, so failing after it crosses the barrier (exit 2); a
+    sensing leaves none, so failing after it at the top level is plain
+    failure (exit 1)."""
+    got = run_cli(
+        ["run", "--program", str(SAMPLES / "cautious.alp"), "--domain",
+         str(SAMPLES / "wumpus4.alpd"), "--query", query, "--env", "wumpus:4x4",
+         "--seed", "7", "--trace"],
+        capsys,
+    )
+    assert (got[0], got[2]) == (code, trace)
+
+
+def test_a_numeral_of_5000_digits_is_a_numeral(tmp_path, capsys):
+    """Numerals are keyed by their digits, so one longer than Python's
+    integer conversion limit is read, compared and printed like any other,
+    in a domain fact, a `memberchk` argument and a `?` query."""
+    big = "9" * 5000
+    domain = tmp_path / "maze.alpd"
+    domain.write_text(emit_maze_domain(3) + f"big({big}).\n", encoding="utf-8")
+    program = tmp_path / "p.alp"
+    program.write_text("p.\n", encoding="utf-8")
+    argv = ["run", "--program", str(program), "--domain", str(domain), "--env", "maze:3"]
+    code, out, err = run_cli(argv + ["--query", f"big(X), memberchk(X, [1, 0{big}])"], capsys)
+    assert (code, err) == (0, "")
+    assert f"X = {big}\n" in out
+    code, out, err = run_cli(argv + ["--query", f"?(at(agent,0{big}))"], capsys)
+    assert (code, err) == (1, "")
 
 
 def test_run_budget_exhaustion_exits_two(tmp_path, capsys):
@@ -650,7 +695,7 @@ def test_gen_rejects_a_negative_threat_count_in_a_config_file(tmp_path, capsys):
     cfg.write_text("size = 4\nthreats = -3\n", encoding="utf-8")
     code, out, err = run_cli(["gen-wumpus", "--config", str(cfg)], capsys)
     assert (code, out) == (3, "")
-    assert err == "error: the threat count cannot be negative, not -3\n"
+    assert err == f"error: {cfg}:2: the threat count cannot be negative, not -3\n"
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -840,6 +885,12 @@ BAD_INPUTS = [
     pytest.param("config", b"size = 4\nsolvable = maybe\n",
                  "2: solvable must be true or false, not 'maybe'", id="config-solvable"),
     pytest.param("config", b"sise = 4\n", "1: unknown wumpus config key 'sise'", id="config-key"),
+    pytest.param("config", b"threats = -3\n", "1: the threat count cannot be negative, not -3",
+                 id="config-threats-negative"),
+    pytest.param("config", b"seed = 1\nsize = 1\n", "2: wumpus worlds need size >= 2",
+                 id="config-size"),
+    pytest.param("config", b"size = 3\nthreats = 8\n", "2: 8 threats do not fit a 3x3 board",
+                 id="config-threats-fit"),
     pytest.param("domain", b"fluents([p/" + b"9" * 5000 + b"]).\n",
                  "1:1: fluents arities must be below 1,000,000,000", id="domain-arity"),
     pytest.param("domain", b"fluents([caf\xe9/0]).\n", "1:13: byte 0xe9 is not UTF-8", id="domain-utf8"),

@@ -1,6 +1,19 @@
+import random
+from collections import Counter
+
 import pytest
 
-from primelog.envs import MazeEnv, ReplayEnv, emit_maze_domain, format_replay_script
+from replay_reference import reference_replay
+from primelog.envs import (
+    MazeEnv,
+    ReplayEnv,
+    WumpusConfig,
+    WumpusEnv,
+    emit_maze_domain,
+    emit_wumpus_domain,
+    format_replay_script,
+    generate_wumpus,
+)
 from primelog.errors import (
     BarrierError,
     BudgetExceeded,
@@ -10,8 +23,10 @@ from primelog.errors import (
     SensingError,
 )
 from primelog.interpreter import COMPACT_FLOOR, Interpreter, replay, solve
+from primelog.model import Program
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import FAILED
+from primelog.strategies import WUMPUS_QUERY, wumpus_agent
 from primelog.terms import FALSE, TRUE, Literal, Term, format_term
 
 MAZE = emit_maze_domain(5)
@@ -544,6 +559,119 @@ def test_replay_rejects_unknown_event():
     dom = parse_domain(PLAIN, "d.alpd")
     with pytest.raises(EngineError):
         replay(dom, [("teleport", Term("x"))])
+
+
+def test_replay_names_the_step_that_cannot_run():
+    """A `do` that fails on replay is named by its event, whether or not
+    an earlier step has committed: no barrier text leaks out."""
+    dom = parse_domain(PLAIN, "d.alpd")
+    (go2,) = run(LISTS, "do(go(2))").state.events
+    go4 = ("act", Term("go", (Term("4"),)), ())
+    for events, message in [
+        ([go4], "replay: event 1, go(4), cannot run in the replayed state"),
+        ([go2, go4], "replay: event 2, go(4), cannot run in the replayed state"),
+    ]:
+        with pytest.raises(EngineError) as info:
+            replay(dom, events)
+        assert type(info.value) is EngineError and str(info.value) == message
+
+
+def _random_walk_run(rng):
+    """A corridor domain and the agent state of a random walk along it."""
+    length = rng.randint(3, 8)
+    dom = parse_domain(emit_maze_domain(length), "maze.alpd")
+    cell, goals = 1, []
+    for _ in range(rng.randint(1, 10)):
+        cell = rng.choice([c for c in (cell - 1, cell + 1) if 1 <= c <= length])
+        goals.append(f"do(go({cell}))")
+    out = solve(parse_query(", ".join(goals), dom), Program(()), dom, MazeEnv(length))
+    return dom, out.state
+
+
+def _cautious_wumpus_run(rng):
+    """A random 4x4 wumpus domain and the cautious agent's state on it."""
+    world = generate_wumpus(WumpusConfig(size=4, seed=rng.randrange(10**6)))
+    variant = rng.choice(("ground2", "ground3"))
+    dom = parse_domain(emit_wumpus_domain(world, variant), "w.alpd")
+    prog = parse_program(wumpus_agent(variant), dom, "cautious.alp")
+    out = solve(parse_query(WUMPUS_QUERY, dom), prog, dom, WumpusEnv(world))
+    return dom, out.state
+
+
+def _corrupt(rng, events, kind):
+    """`events` with one fault of `kind` at a random position."""
+    events = list(events)
+    at = rng.randrange(len(events))
+    acts = [i for i, e in enumerate(events) if e[0] == "act"]
+    if kind == "effects":
+        i = rng.choice(acts)
+        act, effects = events[i][1], list(events[i][2])
+        j = rng.randrange(len(effects))
+        edit = rng.choice(("drop", "flip", "add"))
+        if edit == "drop":
+            del effects[j]
+        elif edit == "flip":
+            effects[j] = Literal(effects[j].fluent, not effects[j].positive)
+        else:
+            effects.append(Literal(Term("at", (Term("agent"), Term("99")))))
+        events[i] = ("act", act, tuple(effects))
+    elif kind == "drop":
+        del events[at]
+    elif kind == "swap":
+        at = min(at, len(events) - 2)
+        events[at : at + 2] = events[at + 1 : at + 2] + events[at : at + 1]
+    elif kind == "action":
+        events[rng.choice(acts)] = ("act", Term("teleport", (Term("1"),)), ())
+    elif kind == "sensor":
+        events.insert(at, ("sense", "bogus", TRUE))
+    else:
+        events.insert(at, ("teleport", Term("x")))
+    return events
+
+
+def _replayed(replay_with, dom, events):
+    """What `replay_with` makes of a log: ("belief", state), or the error's
+    class and, for a divergence, the position of the event it names."""
+    pulled = []
+
+    def feed():
+        for event in events:
+            pulled.append(event)
+            yield event
+
+    try:
+        return ("belief", replay_with(dom, feed()))
+    except EngineError as error:
+        assert "backtracked across executed action" not in str(error)
+        if not str(error).startswith("replay diverged"):
+            return (type(error), None)
+        # The reference stops pulling events at the one that diverged; the
+        # product, which takes them all, carries the steps it ran.
+        ran = pulled if replay_with is reference_replay else error.state.events
+        return (type(error), len(ran) - 1)
+
+
+def test_replay_agrees_with_the_reference_on_valid_and_corrupted_logs():
+    """Seeded differential of `replay` against `tests/replay_reference.py`,
+    its form before it ran logs on an interpreter: the logs of random
+    corridor walks and cautious 4x4 wumpus runs, and each log with one
+    fault of every kind, give the same belief, or the same error class,
+    a divergence at the same event."""
+    rng = random.Random(27)
+    seen = Counter()
+    for n in range(24):
+        dom, state = (_random_walk_run if n % 3 else _cautious_wumpus_run)(rng)
+        events = state.events
+        assert replay(dom, events) == reference_replay(dom, events) == state.belief
+        for kind in ("effects", "drop", "swap", "action", "sensor", "kind"):
+            if kind == "swap" and len(events) < 2:
+                continue
+            bad = _corrupt(rng, events, kind)
+            got = _replayed(replay, dom, bad)
+            assert got == _replayed(reference_replay, dom, bad), (kind, bad)
+            seen[got[0] if got[0] == "belief" else (got[0].__name__, got[1] is not None)] += 1
+    assert seen[("EngineError", True)] >= 24 and seen[("EngineError", False)] >= 48
+    assert seen["belief"] + seen[("SensingError", False)] > 0
 
 
 def test_interpreter_reuse_is_isolated():

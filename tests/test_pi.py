@@ -13,10 +13,12 @@ from oracle import reference_prime_implicates
 from primelog.auxdb import AuxDB
 from primelog.errors import EngineError, NondeterministicActionError, SensingError
 from primelog.envs import MazeEnv, emit_maze_domain
-from primelog.interpreter import Interpreter, action_effects
+from primelog.interpreter import Interpreter
 from primelog.model import (
     ActionCase,
     ActionSpec,
+    DoGoal,
+    DomainFile,
     EMPTY_PROPERTY,
     Program,
     ProgramClause,
@@ -32,7 +34,6 @@ from primelog.pi import (
     PIList,
     entails_clause,
     entails_property,
-    first_entailment,
     integrate_sensing,
     prime_closure,
     update,
@@ -46,7 +47,6 @@ from primelog.terms import (
     Var,
     format_term,
     normalize_clause,
-    unify,
 )
 
 
@@ -282,11 +282,25 @@ def _go_spec():
     return ActionSpec(head, precond, (case,))
 
 
+class _Accepting:
+    def execute(self, action):
+        pass
+
+
+def _executed_effects(state, spec, act):
+    """The effects `do(act)` executes from `state` in a domain whose one
+    action is specified by `spec`."""
+    pred = (spec.head.functor, len(spec.head.args))
+    domain = DomainFile({}, dict([pred]), (), {}, state, {pred: spec}, {}, Program(()))
+    out = Interpreter(domain, Program(()), _Accepting()).run([DoGoal(act)])
+    (event,) = out.state.events
+    return event[2]
+
+
 def test_applicable_cases_unique():
     state = prime_closure([cl(lit("at", Term("agent"), Num(1)))])
     spec, act = _go_spec(), Term("go", (Num(2),))
-    theta = first_entailment(state, spec.precond, EMPTY_AUX, unify(spec.head, act))
-    effects = action_effects(state, spec, EMPTY_AUX, theta, act)
+    effects = _executed_effects(state, spec, act)
     assert [str(l) for l in effects] == ["at(agent,2)", "-at(agent,1)"]
 
 
@@ -298,7 +312,7 @@ def test_two_firing_cases_raise():
         (ActionCase(EMPTY_PROPERTY, (lit("p"),)), ActionCase(EMPTY_PROPERTY, (lit("q"),))),
     )
     with pytest.raises(NondeterministicActionError, match="a has 2 applicable effect cases"):
-        action_effects(PIList([]), spec, EMPTY_AUX, {}, head)
+        _executed_effects(PIList([]), spec, head)
 
 
 # ---------------------------------------------------------------- sensing

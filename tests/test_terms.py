@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from helpers import Num
 from primelog.errors import NonGroundError
 from primelog.pi import prime_closure
 from primelog.terms import (
+    _NUM,
     _VAR,
     Clause,
     Literal,
@@ -43,6 +46,43 @@ def test_numeric_atoms_compare_numerically():
     assert Num(9).key < Num(10).key
     assert Num(10).key > Num(9).key
     assert t("b").key > Num(10).key  # numbers order before symbols
+
+
+# Decimal digits of four scripts: ASCII, Arabic-Indic, Devanagari, fullwidth.
+_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+            "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+            "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+def _numeral(rng, value=None):
+    """A numeral for `value` (random when None), with up to three leading
+    zeros and each digit written in a random script."""
+    if value is None:
+        value = rng.choice((rng.randrange(12), rng.randrange(10 ** rng.randint(1, 60))))
+    text = "0" * rng.choice((0, 0, 1, 3)) + str(value)
+    return "".join(rng.choice(_SCRIPTS)[int(c)] for c in text)
+
+
+def test_numeral_keys_order_and_equate_as_their_integers():
+    """Seeded differential of numeral keys against `int()` keys: 1,000
+    pairs of numerals below Python's conversion limit, half of them the
+    same integer written another way, alone and as the first argument of
+    a compound, compare by key exactly as `copying_reference.syntactic_key`
+    (which values numerals with `int()`) compares them."""
+    rng = random.Random(27)
+    same = 0
+    for _ in range(1000):
+        a = _numeral(rng)
+        b = _numeral(rng, int(a) if rng.random() < 0.5 else None)
+        same += int(a) == int(b)
+        for left, right in ((Term(a), Term(b)), (t("f", Term(a), t("x")), t("f", Term(b), t("x")))):
+            want_less = syntactic_key(left) < syntactic_key(right)
+            want_equal = syntactic_key(left) == syntactic_key(right)
+            assert (left.key < right.key, left == right) == (want_less, want_equal), (a, b)
+            if want_equal:
+                assert hash(left) == hash(right)
+    assert same > 400
+    assert Term("\u0663") == Term("3") and Term("0\u0663").key < Term("4").key
 
 
 def test_unify_basic():
@@ -437,10 +477,11 @@ _list_items = st.one_of(_terms(1), st.just(Term("01")), st.just(t("f", Term("01"
 
 def _entries(key):
     """A flat key cut into its entries: (_VAR, name) for a variable,
-    (class, value, arity) for a compound."""
+    (_NUM, digit count, digits, arity) for a numeral and (_SYM, name,
+    arity) for any other compound."""
     i = 0
     while i < len(key):
-        n = 2 if key[i] == _VAR else 3
+        n = {_VAR: 2, _NUM: 4}.get(key[i], 3)
         yield key[i : i + n]
         i += n
 
