@@ -19,7 +19,7 @@ fact, in the order the machine would give them.
 
 import itertools
 
-from .model import CallGoal, Program
+from .model import Program
 from .sld import FAILED, Machine
 from .terms import Var, apply_subst, variables
 
@@ -72,7 +72,7 @@ class AuxDB:
             return
         names = variables(goal)
         machine = Machine(_NO_PROGRAM, self, DEFAULT_AUX_BUDGET, self._fresh)
-        found = machine.resolve((CallGoal(goal), None))
+        found = machine.resolve((goal, None))
         while found:
             store = machine.bindings
             yield {n: apply_subst(store[n], store) for n in names if n in store}

@@ -23,6 +23,7 @@ from .envs import (
     ReplayEnv,
     WumpusConfig,
     WumpusEnv,
+    board_number,
     emit_wumpus_domain,
     generate_wumpus,
 )
@@ -31,7 +32,7 @@ from .interpreter import DEFAULT_STEP_BUDGET, solve
 from .model import resolve_property
 from .parser import parse_domain, parse_program, parse_query
 from .strategies import wumpus_agent
-from .terms import format_term
+from .terms import Term, format_term
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,16 +177,25 @@ def _wumpus_config(path, **flags):
     return WumpusConfig(**given)
 
 
+def _selector_number(digits, kind):
+    """A selector's number, refused by its digit count before `int()` reads it."""
+    number = board_number(Term(digits))
+    if number is None and digits.isdecimal():
+        raise ValueError(f"{kind} selector needs a number of at most 9 digits, got {len(digits)}")
+    return number
+
+
 def _make_env(args):
     selector = args.env
     if selector.startswith("maze:"):
         rest = selector[len("maze:") :]
-        if not rest.isdecimal() or int(rest) < 2:
+        length = _selector_number(rest, "maze")
+        if length is None or length < 2:
             raise ValueError(f"maze selector needs a cell count >= 2, got {selector!r}")
-        return MazeEnv(int(rest))
+        return MazeEnv(length)
     match = re.fullmatch(r"wumpus:(\d+)x(\d+)", selector)
     if match:
-        rows, cols = int(match.group(1)), int(match.group(2))
+        rows, cols = (_selector_number(side, "wumpus") for side in match.groups())
         if rows != cols:
             raise ValueError("wumpus boards are square; use wumpus:<n>x<n>")
         path = args.wumpus_config

@@ -14,15 +14,23 @@ from .errors import EngineError, EnvironmentRejected
 from .terms import FALSE, TRUE, Term, format_term
 
 
+def board_number(term):
+    """The value of a numeral of at most nine significant digits, as many
+    as a board side or cell needs, or None: `int()` reads no longer one."""
+    if term.__class__ is not Term or term.args or not term.functor.isdecimal():
+        return None
+    digits = term.functor
+    if not digits.isascii():  # a zero of any script is a leading zero
+        digits = "".join(map(str, map(int, digits)))
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 9 else None
+
+
 def cell_coords(term):
     """(row, col) of a c(R,C) term, or None if it is not one."""
-    if (
-        isinstance(term, Term)
-        and term.functor == "c"
-        and len(term.args) == 2
-        and all(a.ground and not a.args and a.functor.isdigit() for a in term.args)
-    ):
-        return int(term.args[0].functor), int(term.args[1].functor)
+    if isinstance(term, Term) and term.functor == "c" and len(term.args) == 2:
+        coords = tuple(map(board_number, term.args))
+        return None if None in coords else coords
     return None
 
 
@@ -48,13 +56,11 @@ class MazeEnv:
 
     def execute(self, action):
         if action.functor == "go" and len(action.args) == 1:
-            target = action.args[0]
-            if target.ground and not target.args and target.functor.isdigit():
-                cell_no = int(target.functor)
-                if 1 <= cell_no <= self.length and abs(cell_no - self.position) == 1:
-                    self.position = cell_no
-                    self.log.append(action)
-                    return
+            cell_no = board_number(action.args[0]) or 0  # 0: it names no cell
+            if 1 <= cell_no <= self.length and abs(cell_no - self.position) == 1:
+                self.position = cell_no
+                self.log.append(action)
+                return
         raise EnvironmentRejected(
             f"maze rejected {format_term(action)} (agent is in cell {self.position})"
         )

@@ -5,8 +5,9 @@ leftmost goal selection, cut, the built-ins) extended with three goal
 forms that step outside ordinary resolution: `?(Property)` asks the
 belief state, `?(sense(X))` queries the environment and folds the
 observation into the belief state, and `do(Action)` executes an action
-and progresses the belief state. Aux atoms inside properties are derived
-by `AuxDB.solve` on a machine of its own.
+and progresses the belief state. The last two are terms, run by their
+predicates; a query is its StateProperty, run by its class. Aux atoms
+inside properties are derived by `AuxDB.solve` on a machine of its own.
 
 Execution is online: once an action has been sent to the environment it
 cannot be taken back, so a `do` tries its executions in place and pushes
@@ -32,10 +33,7 @@ from .envs import ReplayEnv
 from .errors import BarrierError, EngineError, NondeterministicActionError, PrimelogError
 from .model import (
     CUT,
-    DoGoal,
     Program,
-    QueryGoal,
-    SenseGoal,
     StateProperty,
     _mapping_for,
     goal_variables,
@@ -201,12 +199,11 @@ class Interpreter(Machine):
         self.observer((kind, subject) + rest)
 
     def _label(self, subject):
-        if isinstance(subject, StateProperty):
+        if subject.__class__ is StateProperty:
             return f"?({subject!r})"
-        if isinstance(subject, DoGoal):
-            return f"do({format_term(subject.action, self.bindings)})"
-        if isinstance(subject, SenseGoal):
-            return f"?({subject.functor}({walk(subject.arg, self.bindings).name}))"
+        if subject.functor == "?":  # sensing names its variable as renamed, `_` too
+            sensor = subject.args[0]
+            return f"?({sensor.functor}({walk(sensor.args[0], self.bindings).name}))"
         return format_term(subject, self.bindings)
 
     def _commit(self, event, new_state, goals=None):
@@ -273,8 +270,8 @@ class Interpreter(Machine):
 
     # -- belief queries -----------------------------------------------
 
-    def _dispatch_query(self, goal, rest):
-        prop = resolve_property(goal.property, self.bindings)
+    def _dispatch_query(self, prop, rest):
+        prop = resolve_property(prop, self.bindings)
         self._note("call", prop)
         stream = entails_property(self.agent.belief, prop, self.aux)
         return self._push(Interpreter._advance_query, stream, prop, rest)
@@ -294,7 +291,7 @@ class Interpreter(Machine):
     # -- action execution ---------------------------------------------
 
     def _dispatch_do(self, goal, rest):
-        action = walk(goal.action, self.bindings)
+        action = walk(goal.args[0], self.bindings)
         if isinstance(action, Var):
             raise EngineError("unbound action in do/1")
         functor = action.functor
@@ -341,35 +338,26 @@ class Interpreter(Machine):
     # -- sensing ------------------------------------------------------
 
     def _dispatch_sense(self, goal, rest):
-        axiom = self.domain.sensor_axioms.get(goal.functor)
+        functor = goal.args[0].functor
+        axiom = self.domain.sensor_axioms.get(functor)
         if axiom is None:
-            raise EngineError(f"sense fluent {goal.functor} has no sensor axiom")
-        arg = walk(goal.arg, self.bindings)
+            raise EngineError(f"sense fluent {functor} has no sensor axiom")
+        arg = walk(goal.args[0].args[0], self.bindings)
         if not isinstance(arg, Var):
-            raise EngineError(
-                f"sensing argument of {goal.functor} must be an unbound variable"
-            )
+            raise EngineError(f"sensing argument of {functor} must be an unbound variable")
         self._note("call", goal)
-        observed = self._environment("sense", goal.functor)
+        observed = self._environment("sense", functor)
         if not isinstance(observed, Term) or not observed.ground:
-            raise EngineError(
-                f"environment answered {goal.functor} with a non-ground result"
-            )
-        new_state, sol = integrate_sensing(
-            self.agent.belief, axiom, observed, self.aux
-        )
-        self._commit(("sense", goal.functor, observed, sol), new_state, rest)
+            raise EngineError(f"environment answered {functor} with a non-ground result")
+        new_state, sol = integrate_sensing(self.agent.belief, axiom, observed, self.aux)
+        self._commit(("sense", functor, observed, sol), new_state, rest)
         self.bindings[arg.name] = observed
         self.trail.append(arg.name)
-        self._note("sense", goal.functor, observed, new_state)
+        self._note("sense", functor, observed, new_state)
         return rest
 
-    _dispatch = {
-        **Machine._dispatch,
-        QueryGoal: _dispatch_query,
-        DoGoal: _dispatch_do,
-        SenseGoal: _dispatch_sense,
-    }
+    _dispatch = {**Machine._dispatch, StateProperty: _dispatch_query}
+    _predicates = {("do", 1): _dispatch_do, ("?", 1): _dispatch_sense}
 
 
 def solve(query, program, domain, env, **options):
@@ -394,9 +382,9 @@ def replay(domain, events):
     goals = []
     for i, event in enumerate(events):
         if event[0] == "act":
-            goals.append(DoGoal(event[1]))
+            goals.append(Term("do", (event[1],)))
         elif event[0] == "sense":
-            goals.append(SenseGoal(event[1], Var(f"_#{i}")))
+            goals.append(Term("?", (Term(event[1], (Var(f"_#{i}"),)),)))
         else:
             raise EngineError(f"replay: unknown event kind {event[0]!r}")
 

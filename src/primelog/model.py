@@ -3,11 +3,12 @@
 These are dumb records; the parser builds and validates them, the engine
 and interpreter consume them. Properties keep their clause-internal split
 into fluent literals and aux atoms because entailment treats the two
-parts differently.
+parts differently. A body goal is the term the program wrote (a call,
+`do(A)`, sensing `?(s(X))`, the cut `CUT`) or a query's StateProperty.
 """
 
-from .errors import EngineError
 from .terms import (
+    Term,
     Var,
     apply_literal,
     apply_subst,
@@ -153,63 +154,7 @@ class SensorAxiom:
         return found
 
 
-class Cut:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "!"
-
-
-CUT = Cut()
-
-
-class CallGoal:
-    """An ordinary program/aux atom in a clause body."""
-
-    __slots__ = ("atom",)
-
-    def __init__(self, atom):
-        self.atom = atom
-
-    def __repr__(self):
-        return repr(self.atom)
-
-
-class DoGoal:
-    """`do(Action)`: execute an action against the environment."""
-
-    __slots__ = ("action",)
-
-    def __init__(self, action):
-        self.action = action
-
-    def __repr__(self):
-        return f"do({format_term(self.action)})"
-
-
-class QueryGoal:
-    """`?(Property)`: ask whether the belief state entails a property."""
-
-    __slots__ = ("property",)
-
-    def __init__(self, property):
-        self.property = property
-
-    def __repr__(self):
-        return f"?({self.property!r})"
-
-
-class SenseGoal:
-    """`?(s(X))` for a declared sense fluent: trigger sensing, bind X."""
-
-    __slots__ = ("functor", "arg")
-
-    def __init__(self, functor, arg):
-        self.functor = functor
-        self.arg = arg
-
-    def __repr__(self):
-        return f"?({self.functor}({format_term(self.arg)}))"
+CUT = Term("!")
 
 
 class ProgramClause:
@@ -293,26 +238,16 @@ def resolve_property(prop, bindings):
 
 
 def goal_variables(goal, acc):
-    """Add the variable names of one body goal to `acc`; a cut has none."""
-    if isinstance(goal, CallGoal):
-        variables(goal.atom, acc)
-    elif isinstance(goal, DoGoal):
-        variables(goal.action, acc)
-    elif isinstance(goal, QueryGoal):
-        goal.property.variables(acc)
-    elif isinstance(goal, SenseGoal):
-        variables(goal.arg, acc)
+    """Add a body goal's variable names to `acc`; a machine's markers have none."""
+    if goal.__class__ is StateProperty:
+        goal.variables(acc)
+    elif goal.__class__ is Term:
+        variables(goal, acc)
     return acc
 
 
 def rename_goal(goal, mapping):
-    """Fresh-variable copy of one body goal (not a cut)."""
-    if isinstance(goal, CallGoal):
-        return CallGoal(apply_subst(goal.atom, mapping))
-    if isinstance(goal, DoGoal):
-        return DoGoal(apply_subst(goal.action, mapping))
-    if isinstance(goal, QueryGoal):
-        return QueryGoal(resolve_property(goal.property, mapping))
-    if isinstance(goal, SenseGoal):
-        return SenseGoal(goal.functor, apply_subst(goal.arg, mapping))
-    raise EngineError(f"unexpected body goal {goal!r}")
+    """Fresh-variable copy of one body goal, a term or a property."""
+    if goal.__class__ is StateProperty:
+        return resolve_property(goal, mapping)
+    return apply_subst(goal, mapping)

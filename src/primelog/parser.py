@@ -37,14 +37,10 @@ from .model import (
     CUT,
     ActionCase,
     ActionSpec,
-    CallGoal,
-    DoGoal,
     DomainFile,
     Program,
     ProgramClause,
     PropClause,
-    QueryGoal,
-    SenseGoal,
     SensorAxiom,
     SensorCase,
     StateProperty,
@@ -612,7 +608,7 @@ def parse_domain(text, filename="<domain>"):
                 rd.err(
                     f"{_pred_str(*pred)} is not an aux predicate or builtin", tok
                 )
-            body.append(CallGoal(atom))
+            body.append(atom)
         aux_clauses.append(ProgramClause(raw.head, tuple(body)))
 
     for name, arity in actions.items():
@@ -648,25 +644,22 @@ def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
             and payload.functor in domain.sensors
             and len(payload.args) == 1
         ):
-            return SenseGoal(payload.functor, payload.args[0])
-        clauses = (
+            return Term("?", (payload,))
+        return StateProperty(
             _prop_clause(rd, tok, domain.fluents, aux_preds, item, "query")
             for item in _literals(payload)
         )
-        return QueryGoal(StateProperty(tuple(clauses)))
     positive, atom = _signed(payload)
     if not positive:
         rd.err("goals cannot be negated", tok)
     if not isinstance(atom, Term) or atom.functor.isdigit():
         rd.err("goals must be atoms or compound terms", tok)
-    if atom.functor == "do" and len(atom.args) == 1:
-        act = atom.args[0]
-        if isinstance(act, Term):
-            _declared_action(rd, tok, domain.actions, act)
-        return DoGoal(act)
     if atom.functor == "do":
-        rd.err("do takes exactly one action argument", tok)
-    return CallGoal(atom)
+        if len(atom.args) != 1:
+            rd.err("do takes exactly one action argument", tok)
+        if isinstance(atom.args[0], Term):
+            _declared_action(rd, tok, domain.actions, atom.args[0])
+    return atom
 
 
 def parse_program(text, domain, filename="<program>"):

@@ -6,17 +6,19 @@ through a trail, a stack of choicepoints, and the goal list as a linked
 list of (goal, rest) pairs. A call is unified with each clause head as
 parsed, its variables renamed apart through one mapping of names to
 fresh variables, so no renamed copy of a head is built; a body is
-renamed through the same mapping when its head unifies. `Interpreter`
-extends the machine with the agent goals and their commits;
-`AuxDB.solve` drives a machine of its own to derive aux atoms inside
-belief queries. Derivation depth is bounded by the step budget, never
-by Python's stack.
+renamed through the same mapping when its head unifies. A goal is the
+term the program wrote, run by its predicate: from `_predicates`, where
+`Interpreter` puts its agent goals `do/1` and sensing `?/1`, else as a
+built-in, else by its clauses. `AuxDB.solve` drives a machine of its
+own to derive aux atoms inside belief queries. Derivation depth is
+bounded by the step budget, never by Python's stack.
 """
 
 from .errors import BarrierError, BudgetExceeded, EngineError
-from .model import CUT, CallGoal, _mapping_for, rename_goal
+from .model import CUT, _mapping_for, rename_goal
 from .terms import (
     NIL,
+    Term,
     Var,
     apply_subst,
     format_term,
@@ -73,7 +75,7 @@ class ChoicePoint:
 
 
 class Machine:
-    """Resolution of CallGoals against a program and an aux database.
+    """Resolution of body goals against a program and an aux database.
 
     `fresh` yields the suffixes that rename clause variables apart, so
     every machine sharing one name space must share one iterator. Every
@@ -155,9 +157,13 @@ class Machine:
             self._note("fail", cp.subject)
         return goals
 
-    def _dispatch_call(self, goal, rest):
-        atom = goal.atom
+    _predicates = {}  # predicate -> handler, before the built-ins
+
+    def _dispatch_call(self, atom, rest):
         pred = (atom.functor, len(atom.args))
+        handler = self._predicates.get(pred)
+        if handler is not None:
+            return handler(self, atom, rest)
         if pred in BUILTINS:
             if self._builtin(atom):
                 return rest
@@ -258,4 +264,4 @@ class Machine:
         self._note("exit", goal.atom)
         return rest
 
-    _dispatch = {CallGoal: _dispatch_call, CutGoal: _cut, ExitNote: _exit}
+    _dispatch = {Term: _dispatch_call, CutGoal: _cut, ExitNote: _exit}

@@ -17,7 +17,7 @@ it builds no renamed copy of the head. `unify` runs `unify_track` on a
 copy and returns an idempotent result.
 """
 
-from operator import attrgetter
+from operator import attrgetter, is_not
 
 _NUM = 0
 _SYM = 1
@@ -123,9 +123,10 @@ def walk(term, bindings):
 def apply_subst(term, bindings):
     """Substitute through a term, resolving chains of bindings. With a
     name -> fresh Var mapping for `bindings` it renames a term apart.
-    A term whose arguments all walk to variables or ground terms is
-    rebuilt in one pass over them; any other goes to `_apply_nested`.
-    Either way the term itself comes back when nothing changed."""
+    A term whose arguments walk to variables, ground terms or compounds
+    of those written in it (`do(go(Y))`) is rebuilt in one pass; any
+    other goes to `_apply_nested`, which rebuilds a shared open value
+    once. Either way the term itself comes back when nothing changed."""
     term = walk(term, bindings)
     if term.__class__ is Var or term.ground or not bindings:
         return term
@@ -140,7 +141,20 @@ def apply_subst(term, bindings):
                 break
             a = nxt
         if a.__class__ is not Var and not a.ground:
-            return _apply_nested(term, bindings)
+            if a is not orig:
+                return _apply_nested(term, bindings)
+            inner = []
+            for b in a.args:
+                while b.__class__ is Var:
+                    nxt = get(b.name)
+                    if nxt is None:
+                        break
+                    b = nxt
+                if b.__class__ is not Var and not b.ground:
+                    return _apply_nested(term, bindings)
+                inner.append(b)
+            if any(map(is_not, inner, a.args)):
+                a = Term(a.functor, tuple(inner))
         if a is not orig:
             changed = True
         args.append(a)
@@ -148,7 +162,7 @@ def apply_subst(term, bindings):
 
 
 def _apply_nested(term, bindings):
-    """`apply_subst` of an open compound with an open compound below it.
+    """`apply_subst` of an open compound with a deeper or shared one below it.
     Nested arguments go on an explicit stack, so a long list costs no
     Python recursion, and an open subterm met twice is rebuilt once."""
     built = {}  # id of an open subterm -> what it became

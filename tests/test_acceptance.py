@@ -82,7 +82,7 @@ def test_02_disjunctive_queries():
     aux = AuxDB(dom.aux_program)
 
     def answers(query):
-        prop = parse_query(query, dom)[0].property
+        prop = parse_query(query, dom)[0]
         out = []
         for sol in entails_property(dom.initial, prop, aux):
             out.append(

@@ -257,6 +257,50 @@ def test_a_numeral_of_5000_digits_is_a_numeral(tmp_path, capsys):
     assert (code, err) == (1, "")
 
 
+@pytest.mark.parametrize(
+    "env, target, rejection",
+    [("maze:3", "{big}", "maze rejected go({big}) (agent is in cell 1)"),
+     ("wumpus:4x4", "c({big},1)", "wumpus world rejected go(c({big},1)): not a board cell")],
+    ids=["maze", "wumpus"],
+)
+def test_a_cell_number_of_5000_digits_is_rejected_by_the_environment(
+    tmp_path, capsys, env, target, rejection
+):
+    """A cell number longer than any board's is an illegal move, refused
+    before `int()` reads it, so the run ends with the environment's own
+    rejection and not Python's conversion limit."""
+    big = "9" * 5000
+    domain = tmp_path / "free.alpd"
+    domain.write_text(
+        "fluents([at/2]).\nactions([go/1]).\ninitial_state([at(agent,1)]).\n"
+        "action(go(Y), [], [case([], [at(agent,Y)])]).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "p.alp"
+    program.write_text("p.\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["run", "--program", str(program), "--domain", str(domain),
+         "--query", f"do(go({target.format(big=big)}))", "--env", env],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"runtime error: {rejection.format(big=big)}\n"
+
+
+def test_a_sensor_called_without_a_question_mark_is_undefined(tmp_path, capsys):
+    """Only `?(s(X))` senses: a body goal that names a sensor as a plain
+    call is an ordinary call, and no predicate defines it."""
+    program = tmp_path / "smell.alp"
+    program.write_text("smell :- perceiveSmell(R).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["run", "--program", str(program), "--domain", str(SAMPLES / "wumpus4.alpd"),
+         "--query", "smell", "--env", "wumpus:4x4"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "runtime error: undefined predicate perceiveSmell/1\n"
+
+
 def test_run_budget_exhaustion_exits_two(tmp_path, capsys):
     domain = tmp_path / "maze.alpd"
     domain.write_text(emit_maze_domain(3), encoding="utf-8")
@@ -838,6 +882,26 @@ def test_a_maze_count_that_is_a_digit_but_not_decimal_exits_three(maze_files, ca
     )
     assert (code, out) == (3, "")
     assert err == "error: maze selector needs a cell count >= 2, got 'maze:²'\n"
+
+
+@pytest.mark.parametrize(
+    "selector, message",
+    [("maze:" + "9" * 5000, "maze selector needs a number of at most 9 digits, got 5000"),
+     ("wumpus:{0}x{0}".format("9" * 5000),
+      "wumpus selector needs a number of at most 9 digits, got 5000")],
+    ids=["maze", "wumpus"],
+)
+def test_a_selector_number_of_5000_digits_exits_three(maze_files, capsys, selector, message):
+    """A selector's count is refused by its digits before `int()` reads
+    it, with the selector named and not Python's conversion limit."""
+    domain, program = maze_files
+    code, out, err = run_cli(
+        ["run", "--program", str(program), "--domain", str(domain),
+         "--query", maze_query(5), "--env", selector],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["gen-wumpus", "run"])

@@ -20,7 +20,7 @@ from primelog.auxdb import AuxDB
 from primelog.envs import MazeEnv, ReplayEnv, WumpusConfig, WumpusEnv, generate_wumpus
 from primelog.errors import EngineError
 from primelog.interpreter import DEFAULT_STEP_BUDGET, Interpreter, replay, solve
-from primelog.model import CallGoal, Program, ProgramClause
+from primelog.model import Program, ProgramClause
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import FAILED, Machine
 from primelog.terms import Term, Var, apply_subst, format_term, mk_list, variables
@@ -132,6 +132,44 @@ def test_every_choicepoint_kind_steps_and_replay():
     assert replay(domain, outcome.state.events) == outcome.state.belief
 
 
+def test_agent_goals_golden(capsys):
+    code = cli.main(
+        [
+            "run",
+            "--program", str(GOLDEN / "agent_goals.alp"),
+            "--domain", str(GOLDEN / "agent_goals.alpd"),
+            "--query", "main",
+            "--env", f"replay:{GOLDEN / 'agent_goals.script'}",
+            "--trace",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (GOLDEN / "agent_goals.trace").read_text(encoding="utf-8")
+    assert captured.out == (GOLDEN / "agent_goals.report").read_text(encoding="utf-8")
+    lines = captured.err.splitlines()
+    # sensing into `_` names the variable it binds, as renamed
+    assert lines[1] == "CALL ?(smell(_#1~1))" and "CALL ?(smell(S~1))" in lines
+    # the open `do` fails its precondition, then the same `do` executes
+    assert lines.index("FAIL do(go(Y~2))") < lines.index("CALL do(go(Y~4))")
+    assert lines[lines.index("CALL do(go(Y~4))") + 1] == "EXEC go(2)"
+    # a `?` over an aux rule resumed for its second answer
+    assert "EXIT ?([at(agent,2),near(2,1)])" in lines
+    # the cut leaves main/0 no alternative to retry
+    assert "REDO main" not in lines and lines[-1] == "EXIT main"
+
+
+def test_agent_goals_steps_and_replay():
+    domain = parse_domain((GOLDEN / "agent_goals.alpd").read_text(encoding="utf-8"), "d")
+    program = parse_program((GOLDEN / "agent_goals.alp").read_text(encoding="utf-8"), domain, "p")
+    script = (GOLDEN / "agent_goals.script").read_text(encoding="utf-8")
+    interp = Interpreter(domain, program, ReplayEnv.from_script(script))
+    outcome = interp.run(parse_query("main", domain))
+    assert outcome.succeeded
+    assert DEFAULT_STEP_BUDGET - interp.steps == 19
+    assert replay(domain, outcome.state.events) == outcome.state.belief
+
+
 @pytest.mark.parametrize("name, dom, prog, query, env, seed, make_env, steps", PAIRS)
 @pytest.mark.parametrize("trace", [[], ["--trace"]])
 def test_step_budget_edge_with_and_without_trace(
@@ -225,7 +263,7 @@ def _canonical(sol, names):
 
 def _aux_goal(text, domain):
     (goal,) = parse_query(text, domain, "<q>")
-    return goal.atom
+    return goal
 
 
 @pytest.mark.parametrize("goal", sorted(AUX_ANSWERS))
@@ -305,7 +343,7 @@ def _derived(program, goal):
     """How many times a resolution machine over `program`, its clauses in
     textual order and no index, derives the ground `goal`."""
     machine = Machine(program, EMPTY_AUX, 10_000, map(str, itertools.count(1)))
-    found = machine.resolve((CallGoal(goal), None))
+    found = machine.resolve((goal, None))
     count = 0
     while found:
         count += 1

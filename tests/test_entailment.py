@@ -16,7 +16,7 @@ from helpers import Num
 from primelog import pi
 from primelog.auxdb import AuxDB
 from primelog.errors import EngineError
-from primelog.model import CallGoal, Program, ProgramClause, PropClause, StateProperty
+from primelog.model import Program, ProgramClause, PropClause, StateProperty
 from primelog.terms import Literal, Term, Var, format_term, normalize_clause
 
 A, B = Var("A"), Var("B")
@@ -27,7 +27,7 @@ AUX_PROGRAM = Program(
         ProgramClause(Term("s", (Num(2),)), ()),
         ProgramClause(Term("s", (Num(1),)), ()),
         ProgramClause(Term("t", (Num(1), Num(2))), ()),
-        ProgramClause(Term("t", (A, B)), (CallGoal(Term("s", (A,))), CallGoal(Term("s", (B,))))),
+        ProgramClause(Term("t", (A, B)), (Term("s", (A,)), Term("s", (B,)))),
         # non-ground answers: a fresh variable, and two variables made one
         ProgramClause(Term("any", (A,)), ()),
         ProgramClause(Term("same", (A, A)), ()),
@@ -157,11 +157,11 @@ def _nest_program(copies):
         ProgramClause(Term("nest", (N, N, Term("x"))), ()),
         ProgramClause(
             Term("nest", (I, N, Term("f", (T,)))),
-            (CallGoal(Term("succ", (I, J))), CallGoal(Term("nest", (J, N, T)))),
+            (Term("succ", (I, J)), Term("nest", (J, N, T))),
         ),
     ]
     clauses += [
-        ProgramClause(Term("deep", (T,)), (CallGoal(Term("nest", (Num(0), Num(3000), T))),))
+        ProgramClause(Term("deep", (T,)), (Term("nest", (Num(0), Num(3000), T)),))
     ] * copies
     return Program(clauses)
 

@@ -18,7 +18,7 @@ from primelog.envs import (
 )
 from primelog.errors import EngineError, EnvironmentRejected
 from primelog.parser import parse_domain
-from primelog.terms import FALSE, TRUE, Term, format_term
+from primelog.terms import FALSE, TRUE, Term, Var, format_term
 
 
 def go(n):
@@ -438,3 +438,12 @@ def test_cell_round_trip():
     assert cell_coords(t) == (3, 7)
     assert cell_coords(Term("q", (Term("1"), Term("2")))) is None
     assert cell_coords(Term("c", (Term("x"), Term("2")))) is None
+    # Leading zeros and non-ASCII decimal digits read as `int()` reads
+    # them; more than nine significant digits name no cell, and are
+    # refused before `int()` is asked to read them.
+    assert cell_coords(Term("c", (Term("0003"), Term("٧")))) == (3, 7)
+    assert cell_coords(Term("c", (Term("0" * 5000 + "2"), Term("1")))) == (2, 1)
+    assert cell_coords(Term("c", (Term("٠" * 5000 + "٢"), Term("1")))) == (2, 1)
+    assert cell_coords(Term("c", (Term("9" * 5000), Term("1")))) is None
+    assert cell_coords(Term("c", (Term("1000000000"), Term("1")))) is None
+    assert cell_coords(Term("c", (Var("R"), Term("1")))) is None

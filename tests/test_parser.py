@@ -1,14 +1,14 @@
 import pytest
 
 from primelog.errors import ParseError
-from primelog.model import CallGoal, DoGoal, QueryGoal, SenseGoal, CUT
+from primelog.model import CUT, StateProperty
 from primelog.parser import (
     parse_domain,
     parse_ground_terms,
     parse_program,
     parse_query,
 )
-from primelog.terms import format_term
+from primelog.terms import Term, Var, format_term
 
 MAZE = """\
 fluents([at/2]).
@@ -52,25 +52,24 @@ def test_query_goal_prints_canonical_text():
     (goal,) = parse_query(
         "?([-at(agent,1), [at(gold,X), adj(X,Y)], [at(agent,Y), -at(gold,Y)]])", dom
     )
-    assert repr(goal) == text
+    assert f"?({goal!r})" == text
     (again,) = parse_query(text, dom)
-    assert repr(again) == text
+    assert f"?({again!r})" == text
 
 
 def test_goal_classification():
     dom = parse_domain(SENSING, "s.alpd")
     goals = parse_query("?(at(1)), ?(feel(R)), p(R), !", dom)
-    assert isinstance(goals[0], QueryGoal)
-    assert isinstance(goals[1], SenseGoal)
-    assert goals[1].functor == "feel"
-    assert isinstance(goals[2], CallGoal)
+    assert isinstance(goals[0], StateProperty)
+    assert goals[1].__class__ is Term and goals[1] == Term("?", (Term("feel", (Var("R"),)),))
+    assert goals[2].__class__ is Term and goals[2] == Term("p", (Var("R"),))
     assert goals[3] is CUT
 
 
 def test_do_goal_checks_declared_actions():
     dom = parse_domain(MAZE, "m.alpd")
     (goal,) = parse_query("do(go(2))", dom)
-    assert isinstance(goal, DoGoal)
+    assert goal == Term("do", (Term("go", (Term("2"),)),))
     with pytest.raises(ParseError, match="not a declared action"):
         parse_query("do(fly(2))", dom)
 
@@ -79,13 +78,13 @@ def test_bare_literal_query_sugar():
     dom = parse_domain(MAZE, "m.alpd")
     (wrapped,) = parse_query("?([at(agent,1)])", dom)
     (bare,) = parse_query("?(at(agent,1))", dom)
-    assert len(bare.property.clauses) == len(wrapped.property.clauses) == 1
+    assert len(bare.clauses) == len(wrapped.clauses) == 1
 
 
 def test_disjunctive_query_clause():
     dom = parse_domain(MAZE, "m.alpd")
     (goal,) = parse_query("?([[at(gold,4), at(gold,5)]])", dom)
-    assert len(goal.property.clauses[0].fluents) == 2
+    assert len(goal.clauses[0].fluents) == 2
 
 
 def test_undeclared_fluent_rejected():
@@ -161,8 +160,8 @@ def test_tautologous_initial_clause_warns():
 def test_sensorless_query_on_declared_sensor_binds_arg():
     dom = parse_domain(SENSING, "s.alpd")
     (goal,) = parse_query("?(feel(Answer))", dom)
-    assert isinstance(goal, SenseGoal)
-    assert goal.arg.name == "Answer"
+    assert goal == Term("?", (Term("feel", (Var("Answer"),)),))
+    assert goal.args[0].args[0].name == "Answer"
 
 
 def test_anonymous_variables_are_distinct():

@@ -17,7 +17,6 @@ from primelog.interpreter import Interpreter
 from primelog.model import (
     ActionCase,
     ActionSpec,
-    DoGoal,
     DomainFile,
     EMPTY_PROPERTY,
     Program,
@@ -292,7 +291,7 @@ def _executed_effects(state, spec, act):
     action is specified by `spec`."""
     pred = (spec.head.functor, len(spec.head.args))
     domain = DomainFile({}, dict([pred]), (), {}, state, {pred: spec}, {}, Program(()))
-    out = Interpreter(domain, Program(()), _Accepting()).run([DoGoal(act)])
+    out = Interpreter(domain, Program(()), _Accepting()).run([Term("do", (act,))])
     (event,) = out.state.events
     return event[2]
 

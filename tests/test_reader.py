@@ -337,7 +337,7 @@ def _domain_keys(domain):
             ]
             for name, axiom in domain.sensor_axioms.items()
         },
-        [(c.head.key, [g.atom.key for g in c.body]) for c in domain.aux_program.clauses],
+        [(c.head.key, [g.key for g in c.body]) for c in domain.aux_program.clauses],
         domain.warnings,
     )
 
@@ -380,4 +380,4 @@ def test_input_nested_3000_deep_reads(text, printed):
     (term,) = parse_ground_terms(text + ".")
     assert format_term(term) == printed
     (goal,) = parse_query(f"X = {text}", parse_domain(MAZE, "m.alpd"))
-    assert format_term(goal.atom) == f"=(X,{printed})"
+    assert format_term(goal) == f"=(X,{printed})"

@@ -10,9 +10,9 @@ the store and the trail as it found them.
 The other tests pin what the single walk makes possible: an iterative
 `apply_subst` (a 3000-cell answer list through the CLI) and sensor cases
 entailed under their own variable names, so two identical runs log
-identical sense events. `apply_subst`'s one-pass path for flat terms is
-checked against the general version it bypasses, kept in
-`copying_reference`.
+identical sense events. `apply_subst`'s one-pass path for flat terms,
+and for terms with flat compounds written in them, is checked against
+the general version it bypasses, kept in `copying_reference`.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from primelog import cli
 from primelog.envs import ReplayEnv, emit_maze_domain
 from primelog.errors import EngineError
 from primelog.interpreter import solve
-from primelog.model import CallGoal, Program, ProgramClause, _mapping_for
+from primelog.model import Program, ProgramClause, _mapping_for
 from primelog.parser import parse_domain, parse_program, parse_query
 from primelog.sld import Machine
 from copying_reference import general_apply_subst, unify
@@ -192,7 +192,7 @@ def _same_builtin_outcome(goal, store):
     expected, after = _reference(goal, store)
     machine = _machine(store)
     try:
-        found = machine.resolve((CallGoal(goal), None))
+        found = machine.resolve((goal, None))
     except EngineError as e:
         assert expected == ("error", str(e))
         return "error"
@@ -231,9 +231,9 @@ def test_builtins_on_the_store_match_the_copying_builtins():
     ],
 )
 def test_builtin_bindings(text, store, resolved):
-    goal = parse_query(text, parse_domain(emit_maze_domain(2), "d.alpd"), "<q>")[0].atom
+    goal = parse_query(text, parse_domain(emit_maze_domain(2), "d.alpd"), "<q>")[0]
     machine = _machine({n: Term(v) for n, v in store.items()})
-    assert machine.resolve((CallGoal(goal), None))
+    assert machine.resolve((goal, None))
     assert _resolved(goal, machine.bindings) == resolved
 
 
@@ -249,17 +249,17 @@ def test_builtin_bindings(text, store, resolved):
 def test_improper_list_error_text(goal, message):
     machine = _machine({"T": Term("f", (Num(1),))})
     with pytest.raises(EngineError) as caught:
-        machine.resolve((CallGoal(goal), None))
+        machine.resolve((goal, None))
     assert str(caught.value) == f"{message}: second argument is not a proper list"
 
 
 def test_neq_undoes_its_trial_unification():
     machine = _machine({})
     goal = Term("neq", (Term("f", (Var("X"), Var("Y"))), Term("f", (Num(1), Num(2)))))
-    assert not machine.resolve((CallGoal(goal), None))
+    assert not machine.resolve((goal, None))
     assert machine.bindings == {} and machine.trail == []
     goal = Term("neq", (Term("f", (Var("X"), Num(1))), Term("f", (Num(1), Num(2)))))
-    assert machine.resolve((CallGoal(goal), None))
+    assert machine.resolve((goal, None))
     assert machine.bindings == {} and machine.trail == []
 
 
@@ -304,7 +304,7 @@ def test_list_builtins_on_lists_built_through_the_store(case):
     expected, after = _reference(goal, store)
     machine = _machine(store)
     try:
-        found = machine.resolve((CallGoal(goal), None))
+        found = machine.resolve((goal, None))
     except EngineError as e:
         assert expected == ("error", str(e))
         return
@@ -330,9 +330,9 @@ def test_list_builtins_on_lists_built_through_the_store(case):
     ],
 )
 def test_a_ground_element_still_needs_a_proper_list(text, message):
-    goal = parse_query(text, parse_domain(emit_maze_domain(2), "d.alpd"), "<q>")[0].atom
+    goal = parse_query(text, parse_domain(emit_maze_domain(2), "d.alpd"), "<q>")[0]
     with pytest.raises(EngineError) as caught:
-        _machine({}).resolve((CallGoal(goal), None))
+        _machine({}).resolve((goal, None))
     assert str(caught.value) == f"{message}: second argument is not a proper list"
 
 
@@ -340,12 +340,12 @@ def test_memberchk_keeps_the_first_match_among_ground_items():
     goal = Term("memberchk", (Term("f", (Var("X"),)), Var("L")))
     items = [Term("g", (Num(1),)), Term("f", (Num(2),)), Term("f", (Num(3),))]
     machine = _machine({"L": mk_list(items)})
-    assert machine.resolve((CallGoal(goal), None))
+    assert machine.resolve((goal, None))
     assert format_term(apply_subst(Var("X"), machine.bindings)) == "2"
     # a ground element matched by key binds nothing
     machine = _machine({"Y": Term("f", (Num(3),)), "L": mk_list(items)})
     goal = Term("memberchk", (Var("Y"), Var("L")))
-    assert machine.resolve((CallGoal(goal), None))
+    assert machine.resolve((goal, None))
     assert machine.trail == ["Y", "L"]
 
 
@@ -358,7 +358,7 @@ def test_list_builtins_compare_deep_ground_items_built_apart():
         for name in ("memberchk", "nonmember"):
             machine = _machine({"L": mk_list(items)})
             goal = Term(name, (element, Var("L")))
-            assert bool(machine.resolve((CallGoal(goal), None))) is (found == (name == "memberchk"))
+            assert bool(machine.resolve((goal, None))) is (found == (name == "memberchk"))
             assert machine.trail == ["L"]
 
 
@@ -444,7 +444,7 @@ def test_cached_member_keys_decide_as_the_full_scan(queries):
             expected = ("error", str(e))
         machine = _machine(store)
         try:
-            found = ("ok", machine.resolve((CallGoal(goal), None)))
+            found = ("ok", machine.resolve((goal, None)))
         except EngineError as e:
             found = ("error", str(e))
         assert found == expected
@@ -472,8 +472,8 @@ def test_a_list_grown_at_its_head_is_asked_in_a_stride_of_cells_or_less():
         cell = Term(".", (Num(i), cell))
         walked.append(cells_to_a_set(cell))
         machine = _machine({"L": cell})
-        assert machine.resolve((CallGoal(Term("memberchk", (Num(i // 2), Var("L")))), None))
-        assert not machine.resolve((CallGoal(Term("memberchk", (Num(i + 1), Var("L")))), None))
+        assert machine.resolve((Term("memberchk", (Num(i // 2), Var("L"))), None))
+        assert not machine.resolve((Term("memberchk", (Num(i + 1), Var("L"))), None))
     assert max(walked) == MEMBER_STRIDE
 
 
