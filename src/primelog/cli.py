@@ -26,6 +26,7 @@ from .envs import (
     board_number,
     emit_wumpus_domain,
     generate_wumpus,
+    integer,
 )
 from .errors import EngineError, ParseError
 from .interpreter import DEFAULT_STEP_BUDGET, solve
@@ -42,13 +43,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _number(text):
+    """`envs.integer` for a flag: too long a number is an argparse error."""
+    try:
+        return integer(text, "the number")
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _int(text):
+    """An argparse type: `int`, refusing by its digit count a number
+    longer than `int()` reads."""
+    number = _number(text)
+    if number is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return number
+
+
 def _step_budget(text):
     """An argparse type: a step budget is an integer of at least 1."""
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
+    budget = _number(text)
+    if budget is None or budget < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, not {text!r}")
     return budget
 
@@ -67,7 +82,7 @@ def _build_parser():
         help="environment: maze:<k> | wumpus:<n>x<n> | replay:<script>",
     )
     run.add_argument(
-        "--seed", type=int, help="world seed (wumpus; overrides --wumpus-config)"
+        "--seed", type=_int, help="world seed (wumpus; overrides --wumpus-config)"
     )
     run.add_argument(
         "--wumpus-config",
@@ -89,9 +104,9 @@ def _build_parser():
     run.add_argument("--out", help="write the report here instead of stdout")
 
     gen = sub.add_parser("gen-wumpus", help="generate a wumpus domain file")
-    gen.add_argument("--size", type=int, help="board side length")
-    gen.add_argument("--threats", type=int, help="number of threat cells")
-    gen.add_argument("--seed", type=int, help="world seed")
+    gen.add_argument("--size", type=_int, help="board side length")
+    gen.add_argument("--threats", type=_int, help="number of threat cells")
+    gen.add_argument("--seed", type=_int, help="world seed")
     gen.add_argument(
         "--no-solvable",
         action="store_true",
@@ -300,10 +315,10 @@ def _int_list(text, what):
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
         raise ValueError(f"bench needs at least one {what}")
-    try:
-        return [int(piece) for piece in items]
-    except ValueError:
-        raise ValueError(f"bad {what} list {text!r}") from None
+    numbers = [integer(piece, what) for piece in items]
+    if None in numbers:
+        raise ValueError(f"bad {what} list {text!r}")
+    return numbers
 
 
 def _bench_one(size, variant, seed, budget):

@@ -26,6 +26,23 @@ def board_number(term):
     return int(digits or "0") if len(digits) <= 9 else None
 
 
+# The most digits CPython's `int()` reads from a string by default.
+INT_DIGITS = 4300
+
+
+def integer(text, what):
+    """The integer `text` spells, or None if it spells none. One of more
+    than INT_DIGITS digits is refused, by its digit count before `int()`
+    reads it, as too long (a ValueError that names `what`)."""
+    digits = sum(map(str.isdecimal, text))
+    if digits > INT_DIGITS:
+        raise ValueError(f"{what} is too long: {digits} digits, at most {INT_DIGITS}")
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def cell_coords(term):
     """(row, col) of a c(R,C) term, or None if it is not one."""
     if isinstance(term, Term) and term.functor == "c" and len(term.args) == 2:
@@ -145,12 +162,9 @@ class WumpusConfig:
         kwargs = {}
         for key, (raw, lineno) in mapping.items():
             if key in ("size", "threats", "seed"):
-                try:
-                    kwargs[key] = int(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: {key} must be an integer, not {raw!r}"
-                    ) from None
+                kwargs[key] = integer(raw, f"{path}:{lineno}: {key}")
+                if kwargs[key] is None:
+                    raise ValueError(f"{path}:{lineno}: {key} must be an integer, not {raw!r}")
             elif key == "solvable":
                 if raw.lower() not in ("true", "false"):
                     raise ValueError(f"{path}:{lineno}: solvable must be true or false, not {raw!r}")

@@ -29,7 +29,9 @@ ground compound written without spaces, such as `c(3,4)` or `do(grab)`,
 is one token, found by its text after its first occurrence.
 """
 
+import gc
 import re
+import weakref
 from collections import namedtuple
 
 from .errors import ParseError
@@ -449,7 +451,24 @@ def _declarations(rd, directives):
 
 def parse_domain(text, filename="<domain>"):
     """Read and validate a domain file. Returns a DomainFile whose initial
-    state is already in prime implicate form."""
+    state is already in prime implicate form. Pauses the cyclic collector
+    process-wide while it runs, and keeps it off the result until the
+    DomainFile is dropped, which calls `gc.unfreeze()`."""
+    # The package makes no reference cycles, so a collection would only
+    # walk the objects the parse builds, and free none of them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        domain = _read_domain(text, filename)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    weakref.finalize(domain, gc.unfreeze)
+    return domain
+
+
+def _read_domain(text, filename):
     rd = _Reader(text, filename)
     warnings = []
 

@@ -961,6 +961,9 @@ BAD_INPUTS = [
     pytest.param("program", b"\n\n  \xff\n", "3:3: byte 0xff is not UTF-8", id="program-utf8"),
     pytest.param("script", b"did(go(2)).\n\xe2(\n", "2:1: byte 0xe2 is not UTF-8", id="script-utf8"),
     pytest.param("config", b"size = 4\nseed = \xe2\x28\n", "2:8: byte 0xe2 is not UTF-8", id="config-utf8"),
+    *(pytest.param("config", b"size = 4\n%s = %s\n" % (key, b"9" * 5000),
+                   f"2: {key.decode()} is too long: 5000 digits, at most 4300", id=f"config-{key.decode()}-digits")
+      for key in (b"size", b"threats", b"seed")),
 ]
 
 
@@ -973,6 +976,50 @@ def test_a_bad_input_file_is_named_where_it_is(maze_files, tmp_path, capsys, kin
     assert re.match(rf"(parse )?error: {re.escape(str(files[kind]))}:\d+(:\d+)?: ", err)
     assert not any(python in err for python in ("codec", "int()", "sys.", "Traceback"))
     assert err.endswith(f"{files[kind]}:{message}\n")
+
+
+# Each: a command whose flag carries a 5,000-digit number, and the error
+# line. A flag has no file to name, so these are a table of their own.
+LONG = "9" * 5000
+BAD_FLAGS = [
+    *(pytest.param(["gen-wumpus", f"--{flag}", LONG],
+                   f"primelog gen-wumpus: error: argument --{flag}: the number is too long: "
+                   "5000 digits, at most 4300", id=f"gen-wumpus-{flag}")
+      for flag in ("size", "threats", "seed")),
+    *(pytest.param(["run", "--program", "a.alp", "--domain", "a.alpd", "--query", "q",
+                    "--env", "maze:5", f"--{flag}", value],
+                   f"primelog run: error: argument --{flag}: the number is too long: "
+                   "5000 digits, at most 4300", id=f"run-{flag}")
+      for flag, value in (("seed", "-" + LONG), ("steps", LONG))),
+    pytest.param(["bench", "--sizes", "4", "--steps", LONG],
+                 "primelog bench: error: argument --steps: the number is too long: "
+                 "5000 digits, at most 4300", id="bench-steps"),
+    pytest.param(["bench", "--sizes", f"4,{LONG}"], "error: size is too long: 5000 digits, at most 4300",
+                 id="bench-sizes"),
+    pytest.param(["bench", "--sizes", "4", "--seeds", f"{LONG},1"],
+                 "error: seed is too long: 5000 digits, at most 4300", id="bench-seeds"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_FLAGS)
+def test_a_flag_number_of_5000_digits_is_too_long(capsys, argv, message):
+    """Refused by its digit count before `int()` reads it, so the message
+    says the number is too long, not that it is no integer."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as done:
+        code = done.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.endswith(message + "\n")
+
+
+def test_a_config_number_of_4300_digits_still_reads(tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"size = 4\nseed = {'9' * 4300}\n", encoding="utf-8")
+    code, out, err = run_cli(["gen-wumpus", "--config", str(cfg)], capsys)
+    assert code == 0 and out.startswith(f"% 4x4 wumpus world, seed {'9' * 4300}")
+    assert f"seed {'9' * 4300}: gold at" in err
 
 
 @pytest.mark.parametrize("kind", ["domain", "program", "script", "config"])
