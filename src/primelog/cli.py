@@ -321,6 +321,12 @@ def _int_list(text, what):
     return numbers
 
 
+# One bench row's columns, in the order `_bench_one` gives their values.
+_CSV_COLUMNS = (
+    "size variant seed status actions max_state_clauses total_ms mean_action_ms gen_ms parse_ms"
+).split()
+
+
 def _bench_one(size, variant, seed, budget):
     set_up = time.perf_counter()
     world = generate_wumpus(WumpusConfig(size=size, seed=seed))
@@ -341,32 +347,9 @@ def _bench_one(size, variant, seed, budget):
     actions = len(agent.history) if agent else 0
     max_clauses = agent.max_belief if agent else 0
     mean_ms = elapsed_ms / actions if actions else 0.0
-    return {
-        "size": size,
-        "variant": variant,
-        "seed": seed,
-        "status": status,
-        "actions": actions,
-        "max_state_clauses": max_clauses,
-        "total_ms": f"{elapsed_ms:.3f}",
-        "mean_action_ms": f"{mean_ms:.3f}",
-        "gen_ms": f"{(generated - set_up) * 1000.0:.3f}",
-        "parse_ms": f"{(parsed - generated) * 1000.0:.3f}",
-    }
-
-
-_CSV_COLUMNS = (
-    "size",
-    "variant",
-    "seed",
-    "status",
-    "actions",
-    "max_state_clauses",
-    "total_ms",
-    "mean_action_ms",
-    "gen_ms",
-    "parse_ms",
-)
+    set_up_ms = ((generated - set_up) * 1000.0, (parsed - generated) * 1000.0)
+    times = [f"{ms:.3f}" for ms in (elapsed_ms, mean_ms, *set_up_ms)]
+    return dict(zip(_CSV_COLUMNS, (size, variant, seed, status, actions, max_clauses, *times)))
 
 
 def _cmd_bench(args):

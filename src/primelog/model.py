@@ -177,13 +177,17 @@ class ProgramClause:
 
 
 class Program:
-    """Program clauses indexed by head functor/arity, textual order kept."""
+    """Program clauses indexed by head functor/arity, textual order kept.
+    Each of `preds`, (functor, arity) pairs, is defined even with no
+    clauses, so a call to it fails."""
 
-    def __init__(self, clauses):
+    def __init__(self, clauses, preds=()):
         self.clauses = tuple(clauses)
         self.index = {}
         for c in self.clauses:
             self.index.setdefault((c.head.functor, len(c.head.args)), []).append(c)
+        for pred in preds:
+            self.index.setdefault(pred, [])
 
     def clauses_for(self, functor, arity):
         return self.index.get((functor, arity), ())

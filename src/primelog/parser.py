@@ -326,127 +326,281 @@ def _pred_str(functor, arity):
     return f"{functor}/{arity}"
 
 
-def _list_items(rd, tok, term, message):
-    """The items of a proper list term; `message` is the error otherwise."""
-    items = _as_list(term)
-    if items is None:
-        rd.err(message, tok)
-    return items
+class _Checker:
+    """The validator of one text, one method per rule: the text's reader,
+    the index of the token its errors and warnings point at, and the
+    declaration tables (fluents, actions and aux predicates by name with
+    their arity, sensor names, `aux_preds` as name/arity pairs). A domain
+    fills the tables from its directives and files its action specs and
+    sensor axioms here too; a program or a query is checked against its
+    domain's tables."""
 
+    def __init__(self, rd, domain=None):
+        self.rd = rd
+        self.tok = None
+        self.warnings = []
+        self.action_specs = {}
+        self.sensor_axioms = {}
+        if domain is not None:
+            self.fluents, self.actions = domain.fluents, domain.actions
+            self.sensors, self.aux_preds = domain.sensors, set(domain.aux.items())
 
-def _fluent_literal(rd, tok, fluent_arity, term, where, require_ground=False):
-    positive, atom = _signed(term)
-    if not isinstance(atom, Term) or atom.functor in ("-", "/", "=", "."):
-        rd.err(f"expected a fluent literal in {where}", tok)
-    arity = fluent_arity.get(atom.functor)
-    if arity is None:
-        rd.err(f"{atom.functor!r} is not a declared fluent ({where})", tok)
-    if arity != len(atom.args):
-        rd.err(
-            f"fluent {atom.functor} has arity {arity}, "
-            f"not {len(atom.args)} ({where})",
-            tok,
-        )
-    if require_ground and not atom.ground:
-        rd.err(f"literals must be ground in {where}", tok)
-    return Literal(atom, positive)
+    def err(self, message):
+        self.rd.err(message, self.tok)
 
+    def warn(self, message):
+        self.warnings.append(f"{self.rd.filename}:{self.rd.where(self.tok)[0]}: {message}")
 
-def _prop_clause(rd, tok, fluent_arity, aux_preds, term, where):
-    items = _literals(term)
-    if not items:
-        rd.err(f"empty clause in {where}", tok)
-    fluents = []
-    aux = []
-    for el in items:
-        positive, atom = _signed(el)
-        if not isinstance(atom, Term) or atom.functor in ("-", "/", "."):
-            rd.err(f"expected a literal in {where}", tok)
-        pred = (atom.functor, len(atom.args))
-        if pred in aux_preds or pred in BUILTINS:
-            if not positive:
-                rd.err(f"aux atoms cannot be negated ({where})", tok)
-            aux.append(atom)
-        elif atom.functor in fluent_arity:
-            fluents.append(_fluent_literal(rd, tok, fluent_arity, el, where))
-        else:
-            rd.err(
-                f"{_pred_str(*pred)} is neither a declared fluent nor "
-                f"an aux predicate ({where})",
-                tok,
+    def items(self, term, message):
+        """The items of a proper list term; `message` is the error otherwise."""
+        items = _as_list(term)
+        if items is None:
+            self.err(message)
+        return items
+
+    def fluent_literal(self, term, where, require_ground=False):
+        positive, atom = _signed(term)
+        if not isinstance(atom, Term) or atom.functor in ("-", "/", "=", "."):
+            self.err(f"expected a fluent literal in {where}")
+        arity = self.fluents.get(atom.functor)
+        if arity is None:
+            self.err(f"{atom.functor!r} is not a declared fluent ({where})")
+        if arity != len(atom.args):
+            self.err(f"fluent {atom.functor} has arity {arity}, not {len(atom.args)} ({where})")
+        if require_ground and not atom.ground:
+            self.err(f"literals must be ground in {where}")
+        return Literal(atom, positive)
+
+    def prop_clause(self, term, where):
+        items = _literals(term)
+        if not items:
+            self.err(f"empty clause in {where}")
+        fluents = []
+        aux = []
+        for el in items:
+            positive, atom = _signed(el)
+            if not isinstance(atom, Term) or atom.functor in ("-", "/", "."):
+                self.err(f"expected a literal in {where}")
+            pred = (atom.functor, len(atom.args))
+            if pred in self.aux_preds or pred in BUILTINS:
+                if not positive:
+                    self.err(f"aux atoms cannot be negated ({where})")
+                aux.append(atom)
+            elif atom.functor in self.fluents:
+                fluents.append(self.fluent_literal(el, where))
+            else:
+                self.err(
+                    f"{_pred_str(*pred)} is neither a declared fluent nor "
+                    f"an aux predicate ({where})"
+                )
+        return PropClause(tuple(fluents), tuple(aux))
+
+    def property(self, term, where):
+        items = self.items(term, f"{where} must be a list of clauses")
+        return StateProperty(tuple(self.prop_clause(item, where) for item in items))
+
+    def belief_clauses(self, term, message, where, tautology, require_ground=False):
+        """The initial state's or a sensor case meaning's clauses, each a
+        literal or a list of literals; a tautology is dropped with a warning."""
+        out = []
+        for item in self.items(term, message):
+            c = normalize_clause(
+                [self.fluent_literal(el, where, require_ground) for el in _literals(item)]
             )
-    return PropClause(tuple(fluents), tuple(aux))
+            if c is None:
+                self.warn(tautology)
+            else:
+                out.append(c)
+        return out
 
+    def declared_action(self, term):
+        """Reject `term` unless its functor is an action declared with its
+        arity."""
+        arity = self.actions.get(term.functor)
+        if arity is None:
+            self.err(f"{term.functor!r} is not a declared action")
+        if arity != len(term.args):
+            self.err(f"action {term.functor} has arity {arity}, not {len(term.args)}")
 
-def _property(rd, tok, fluent_arity, aux_preds, term, where):
-    items = _list_items(rd, tok, term, f"{where} must be a list of clauses")
-    return StateProperty(
-        tuple(_prop_clause(rd, tok, fluent_arity, aux_preds, item, where) for item in items)
-    )
+    def case_args(self, term, arity, where):
+        if not (isinstance(term, Term) and term.functor == "case" and len(term.args) == arity):
+            self.err(f"expected case/{arity} terms in {where}")
+        return term.args
 
+    def declare(self, directives):
+        """Fill the tables from the `fluents`, `actions`, `sensors` and
+        `aux` directives (sensors are bare names, the others name/arity).
+        `objects` directives are validated and not kept."""
+        decls = {"fluents": {}, "actions": {}, "sensors": {}, "aux": {}}
+        sorts = set()
+        for raw in directives:
+            self.tok = raw.tok
+            kind, args = raw.head.functor, raw.head.args
+            if kind in decls:
+                for item in self.items(args[0], f"{kind} takes a list"):
+                    if kind == "sensors":
+                        if not (isinstance(item, Term) and not item.args):
+                            self.err("sensors items are bare names")
+                        name, arity = item.functor, None
+                    else:
+                        if not (
+                            isinstance(item, Term)
+                            and item.functor == "/"
+                            and isinstance(item.args[0], Term)
+                            and not item.args[0].args
+                            and isinstance(item.args[1], Term)
+                            and item.args[1].functor.isdigit()
+                        ):
+                            self.err(f"{kind} items must look like name/arity")
+                        if len(item.args[1].functor.lstrip("0")) > 9:
+                            self.err(f"{kind} arities must be below 1,000,000,000")
+                        name, arity = item.args[0].functor, int(item.args[1].functor)
+                    if name in RESERVED_NAMES:
+                        self.err(f"{name!r} is reserved and cannot be declared")
+                    if any(name in table for table in decls.values()):
+                        self.err(f"{name!r} is declared twice")
+                    decls[kind][name] = arity
+            elif kind == "objects":
+                sort = args[0]
+                if not (isinstance(sort, Term) and not sort.args):
+                    self.err("object sort must be an atom")
+                for item in self.items(args[1], "objects takes a list of ground terms"):
+                    if isinstance(item, Var) or not item.ground:
+                        self.err("object terms must be ground")
+                if sort.functor in sorts:
+                    self.err(f"objects({sort.functor}, ...) appears twice")
+                sorts.add(sort.functor)
+        self.fluents, self.actions, self.sensors, self.aux = decls.values()
 
-def _declared_action(rd, tok, actions, term):
-    """Reject `term` unless its functor is an action declared with its
-    arity."""
-    arity = actions.get(term.functor)
-    if arity is None:
-        rd.err(f"{term.functor!r} is not a declared action", tok)
-    if arity != len(term.args):
-        rd.err(f"action {term.functor} has arity {arity}, not {len(term.args)}", tok)
+    def aux_head(self, raw):
+        """Check an aux clause's head, which declares its predicate when no
+        directive did."""
+        self.tok = raw.tok
+        name = raw.head.functor
+        if name in RESERVED_NAMES:
+            self.err(f"{name!r} is reserved and cannot be defined")
+        if name in self.fluents or name in self.actions or name in self.sensors:
+            self.err(f"{name!r} is declared as a fluent, action, or sensor and cannot have clauses")
+        arity = len(raw.head.args)
+        if self.aux.setdefault(name, arity) != arity:
+            self.err(f"{name!r} is used with two different arities")
 
+    def action(self, head, precond_t, cases_t):
+        """Check an `action` directive and file its specification."""
+        if not isinstance(head, Term) or head.functor.isdigit():
+            self.err("action head must be an atom or compound term")
+        self.declared_action(head)
+        key = (head.functor, len(head.args))
+        if key in self.action_specs:
+            self.err(f"action {_pred_str(*key)} is specified twice")
+        name = head.functor
+        precond = self.property(precond_t, f"{name} precondition")
+        # Executing a matched case can bind these names.
+        covered = precond.variables(variables(head))
+        cases = []
+        for ct in self.items(cases_t, "action cases must be a list"):
+            cond_t, eff_t = self.case_args(ct, 2, "action cases")
+            cond = self.property(cond_t, f"{name} case condition")
+            cond.variables(covered)
+            eff_items = self.items(eff_t, "case effects must be a list of literals")
+            effects = tuple(self.fluent_literal(el, f"{name} effects") for el in eff_items)
+            cases.append(ActionCase(cond, effects))
+        if not cases:
+            self.warn(f"action {name} has no effect cases; executing it will always fail")
+        loose = variables([l.fluent for case in cases for l in case.effects]) - covered
+        if loose:
+            self.warn(
+                f"action {name} effect variables {', '.join(sorted(loose))} "
+                "are not bound by the head, precondition, or case condition"
+            )
+        self.action_specs[key] = ActionSpec(head, precond, tuple(cases))
 
-def _case_args(rd, tok, term, arity, where):
-    if not (
-        isinstance(term, Term) and term.functor == "case" and len(term.args) == arity
-    ):
-        rd.err(f"expected case/{arity} terms in {where}", tok)
-    return term.args
+    def sensor_axiom(self, head, cases_t):
+        """Check a `sensor_axiom` directive and file the axiom."""
+        if not (isinstance(head, Term) and len(head.args) == 1 and isinstance(head.args[0], Var)):
+            self.err("sensor axiom head must look like sensor(Var)")
+        name = head.functor
+        if name not in self.sensors:
+            self.err(f"{name!r} is not a declared sensor")
+        if name in self.sensor_axioms:
+            self.err(f"sensor {name} has two axioms")
+        cases = []
+        for ct in self.items(cases_t, "sensor cases must be a list"):
+            result_t, index_t, meaning_t = self.case_args(ct, 3, "sensor cases")
+            if isinstance(result_t, Var) or not result_t.ground:
+                self.err("sensor case results must be ground")
+            index = self.property(index_t, f"{name} index")
+            meaning = self.belief_clauses(
+                meaning_t,
+                "sensor case meaning must be a list of clauses",
+                f"{name} meaning",
+                f"tautologous meaning clause dropped from sensor {name}",
+            )
+            cases.append(SensorCase(result_t, index, tuple(meaning)))
+        self.sensor_axioms[name] = SensorAxiom(name, cases)
 
+    def aux_body(self, items):
+        """A domain clause's body: aux atoms and built-ins only."""
+        body = []
+        for kind, payload, tok in items:
+            self.tok = tok
+            if kind == "cut":
+                self.err("cut is not available in domain clauses")
+            if kind == "query":
+                self.err("domain clauses cannot query or sense")
+            positive, atom = _signed(payload)
+            if not positive or not isinstance(atom, Term) or atom.functor.isdigit():
+                self.err("domain clause bodies are conjunctions of aux atoms")
+            if atom.functor == "do":
+                self.err("domain clauses cannot act or query")
+            pred = (atom.functor, len(atom.args))
+            if pred not in self.aux_preds and pred not in BUILTINS:
+                self.err(f"{_pred_str(*pred)} is not an aux predicate or builtin")
+            body.append(atom)
+        return body
 
-def _declarations(rd, directives):
-    """The names the `fluents`, `actions`, `sensors` and `aux` directives
-    declare, a table by kind (sensors are bare names, the others
-    name/arity). `objects` directives are validated and not kept."""
-    decls = {"fluents": {}, "actions": {}, "sensors": {}, "aux": {}}
-    sorts = set()
-    for raw in directives:
-        kind, args = raw.head.functor, raw.head.args
-        if kind in decls:
-            for item in _list_items(rd, raw.tok, args[0], f"{kind} takes a list"):
-                if kind == "sensors":
-                    if not (isinstance(item, Term) and not item.args):
-                        rd.err("sensors items are bare names", raw.tok)
-                    name, arity = item.functor, None
+    def program_head(self, raw):
+        """Check a program clause's head against the domain."""
+        self.tok = raw.tok
+        name, arity = raw.head.functor, len(raw.head.args)
+        if name in RESERVED_NAMES:
+            self.err(f"{name!r} is reserved and cannot be defined")
+        if (name, arity) in self.aux_preds:
+            self.err(f"{_pred_str(name, arity)} is already defined in the domain")
+        if name in self.sensors:
+            self.err(f"{name!r} is a sensor, not a predicate")
+
+    def goals(self, items):
+        """A program clause's or a query's body items as the goals the
+        machine runs."""
+        goals = []
+        for kind, payload, tok in items:
+            self.tok = tok
+            if kind == "cut":
+                goals.append(CUT)
+            elif kind == "query":
+                if (
+                    isinstance(payload, Term)
+                    and payload.functor in self.sensors
+                    and len(payload.args) == 1
+                ):
+                    goals.append(Term("?", (payload,)))
                 else:
-                    if not (
-                        isinstance(item, Term)
-                        and item.functor == "/"
-                        and isinstance(item.args[0], Term)
-                        and not item.args[0].args
-                        and isinstance(item.args[1], Term)
-                        and item.args[1].functor.isdigit()
-                    ):
-                        rd.err(f"{kind} items must look like name/arity", raw.tok)
-                    if len(item.args[1].functor.lstrip("0")) > 9:
-                        rd.err(f"{kind} arities must be below 1,000,000,000", raw.tok)
-                    name, arity = item.args[0].functor, int(item.args[1].functor)
-                if name in RESERVED_NAMES:
-                    rd.err(f"{name!r} is reserved and cannot be declared", raw.tok)
-                if any(name in table for table in decls.values()):
-                    rd.err(f"{name!r} is declared twice", raw.tok)
-                decls[kind][name] = arity
-        elif kind == "objects":
-            sort = args[0]
-            if not (isinstance(sort, Term) and not sort.args):
-                rd.err("object sort must be an atom", raw.tok)
-            items = _list_items(rd, raw.tok, args[1], "objects takes a list of ground terms")
-            for item in items:
-                if isinstance(item, Var) or not item.ground:
-                    rd.err("object terms must be ground", raw.tok)
-            if sort.functor in sorts:
-                rd.err(f"objects({sort.functor}, ...) appears twice", raw.tok)
-            sorts.add(sort.functor)
-    return decls
+                    clauses = (self.prop_clause(item, "query") for item in _literals(payload))
+                    goals.append(StateProperty(clauses))
+            else:
+                positive, atom = _signed(payload)
+                if not positive:
+                    self.err("goals cannot be negated")
+                if not isinstance(atom, Term) or atom.functor.isdigit():
+                    self.err("goals must be atoms or compound terms")
+                if atom.functor == "do":
+                    if len(atom.args) != 1:
+                        self.err("do takes exactly one action argument")
+                    if isinstance(atom.args[0], Term):
+                        self.declared_action(atom.args[0])
+                goals.append(atom)
+        return tuple(goals)
 
 
 def parse_domain(text, filename="<domain>"):
@@ -469,68 +623,30 @@ def parse_domain(text, filename="<domain>"):
 
 
 def _read_domain(text, filename):
-    rd = _Reader(text, filename)
-    warnings = []
-
-    def warn(raw, message):
-        warnings.append(f"{filename}:{rd.where(raw.tok)[0]}: {message}")
-
+    ck = _Checker(_Reader(text, filename))
     directives = []
     aux_raws = []
-    for raw in rd.clauses():
+    for raw in ck.rd.clauses():
         key = (raw.head.functor, len(raw.head.args))
         if key in _DIRECTIVES:
             if raw.body is not None:
-                rd.err(f"{_pred_str(*key)} directives cannot have bodies", raw.tok)
+                ck.tok = raw.tok
+                ck.err(f"{_pred_str(*key)} directives cannot have bodies")
             directives.append(raw)
         else:
             aux_raws.append(raw)
-
-    decls = _declarations(rd, directives)
-    fluents, actions, sensors = decls["fluents"], decls["actions"], decls["sensors"]
-
+    ck.declare(directives)
     # Aux predicates may also be declared implicitly, by defining clauses.
-    aux_arity = dict(decls["aux"])
     for raw in aux_raws:
-        name = raw.head.functor
-        if name in RESERVED_NAMES:
-            rd.err(f"{name!r} is reserved and cannot be defined", raw.tok)
-        if name in fluents or name in actions or name in sensors:
-            rd.err(
-                f"{name!r} is declared as a fluent, action, or sensor "
-                "and cannot have clauses",
-                raw.tok,
-            )
-        arity = len(raw.head.args)
-        if aux_arity.setdefault(name, arity) != arity:
-            rd.err(f"{name!r} is used with two different arities", raw.tok)
-    aux_preds = set(aux_arity.items())
-
-    def belief_clauses(raw, term, message, where, tautology, require_ground=False):
-        """The initial state's or a sensor case meaning's clauses, each a
-        literal or a list of literals; a tautology is dropped with a warning."""
-        out = []
-        for item in _list_items(rd, raw.tok, term, message):
-            c = normalize_clause(
-                [
-                    _fluent_literal(rd, raw.tok, fluents, el, where, require_ground)
-                    for el in _literals(item)
-                ]
-            )
-            if c is None:
-                warn(raw, tautology)
-            else:
-                out.append(c)
-        return out
+        ck.aux_head(raw)
+    ck.aux_preds = set(ck.aux.items())
 
     initial_clauses = []
-    action_specs = {}
-    sensor_axioms = {}
     for raw in directives:
+        ck.tok = raw.tok
         kind, args = raw.head.functor, raw.head.args
         if kind == "initial_state":
-            initial_clauses += belief_clauses(
-                raw,
+            initial_clauses += ck.belief_clauses(
                 args[0],
                 "initial_state takes a list of clauses",
                 "the initial state",
@@ -538,187 +654,49 @@ def _read_domain(text, filename):
                 require_ground=True,
             )
         elif kind == "action":
-            head, precond_t, cases_t = args
-            if not isinstance(head, Term) or head.functor.isdigit():
-                rd.err("action head must be an atom or compound term", raw.tok)
-            _declared_action(rd, raw.tok, actions, head)
-            akey = (head.functor, len(head.args))
-            if akey in action_specs:
-                rd.err(f"action {_pred_str(*akey)} is specified twice", raw.tok)
-            name = head.functor
-            precond = _property(
-                rd, raw.tok, fluents, aux_preds, precond_t, f"{name} precondition"
-            )
-            # Executing a matched case can bind these names.
-            covered = precond.variables(variables(head))
-            cases = []
-            for ct in _list_items(rd, raw.tok, cases_t, "action cases must be a list"):
-                cond_t, eff_t = _case_args(rd, raw.tok, ct, 2, "action cases")
-                cond = _property(
-                    rd, raw.tok, fluents, aux_preds, cond_t, f"{name} case condition"
-                )
-                cond.variables(covered)
-                eff_items = _list_items(
-                    rd, raw.tok, eff_t, "case effects must be a list of literals"
-                )
-                effects = tuple(
-                    _fluent_literal(rd, raw.tok, fluents, el, f"{name} effects")
-                    for el in eff_items
-                )
-                cases.append(ActionCase(cond, effects))
-            if not cases:
-                warn(raw, f"action {name} has no effect cases; executing it will always fail")
-            loose = variables([l.fluent for case in cases for l in case.effects]) - covered
-            if loose:
-                warn(
-                    raw,
-                    f"action {name} effect variables {', '.join(sorted(loose))} "
-                    "are not bound by the head, precondition, or case condition",
-                )
-            action_specs[akey] = ActionSpec(head, precond, tuple(cases))
+            ck.action(*args)
         elif kind == "sensor_axiom":
-            head, cases_t = args
-            if not (
-                isinstance(head, Term)
-                and len(head.args) == 1
-                and isinstance(head.args[0], Var)
-            ):
-                rd.err("sensor axiom head must look like sensor(Var)", raw.tok)
-            name = head.functor
-            if name not in sensors:
-                rd.err(f"{name!r} is not a declared sensor", raw.tok)
-            if name in sensor_axioms:
-                rd.err(f"sensor {name} has two axioms", raw.tok)
-            cases = []
-            for ct in _list_items(rd, raw.tok, cases_t, "sensor cases must be a list"):
-                result_t, index_t, meaning_t = _case_args(
-                    rd, raw.tok, ct, 3, "sensor cases"
-                )
-                if isinstance(result_t, Var) or not result_t.ground:
-                    rd.err("sensor case results must be ground", raw.tok)
-                index = _property(
-                    rd, raw.tok, fluents, aux_preds, index_t, f"{name} index"
-                )
-                meaning = belief_clauses(
-                    raw,
-                    meaning_t,
-                    "sensor case meaning must be a list of clauses",
-                    f"{name} meaning",
-                    f"tautologous meaning clause dropped from sensor {name}",
-                )
-                cases.append(SensorCase(result_t, index, tuple(meaning)))
-            sensor_axioms[name] = SensorAxiom(name, cases)
+            ck.sensor_axiom(*args)
+    aux_clauses = [ProgramClause(raw.head, ck.aux_body(raw.body or ())) for raw in aux_raws]
 
-    aux_clauses = []
-    for raw in aux_raws:
-        body = []
-        for kind, payload, tok in raw.body or ():
-            if kind == "cut":
-                rd.err("cut is not available in domain clauses", tok)
-            if kind == "query":
-                rd.err("domain clauses cannot query or sense", tok)
-            positive, atom = _signed(payload)
-            if not positive or not isinstance(atom, Term) or atom.functor.isdigit():
-                rd.err("domain clause bodies are conjunctions of aux atoms", tok)
-            pred = (atom.functor, len(atom.args))
-            if atom.functor == "do" or pred == ("?", 1):
-                rd.err("domain clauses cannot act or query", tok)
-            if pred not in aux_preds and pred not in BUILTINS:
-                rd.err(
-                    f"{_pred_str(*pred)} is not an aux predicate or builtin", tok
-                )
-            body.append(atom)
-        aux_clauses.append(ProgramClause(raw.head, tuple(body)))
-
-    for name, arity in actions.items():
-        if (name, arity) not in action_specs:
-            warnings.append(f"action {name}/{arity} has no specification")
-    for name in sensors:
-        if name not in sensor_axioms:
-            warnings.append(f"sensor {name} has no axiom")
+    for name, arity in ck.actions.items():
+        if (name, arity) not in ck.action_specs:
+            ck.warnings.append(f"action {name}/{arity} has no specification")
+    for name in ck.sensors:
+        if name not in ck.sensor_axioms:
+            ck.warnings.append(f"sensor {name} has no axiom")
 
     initial = prime_closure(initial_clauses)
     if initial.inconsistent:
         raise ParseError("the initial state is inconsistent", filename=filename)
 
     return DomainFile(
-        fluents=fluents,
-        actions=actions,
-        sensors=sensors,
-        aux=aux_arity,
+        fluents=ck.fluents,
+        actions=ck.actions,
+        sensors=ck.sensors,
+        aux=ck.aux,
         initial=initial,
-        action_specs=action_specs,
-        sensor_axioms=sensor_axioms,
-        aux_program=Program(tuple(aux_clauses)),
-        warnings=warnings,
+        action_specs=ck.action_specs,
+        sensor_axioms=ck.sensor_axioms,
+        # A declared aux predicate with no clauses is defined, and fails.
+        aux_program=Program(aux_clauses, ck.aux.items()),
+        warnings=ck.warnings,
     )
-
-
-def _classify_goal(rd, domain, aux_preds, kind, payload, tok):
-    if kind == "cut":
-        return CUT
-    if kind == "query":
-        if (
-            isinstance(payload, Term)
-            and payload.functor in domain.sensors
-            and len(payload.args) == 1
-        ):
-            return Term("?", (payload,))
-        return StateProperty(
-            _prop_clause(rd, tok, domain.fluents, aux_preds, item, "query")
-            for item in _literals(payload)
-        )
-    positive, atom = _signed(payload)
-    if not positive:
-        rd.err("goals cannot be negated", tok)
-    if not isinstance(atom, Term) or atom.functor.isdigit():
-        rd.err("goals must be atoms or compound terms", tok)
-    if atom.functor == "do":
-        if len(atom.args) != 1:
-            rd.err("do takes exactly one action argument", tok)
-        if isinstance(atom.args[0], Term):
-            _declared_action(rd, tok, domain.actions, atom.args[0])
-    return atom
 
 
 def parse_program(text, domain, filename="<program>"):
     """Read and validate an agent program against a parsed domain."""
-    rd = _Reader(text, filename)
-    raws = rd.clauses()
-    aux_preds = set(domain.aux.items())
-
+    ck = _Checker(_Reader(text, filename), domain)
+    raws = ck.rd.clauses()
     for raw in raws:
-        pred = (raw.head.functor, len(raw.head.args))
-        if raw.head.functor in RESERVED_NAMES:
-            rd.err(
-                f"{raw.head.functor!r} is reserved and cannot be defined", raw.tok
-            )
-        if pred in aux_preds:
-            rd.err(
-                f"{_pred_str(*pred)} is already defined in the domain", raw.tok
-            )
-        if raw.head.functor in domain.sensors:
-            rd.err(f"{raw.head.functor!r} is a sensor, not a predicate", raw.tok)
-
-    clauses = []
-    for raw in raws:
-        body = tuple(
-            _classify_goal(rd, domain, aux_preds, kind, payload, tok)
-            for kind, payload, tok in raw.body or ()
-        )
-        clauses.append(ProgramClause(raw.head, body))
-    return Program(tuple(clauses))
+        ck.program_head(raw)
+    return Program(tuple(ProgramClause(raw.head, ck.goals(raw.body or ())) for raw in raws))
 
 
 def parse_query(text, domain, filename="<query>"):
     """Read a goal sequence (the CLI's --query string)."""
-    rd = _Reader(text, filename)
-    items = rd.body()
-    aux_preds = set(domain.aux.items())
-    return tuple(
-        _classify_goal(rd, domain, aux_preds, kind, payload, tok)
-        for kind, payload, tok in items
-    )
+    ck = _Checker(_Reader(text, filename), domain)
+    return ck.goals(ck.rd.body())
 
 
 def parse_ground_terms(text, filename="<terms>"):

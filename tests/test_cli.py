@@ -301,6 +301,29 @@ def test_a_sensor_called_without_a_question_mark_is_undefined(tmp_path, capsys):
     assert err == "runtime error: undefined predicate perceiveSmell/1\n"
 
 
+@pytest.mark.parametrize("query", ["?(q(1))", "p", "do(go(2))"])
+def test_a_declared_aux_predicate_with_no_clauses_fails(tmp_path, query, capsys):
+    """`aux([q/1])` with no `q` clause: a `?` query, a program body and a
+    precondition that call q fail (exit 1), not a runtime fault."""
+    domain = tmp_path / "aux.alpd"
+    domain.write_text(
+        "fluents([at/2]).\nactions([go/1]).\naux([q/1]).\ninitial_state([at(agent,1)]).\n"
+        "action(go(Y), [at(agent,X), adj(X,Y), q(Y)], [case([], [at(agent,Y), -at(agent,X)])]).\n"
+        "adj(1,2).\nadj(2,1).\n",
+        encoding="utf-8",
+    )
+    program = tmp_path / "p.alp"
+    program.write_text("p :- q(1).\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["run", "--program", str(program), "--domain", str(domain),
+         "--query", query, "--env", "maze:3"],
+        capsys,
+    )
+    assert (code, err) == (1, "")
+    assert "status: failure" in out
+    assert "actions (0):" in out
+
+
 def test_run_budget_exhaustion_exits_two(tmp_path, capsys):
     domain = tmp_path / "maze.alpd"
     domain.write_text(emit_maze_domain(3), encoding="utf-8")
@@ -1048,6 +1071,9 @@ def test_bench_emits_grid_rows(capsys):
     assert code == 0
     header, rows = parse_csv(captured.out)
     assert header == list(cli._CSV_COLUMNS)
+    assert ",".join(header) == (
+        "size,variant,seed,status,actions,max_state_clauses,total_ms,mean_action_ms,gen_ms,parse_ms"
+    )
     assert [(r["size"], r["variant"]) for r in rows] == [
         ("4", "ground2"),
         ("4", "ground3"),

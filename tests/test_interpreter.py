@@ -130,6 +130,20 @@ def test_undefined_predicate_raises():
         run(LISTS, "nope(1)")
 
 
+# PLAIN with `q` declared as an aux predicate and called in go's precondition.
+DECLARED_AUX = "aux([q/1]).\n" + PLAIN.replace("adj(X,Y)]", "adj(X,Y), q(Y)]")
+
+
+@pytest.mark.parametrize("query", ["?(q(1))", "p", "do(go(2))"])
+def test_a_declared_aux_predicate_with_no_clauses_fails(query):
+    """A `?` query, a program body and a precondition that call a declared
+    aux predicate with no clauses fail, as when its clauses do not match."""
+    env = AckEnv()
+    out = run("p :- q(1).\n", query, DECLARED_AUX, env)
+    assert (out.status, env.log) == ("failure", [])
+    assert run("p :- q(1).\n", query, DECLARED_AUX + "q(1).\nq(2).\n").succeeded
+
+
 def test_deep_recursion_is_iterative():
     # 40 elements would overflow a naive recursive machine long before
     # Python's stack limit shows up elsewhere; just check it works.

@@ -313,6 +313,16 @@ DOMAIN_ERRORS = [
     ("p :- do(go(1)).", "d.alpd:8:6: domain clauses cannot act or query"),
     ("p :- q.", "d.alpd:8:6: q/0 is not an aux predicate or builtin"),
     ("initial_state([-at(agent,1)]).", "d.alpd: the initial state is inconsistent"),
+    # Two faults: the row pins which check runs first.
+    ("aux([do/1]).\nfluents([]) :- true.", "d.alpd:9:1: fluents/1 directives cannot have bodies"),
+    ("action(go(Z), [foo(1)], []).", "d.alpd:8:1: action go/1 is specified twice"),
+    ("p :- q.\nadj(1).", "d.alpd:9:1: 'adj' is used with two different arities"),
+    (
+        "initial_state([foo(1)]).\nat(1,2).",
+        "d.alpd:9:1: 'at' is declared as a fluent, action, or sensor and cannot have clauses",
+    ),
+    ("sensor_axiom(feel(_), [case(R, [], [])]).", "d.alpd:8:1: sensor feel has two axioms"),
+    ("p :- do(go(1)).\nobjects(R, [a]).", "d.alpd:9:1: object sort must be an atom"),
 ]
 
 # Each program case is line 2 of a program; each query case follows `true, `.
@@ -328,6 +338,9 @@ PROGRAM_ERRORS = [
     ("do(X).", "p.alp:2:1: 'do' is reserved and cannot be defined"),
     ("adj(1,2).", "p.alp:2:1: adj/2 is already defined in the domain"),
     ("feel(1).", "p.alp:2:1: 'feel' is a sensor, not a predicate"),
+    # Two faults: the row pins which check runs first.
+    ("p :- -q.\ndo(X).", "p.alp:3:1: 'do' is reserved and cannot be defined"),
+    ("p :- ?(X).\nfeel(1).", "p.alp:3:1: 'feel' is a sensor, not a predicate"),
 ]
 
 QUERY_ERRORS = [
