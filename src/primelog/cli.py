@@ -96,11 +96,6 @@ def _build_parser():
         default=DEFAULT_STEP_BUDGET,
         help="resolution step budget",
     )
-    run.add_argument(
-        "--debug-checks",
-        action="store_true",
-        help="re-verify belief state primeness after every update",
-    )
     run.add_argument("--out", help="write the report here instead of stdout")
 
     gen = sub.add_parser("gen-wumpus", help="generate a wumpus domain file")
@@ -264,15 +259,7 @@ def _cmd_run(args):
     query = parse_query(args.query, domain, "<query>")
     env = _make_env(args)
     observer = _trace_observer(sys.stderr) if args.trace else None
-    outcome = solve(
-        query,
-        program,
-        domain,
-        env,
-        budget=args.steps,
-        observer=observer,
-        debug_checks=args.debug_checks,
-    )
+    outcome = solve(query, program, domain, env, budget=args.steps, observer=observer)
     report = _format_report(outcome)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")

@@ -43,7 +43,6 @@ from .pi import (
     applicable_case_solutions,
     entails_property,
     integrate_sensing,
-    prime_closure,
     update,
 )
 from .sld import FAILED, CutGoal, ExitNote, Machine
@@ -140,22 +139,13 @@ class Interpreter(Machine):
 
     out_of_steps = "resolution step budget exceeded"
 
-    def __init__(
-        self,
-        domain,
-        program,
-        env,
-        budget=DEFAULT_STEP_BUDGET,
-        observer=None,
-        debug_checks=False,
-    ):
+    def __init__(self, domain, program, env, budget=DEFAULT_STEP_BUDGET, observer=None):
         fresh = map(str, itertools.count(1))
         super().__init__(program, AuxDB(domain.aux_program), budget, fresh)
         self.domain = domain
         self.env = env
         self.agent = AgentState(domain.initial)
         self.observer = observer
-        self.debug_checks = debug_checks
         self.query_names = ()
         self._compact_at = COMPACT_FLOOR
 
@@ -210,13 +200,9 @@ class Interpreter(Machine):
         """Log an executed action or observation, which no backtracking
         may cross, and drop what that leaves unreachable: every
         choicepoint is dropped and counted dead, and the trail is
-        emptied. A store that
-        has doubled since its last compaction keeps only the bindings
-        that `goals`, the goal list still to run, and the query's
-        variables reach."""
-        if self.debug_checks and prime_closure(tuple(new_state)) != new_state:
-            after = "update" if event[0] == "act" else "sensing"
-            raise EngineError(f"internal: belief state lost primeness after {after}")
+        emptied. A store that has doubled since its last compaction keeps
+        only the bindings that `goals`, the goal list still to run, and
+        the query's variables reach."""
         agent = self.agent
         agent.belief = new_state
         agent.events.append(event)

@@ -603,11 +603,22 @@ class _Checker:
         return tuple(goals)
 
 
+_live_domains = 0  # DomainFiles that parse_domain returned and are not yet dropped
+
+
+def _drop_domain():
+    global _live_domains
+    _live_domains -= 1
+    if not _live_domains:
+        gc.unfreeze()
+
+
 def parse_domain(text, filename="<domain>"):
     """Read and validate a domain file. Returns a DomainFile whose initial
     state is already in prime implicate form. Pauses the cyclic collector
     process-wide while it runs, and keeps it off the result until the
-    DomainFile is dropped, which calls `gc.unfreeze()`."""
+    last DomainFile it returned is dropped, which calls `gc.unfreeze()`."""
+    global _live_domains
     # The package makes no reference cycles, so a collection would only
     # walk the objects the parse builds, and free none of them.
     enabled = gc.isenabled()
@@ -618,7 +629,8 @@ def parse_domain(text, filename="<domain>"):
     finally:
         if enabled:
             gc.enable()
-    weakref.finalize(domain, gc.unfreeze)
+    _live_domains += 1
+    weakref.finalize(domain, _drop_domain)
     return domain
 
 

@@ -502,9 +502,6 @@ class Clause:
     def __eq__(self, other):
         return isinstance(other, Clause) and other.key == self.key
 
-    def __lt__(self, other):
-        return self.key < other.key
-
     def __hash__(self):
         h = self._hash
         if h is None:

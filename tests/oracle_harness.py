@@ -2,28 +2,39 @@
 oracle. Wired in as the interpreter's observer, it progresses a world set
 alongside the agent's prime-implicate state and checks, step by step:
 
-  * every successful `?` is true in every world still possible,
-  * after every action and sensing, every clause the agent believes is
-    true in every world still possible (the agent never over-commits).
+  * after every action and sensing, the state is prime (closing its own
+    clauses gives it back) and exact (its models over the oracle's atom
+    universe are exactly the worlds still possible);
+  * every successful `?` is true in every world still possible;
+  * at the first answer of each `?` on a state, the engine's whole answer
+    set is complete: it is the set of groundings that hold in every world
+    still possible, and each answer is ground.
 """
 
 from oracle import (
+    _property_solutions,
     filter_by_sensing,
     initial_beliefs,
+    models,
     progress_beliefs,
     property_holds,
 )
 from primelog.auxdb import AuxDB
 from primelog.interpreter import resolve_property
+from primelog.pi import entails_property, prime_closure
+from primelog.terms import Var, apply_subst
 
 
 class OracleMirror:
     def __init__(self, domain):
         self.domain = domain
         self.aux = AuxDB(domain.aux_program)
+        self.state = domain.initial
         self.beliefs = initial_beliefs(domain.initial)
+        self.answered = {}  # id -> property, for the `?`s answered on this state
         self.checked_queries = 0
         self.checked_steps = 0
+        self.checked_complete = 0
         self.failures = []
 
     def __call__(self, event):
@@ -37,9 +48,17 @@ class OracleMirror:
 
     def _check_state(self, label, state):
         self.checked_steps += 1
+        self.state = state
+        self.answered.clear()
         if not self.beliefs.satisfies_all(state):
             self.failures.append(
                 f"{label}: some possible world falsifies a believed clause"
+            )
+        if prime_closure(tuple(state)) != state:
+            self.failures.append(f"{label}: the belief state is not prime")
+        if models(state.clauses, self.beliefs.universe).worlds != self.beliefs.worlds:
+            self.failures.append(
+                f"{label}: the belief's models are not the possible worlds"
             )
 
     def _on_exec(self, action, state):
@@ -70,6 +89,31 @@ class OracleMirror:
                     f"?-success not true in some possible world: {held.clauses}"
                 )
                 return
+        if id(prop) not in self.answered:
+            self.answered[id(prop)] = prop
+            self._check_complete(prop, by_pred)
+
+    def _check_complete(self, prop, by_pred):
+        """The engine's answers to `prop` on the current state are the
+        groundings of its variables that hold in every possible world."""
+        self.checked_complete += 1
+        names = sorted(prop.variables())
+
+        def grounding(answer):
+            return tuple(apply_subst(Var(n), answer) for n in names)
+
+        engine = {grounding(a) for a in entails_property(self.state, prop, self.aux)}
+        if any(t.__class__ is Var or not t.ground for g in engine for t in g):
+            self.failures.append(f"?({prop!r}): the engine gave an open answer")
+        oracle = None
+        for world in self.beliefs.worlds:
+            held = {grounding(a) for a in _property_solutions(prop, world, by_pred, self.aux)}
+            oracle = held if oracle is None else oracle & held
+        if oracle is not None and engine != oracle:
+            self.failures.append(
+                f"?({prop!r}): {len(engine)} engine answers, "
+                f"{len(oracle)} groundings hold in every world"
+            )
 
     def ok(self):
         return not self.failures

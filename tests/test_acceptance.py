@@ -206,7 +206,7 @@ def test_05_oracle_shadowed_runs():
                 )
             )
     failures = []
-    queries = steps = 0
+    queries = steps = complete = 0
     outcomes_ok = True
     for domain_text, program_text, query, env, expect_success in runs:
         dom = parse_domain(domain_text, "<domain>")
@@ -216,13 +216,22 @@ def test_05_oracle_shadowed_runs():
         failures.extend(mirror.failures)
         queries += mirror.checked_queries
         steps += mirror.checked_steps
+        complete += mirror.checked_complete
         if out.succeeded != expect_success:
             outcomes_ok = False
-    ok = len(runs) == 50 and not failures and outcomes_ok and queries > 500 and steps > 200
+    ok = (
+        len(runs) == 50
+        and not failures
+        and outcomes_ok
+        and queries > 500
+        and steps > 200
+        and complete > 200
+    )
     verdict(
         "05 oracle-shadowed runs",
         ok,
-        f"{len(runs)} runs, {queries} query checks, {steps} state checks, "
+        f"{len(runs)} runs, {queries} query checks, {steps} state checks "
+        f"(each for soundness, primeness and exactness), {complete} completeness checks, "
         f"{len(failures)} oracle failures",
     )
 

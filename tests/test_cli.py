@@ -464,6 +464,16 @@ def test_bad_flag_exits_three(capsys):
     assert info.value.code == 3
 
 
+def test_debug_checks_is_not_a_flag(maze_files, capsys):
+    # The oracle mirror of the tests checks primeness after every commit.
+    domain, program = maze_files
+    argv = ["run", "--program", str(program), "--domain", str(domain)]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--query", "explore([2],[])", "--env", "maze:5", "--debug-checks"])
+    assert info.value.code == 3
+    assert "unrecognized arguments: --debug-checks" in capsys.readouterr().err
+
+
 def test_no_subcommand_exits_three(capsys):
     assert cli.main([]) == 3
 

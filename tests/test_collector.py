@@ -1,9 +1,10 @@
 """The cyclic collector and a parsed domain.
 
 `parse_domain` pauses the collector while it runs and freezes what it
-built until the domain is dropped. That is safe because the package makes
-no reference cycles, which the first test pins; the others pin the
-contract with the caller's own collector setting and objects.
+built until the last domain it returned is dropped. That is safe because
+the package makes no reference cycles, which the first test pins; the
+others pin the contract with the caller's own collector setting and
+objects.
 """
 
 import gc
@@ -146,11 +147,19 @@ def test_a_cycle_made_before_the_parse_is_collected_once_the_domain_is_dropped()
 
 
 def test_dropping_the_older_of_two_domains_leaves_the_newer_solvable():
+    gc.unfreeze()  # so that a domain left in another test's cyclic garbage
+    gc.collect()  # is collected and does not count as live
     older = _corridor()
+    alone = gc.get_freeze_count()  # what one live domain leaves frozen
     newer, program = _corridor()
+    both = gc.get_freeze_count()
     del older
-    assert gc.get_freeze_count() == 0  # the drop unfroze the newer one too
+    after = gc.get_freeze_count()
+    assert not any(o is newer for o in gc.get_objects())  # the newer one stays frozen
+    assert abs(after - alone) < both - alone  # and the older one's objects are gone
     gc.collect()
     outcome = solve(parse_query(maze_query(5), newer), program, newer, MazeEnv(5))
     assert outcome.succeeded
     assert [format_term(a) for a in outcome.state.history] == ["go(2)", "go(3)", "go(4)"]
+    del newer, program, outcome
+    assert gc.get_freeze_count() == 0  # the last drop unfroze everything

@@ -548,11 +548,6 @@ def test_observer_sees_ports_and_actions():
     assert format_term(exec_event[1]) == "go(2)"
 
 
-def test_debug_checks_pass_on_well_formed_domain():
-    out = run(LISTS, "do(go(2))", debug_checks=True)
-    assert out.succeeded
-
-
 # ---------------------------------------------------------------- replay
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle_harness
 from helpers import EMPTY_AUX, Num
 from oracle import (
     BeliefSet,
@@ -12,6 +13,9 @@ from oracle import (
     property_holds,
     reference_prime_implicates,
 )
+from oracle_harness import OracleMirror
+from primelog.envs import WumpusConfig, WumpusEnv, emit_wumpus_domain, generate_wumpus
+from primelog.interpreter import solve
 from primelog.model import (
     ActionCase,
     ActionSpec,
@@ -21,7 +25,9 @@ from primelog.model import (
     SensorCase,
     StateProperty,
 )
-from primelog.pi import prime_closure
+from primelog.parser import parse_domain, parse_program, parse_query
+from primelog.pi import PIList, entails_property, prime_closure
+from primelog.strategies import WUMPUS_QUERY, wumpus_agent
 from primelog.terms import (
     FALSE,
     TRUE,
@@ -168,3 +174,71 @@ def test_filter_by_sensing_can_empty_the_world_set():
     beliefs = initial_beliefs(prime_closure([cl(lit(at2))]))
     out = filter_by_sensing(beliefs, _feel_axiom(), TRUE)
     assert not out.worlds
+
+
+# ---------------------------------------------------------------- the mirror
+
+
+def _shadow(observer_of):
+    """Failures the mirror finds on one shadowed 4x4 ground3 wumpus run
+    (seed 0), some of whose queries have several answers, with
+    `observer_of(mirror)` as the run's observer."""
+    world = generate_wumpus(WumpusConfig(size=4, seed=0))
+    domain = parse_domain(emit_wumpus_domain(world, "ground3"))
+    program = parse_program(wumpus_agent("ground3"), domain)
+    mirror = OracleMirror(domain)
+    query = parse_query(WUMPUS_QUERY, domain)
+    assert solve(query, program, domain, WumpusEnv(world), observer=observer_of(mirror)).succeeded
+    return mirror.failures
+
+
+def _on_states(change):
+    """An observer maker that hands the mirror `change(state)` in place of
+    each committed state."""
+
+    def observer_of(mirror):
+        def observe(event):
+            if event[0] in ("exec", "sense"):
+                event = event[:3] + (change(event[3]),)
+            mirror(event)
+
+        return observe
+
+    return observer_of
+
+
+def test_the_mirror_passes_the_engine():
+    assert _shadow(lambda mirror: mirror) == []
+
+
+def test_the_mirror_flags_a_state_that_lost_a_clause():
+    failures = _shadow(_on_states(lambda state: PIList(tuple(state)[1:])))
+    assert any("models are not the possible worlds" in f for f in failures)
+
+
+def test_the_mirror_flags_a_state_with_a_subsumed_clause():
+    def padded(state):
+        unit, other = next(c for c in state if len(c) == 1), tuple(state)[-1]
+        lits = unit.literals + tuple(l for l in other.literals if l.fluent != unit.literals[0].fluent)
+        return PIList(tuple(state) + (normalize_clause(lits),))
+
+    failures = _shadow(_on_states(padded))
+    assert any("not prime" in f for f in failures)
+    assert not any("models are not" in f for f in failures)  # the same worlds
+
+
+def test_the_mirror_flags_a_missing_answer(monkeypatch):
+    def all_but_the_last(state, prop, aux):
+        answers = list(entails_property(state, prop, aux))
+        return answers[:-1] if len(answers) > 1 else answers
+
+    monkeypatch.setattr(oracle_harness, "entails_property", all_but_the_last)
+    assert any("groundings hold in every world" in f for f in _shadow(lambda mirror: mirror))
+
+
+def test_the_mirror_flags_an_open_answer(monkeypatch):
+    def opened(state, prop, aux):
+        return [{name: Var("_open") for name in prop.variables()}]
+
+    monkeypatch.setattr(oracle_harness, "entails_property", opened)
+    assert any("open answer" in f for f in _shadow(lambda mirror: mirror))
