@@ -258,7 +258,7 @@ class Interpreter(Machine):
 
     def _dispatch_query(self, prop, rest):
         prop = resolve_property(prop, self.bindings)
-        self._note("call", prop)
+        self._note("call", prop, prop)  # the text, then the property itself
         stream = entails_property(self.agent.belief, prop, self.aux)
         return self._push(Interpreter._advance_query, stream, prop, rest)
 

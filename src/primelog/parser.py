@@ -609,15 +609,22 @@ _live_domains = 0  # DomainFiles that parse_domain returned and are not yet drop
 def _drop_domain():
     global _live_domains
     _live_domains -= 1
-    if not _live_domains:
-        gc.unfreeze()
+    gc.unfreeze()
+    if _live_domains:
+        # The last parse froze the caller's cyclic garbage along with the
+        # domains: collect it once, then keep the collector off the rest.
+        gc.collect()
+        if _live_domains:  # the collection may have freed more domains
+            gc.freeze()
 
 
 def parse_domain(text, filename="<domain>"):
     """Read and validate a domain file. Returns a DomainFile whose initial
     state is already in prime implicate form. Pauses the cyclic collector
     process-wide while it runs, and keeps it off the result until the
-    last DomainFile it returned is dropped, which calls `gc.unfreeze()`."""
+    last DomainFile it returned is dropped, which calls `gc.unfreeze()`.
+    Dropping a DomainFile while others are alive runs one full collection
+    and freezes again."""
     global _live_domains
     # The package makes no reference cycles, so a collection would only
     # walk the objects the parse builds, and free none of them.
@@ -630,7 +637,7 @@ def parse_domain(text, filename="<domain>"):
         if enabled:
             gc.enable()
     _live_domains += 1
-    weakref.finalize(domain, _drop_domain)
+    weakref.finalize(domain, _drop_domain).atexit = False  # no collections at exit
     return domain
 
 

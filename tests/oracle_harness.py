@@ -5,10 +5,13 @@ alongside the agent's prime-implicate state and checks, step by step:
   * after every action and sensing, the state is prime (closing its own
     clauses gives it back) and exact (its models over the oracle's atom
     universe are exactly the worlds still possible);
-  * every successful `?` is true in every world still possible;
-  * at the first answer of each `?` on a state, the engine's whole answer
-    set is complete: it is the set of groundings that hold in every world
-    still possible, and each answer is ground.
+  * every answer to a `?` is true in every world still possible;
+  * when a `?` is called, the first time on a state for each property,
+    the engine's whole answer set is complete: it is the set of groundings
+    that hold in every world still possible, and each answer is ground.
+    So a `?` that the engine wrongly fails is flagged too. The interpreter
+    draws its answers from the same `entails_property` on the same state,
+    so the set checked is the stream it backtracks through.
 """
 
 from oracle import (
@@ -31,7 +34,7 @@ class OracleMirror:
         self.aux = AuxDB(domain.aux_program)
         self.state = domain.initial
         self.beliefs = initial_beliefs(domain.initial)
-        self.answered = {}  # id -> property, for the `?`s answered on this state
+        self.called = set()  # the `?` properties checked on this state
         self.checked_queries = 0
         self.checked_steps = 0
         self.checked_complete = 0
@@ -45,11 +48,13 @@ class OracleMirror:
             self._on_sense(event[1], event[2], event[3])
         elif kind == "holds":
             self._on_holds(event[1], event[2])
+        elif kind == "call" and len(event) > 2:  # a `?` and its property
+            self._on_call(event[2])
 
     def _check_state(self, label, state):
         self.checked_steps += 1
         self.state = state
-        self.answered.clear()
+        self.called.clear()
         if not self.beliefs.satisfies_all(state):
             self.failures.append(
                 f"{label}: some possible world falsifies a believed clause"
@@ -89,14 +94,16 @@ class OracleMirror:
                     f"?-success not true in some possible world: {held.clauses}"
                 )
                 return
-        if id(prop) not in self.answered:
-            self.answered[id(prop)] = prop
-            self._check_complete(prop, by_pred)
 
-    def _check_complete(self, prop, by_pred):
+    def _on_call(self, prop):
         """The engine's answers to `prop` on the current state are the
         groundings of its variables that hold in every possible world."""
+        key = tuple((c.fluents, c.aux) for c in prop.clauses)
+        if key in self.called:
+            return
+        self.called.add(key)
         self.checked_complete += 1
+        by_pred = self.beliefs.by_pred()
         names = sorted(prop.variables())
 
         def grounding(answer):

@@ -115,7 +115,8 @@ def test_the_callers_collector_setting_is_kept_after_a_parse_error(collector):
 
 
 def test_dropping_the_domain_releases_what_it_froze():
-    gc.unfreeze()  # a domain another test keeps alive would count otherwise
+    gc.unfreeze()  # so that a domain left in another test's cyclic garbage
+    gc.collect()  # is collected and does not count as live
     domain, program = _corridor()
     assert gc.get_freeze_count() > 0
     outcome = solve(parse_query(maze_query(5), domain), program, domain, MazeEnv(5))
@@ -163,3 +164,50 @@ def test_dropping_the_older_of_two_domains_leaves_the_newer_solvable():
     assert [format_term(a) for a in outcome.state.history] == ["go(2)", "go(3)", "go(4)"]
     del newer, program, outcome
     assert gc.get_freeze_count() == 0  # the last drop unfroze everything
+
+
+class _Node:
+    pass
+
+
+@pytest.fixture
+def paused():
+    """The collector emptied and paused, so that only the test's own
+    collections take its cycles; restored after the test."""
+    enabled = gc.isenabled()
+    gc.unfreeze()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_dropping_the_older_domain_collects_the_cycles_the_newer_parse_froze(paused):
+    older = _corridor()
+    node = _Node()
+    node.me = node
+    alive = weakref.ref(node)
+    del node
+    newer = _corridor()
+    gc.collect()
+    assert alive() is not None  # frozen along with the newer domain
+    del older
+    assert alive() is None  # the drop ran a collection
+    assert not any(o is newer[0] for o in gc.get_objects())  # and froze again
+    del newer
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_domain_only_a_cycle_keeps_is_freed_when_another_is_dropped(paused):
+    holder = _Node()
+    holder.me = holder
+    holder.domain = _corridor()[0]
+    dead = weakref.ref(holder.domain)
+    del holder
+    newer = _corridor()  # freezes the holder's cycle
+    gc.collect()
+    assert dead() is not None
+    del newer
+    assert dead() is None
+    assert gc.get_freeze_count() == 0  # both domains are gone

@@ -242,3 +242,19 @@ def test_the_mirror_flags_an_open_answer(monkeypatch):
 
     monkeypatch.setattr(oracle_harness, "entails_property", opened)
     assert any("open answer" in f for f in _shadow(lambda mirror: mirror))
+
+
+def test_the_mirror_flags_a_query_the_engine_fails(monkeypatch):
+    monkeypatch.setattr(oracle_harness, "entails_property", lambda state, prop, aux: [])
+
+    def without_answers(mirror):
+        """The mirror sees every event but the answers: as it would if
+        the engine failed each `?`."""
+
+        def observe(event):
+            if event[0] != "holds":
+                mirror(event)
+
+        return observe
+
+    assert any("0 engine answers" in f for f in _shadow(without_answers))
